@@ -4,7 +4,7 @@ Submodules:
 
 * ``zlinalg``       — exact integer linear algebra (Smith form, cokernels)
 * ``words``         — free-group words, the presentation DSL, abelianization
-* ``groupring``     — Fox derivatives, affine lifts, the Klein-bottle group
+* ``groupring``     — word evaluation, Fox derivatives, affine lifts, the Klein-bottle group
 * ``extensions``    — the relator obstruction and the abelianization test
 * ``transgression`` — the spectral-sequence transgression over Z^2
 * ``mcg``           — homology-level mapping classes and the genus-3 example

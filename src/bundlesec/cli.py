@@ -9,16 +9,14 @@ Exit codes: 0 success (any mathematical verdict), 2 missing file,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from .extensions import MalformedSpec, lemma2_check, h1_h2_base, obstruction_class, s_of_r
+from .extensions import MalformedSpec, lemma2_check, h1_h2_base, obstruction_class
 from .extensions import TorusBundleSpec, semidirect_presentation
 from .mcg import (
-    build_double_model,
     endo_monodromy,
     endo_relation_check,
     endo_verdict,
@@ -89,8 +87,8 @@ def _split_check_one(path: str) -> Dict:
     lemma2: Dict = {"applies": False}
     if isinstance(spec, TorusBundleSpec) and obstruction.lifted:
         # compare pi^ab against (fibre coinvariants) + (base abelianization)
-        action = spec.action_cocycle.linear_part()
-        offsets = [s_of_r(spec, i)[1] for i in range(len(spec.base.relators))]
+        action = spec.coefficients
+        offsets = obstruction.s_of_r
         fibre_names = _fresh_names(spec.base.generators, spec.fibre_rank)
         pi = semidirect_presentation(spec.base, action, fibre_names, offsets)
         check = lemma2_check(pi, fibre_names, spec.base, action)
@@ -116,12 +114,9 @@ def _fresh_names(taken: Sequence[str], count: int) -> List[str]:
     return names
 
 
-def cmd_split_check(paths: Sequence[str], as_json: bool, jobs: int) -> int:
-    if jobs > 1 and len(paths) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_split_check_one, paths))
-    else:
-        reports = [_split_check_one(p) for p in paths]
+def cmd_split_check(paths: Sequence[str], as_json: bool) -> int:
+    # every file is checked before any report is printed
+    reports = [_split_check_one(p) for p in paths]
     for report in reports:
         ob = report["result"]["obstruction"]
         lines = [
@@ -250,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split-check", help="relator obstruction for a bundle file")
     p.add_argument("files", nargs="+")
-    p.add_argument("--jobs", type=int, default=1, help="evaluate files concurrently")
 
     p = sub.add_parser("cohomology", help="H^1 and H^2 of the base with module coefficients")
     p.add_argument("file")
@@ -287,7 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "abelianize":
             return cmd_abelianize(args.file, as_json)
         if args.command == "split-check":
-            return cmd_split_check(args.files, as_json, args.jobs)
+            return cmd_split_check(args.files, as_json)
         if args.command == "cohomology":
             return cmd_cohomology(args.file, as_json)
         if args.command == "transgress":

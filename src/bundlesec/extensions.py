@@ -10,19 +10,22 @@ The obstruction s(r) is the fibre value of the relator word under the lifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .groupring import (
     AffineRep,
     KbAut,
     KbElement,
     LinearRep,
-    evaluate_linear,
-    fox_derivative,
+    affine_multiply,
+    evaluate_affine,
+    evaluate_word,
+    fox_jacobian,
     kb_center_component,
     kb_inverse,
-    kb_multiply,
+    kb_pair_multiply,
 )
 from .words import Presentation, Word, abelianization, exponent_sum
 from .zlinalg import (
@@ -74,6 +77,23 @@ class TorusBundleSpec:
                 raise MalformedSpec("offset has wrong fibre dimension")
         object.__setattr__(self, "relator_offsets", tuple(tuple(v) for v in offs))
 
+    @property
+    def coefficients(self) -> LinearRep:
+        """The fibre as a module over the base: theta, the matrix part of the lifts."""
+        return self.action_cocycle.linear
+
+    def relator_values(self) -> Tuple[bool, Tuple[Vector, ...], Tuple[Vector, ...]]:
+        """(lifted, s(r) per relator, the vectors whose classes are taken)."""
+        values = [s_of_r(self, i) for i in range(len(self.base.relators))]
+        svecs = tuple(t for _, t in values)
+        # the vectors are projected even when the action does not lift
+        return all(m.is_identity() for m, _ in values), svecs, svecs
+
+    @property
+    def nonzero_verdict(self) -> str:
+        # only a rank-2 fibre is a surface group
+        return VERDICT_NO_SECTION if self.fibre_rank == 2 else VERDICT_NO_SPLITTING
+
 
 @dataclass(frozen=True)
 class KbBundleSpec:
@@ -93,6 +113,44 @@ class KbBundleSpec:
         if len(offs) != len(self.base.relators):
             raise MalformedSpec("need one fibre offset per base relator")
         object.__setattr__(self, "relator_offsets", tuple(offs))
+
+    nonzero_verdict = VERDICT_NO_SECTION
+
+    @cached_property
+    def coefficients(self) -> LinearRep:
+        """The centre of the fibre as a module over the base: the +-1 action zeta."""
+        return LinearRep(
+            {g: IntMatrix.from_rows([[aut.center_action()]])
+             for g, (aut, _) in self.action_cocycle.items()},
+            1,
+        )
+
+    def evaluate(self, w: Word) -> Tuple[KbElement, KbAut]:
+        """Value of a base word under the lifts in fibre x| Aut(fibre)."""
+        def image(g: str, s: int) -> Tuple[KbElement, KbAut]:
+            aut, k = self.action_cocycle[g]
+            if s == 1:
+                return k, aut
+            inv = aut.inverse()
+            return kb_inverse(inv.apply(k)), inv
+
+        return evaluate_word(w, image, kb_pair_multiply, (KbElement.identity(), KbAut.identity()))
+
+    def relator_values(self) -> Tuple[bool, Tuple[Vector, ...], Tuple[Vector, ...]]:
+        """(lifted, s(r) per relator, the vectors whose classes are taken).
+
+        Values that do not lift to the centre are reported as (a, b) for
+        x^a y^b, and no class is taken.
+        """
+        totals = [kb_pair_multiply(self.evaluate(r), (off, KbAut.identity()))
+                  for r, off in zip(self.base.relators, self.relator_offsets)]
+        if not all(aut == KbAut.identity() and v.is_central() for v, aut in totals):
+            return False, tuple((v.a, v.b) for v, _ in totals), ()
+        svecs = tuple((kb_center_component(v),) for v, _ in totals)
+        return True, svecs, svecs
+
+
+BundleSpec = Union[TorusBundleSpec, KbBundleSpec]
 
 
 @dataclass(frozen=True)
@@ -122,107 +180,44 @@ def s_of_r(spec: TorusBundleSpec, relator_index: int = 0) -> Tuple[IntMatrix, Ve
     The matrix part must be the identity for the action to lift; the vector
     part is then the obstruction element in the fibre.
     """
-    from .groupring import evaluate_affine, affine_multiply
-
     r = spec.base.relators[relator_index]
     m, t = evaluate_affine(r, spec.action_cocycle)
     g = spec.relator_offsets[relator_index]
     return affine_multiply((m, t), (IntMatrix.identity(spec.fibre_rank), g))
 
 
-def jw_submodule(spec: TorusBundleSpec) -> Tuple[Vector, ...]:
-    """Generators of J_w . fibre: theta(d r / d x) applied to basis vectors."""
-    rep = spec.action_cocycle.linear_part()
-    gens: List[Vector] = []
-    basis = [tuple(1 if i == j else 0 for j in range(spec.fibre_rank))
-             for i in range(spec.fibre_rank)]
-    for r in spec.base.relators:
-        for x in spec.base.generators:
-            m = evaluate_linear(fox_derivative(r, x), rep)
-            for e in basis:
-                gens.append(m.apply(e))
-    return tuple(gens)
+def _fox_blocks(base: Presentation, module: LinearRep) -> List[List[IntMatrix]]:
+    """theta(d r / d x): one row per base relator r, one block per generator x."""
+    rows = []
+    for r in base.relators:
+        jac = fox_jacobian(r, module)
+        rows.append([jac[x] for x in base.generators])
+    return rows
 
 
-def _kb_zeta_rep(spec: KbBundleSpec) -> LinearRep:
-    """The induced +-1 action on the centre of the Klein-bottle group."""
-    return LinearRep(
-        {g: IntMatrix.from_rows([[aut.center_action()]])
-         for g, (aut, _) in spec.action_cocycle.items()},
-        1,
-    )
+def jw_submodule(spec: BundleSpec) -> Tuple[Vector, ...]:
+    """Generators of J_w . (coefficient module): the columns of every block
+    theta(d r / d x)."""
+    blocks = _fox_blocks(spec.base, spec.coefficients)
+    return tuple(col for row in blocks for blk in row for col in blk.columns())
 
 
-def _kb_evaluate(spec: KbBundleSpec, w: Word) -> Tuple[KbElement, KbAut]:
-    """Value of a base word under the lifts in fibre x| Aut(fibre)."""
-    elem = KbElement.identity()
-    aut = KbAut.identity()
-    for g, s in w.letters:
-        a, k = spec.action_cocycle[g]
-        if s == -1:
-            a = a.inverse()
-            k = kb_inverse(a.apply(k))
-        elem = kb_multiply(elem, aut.apply(k))
-        aut = aut.compose(a)
-    return elem, aut
-
-
-def obstruction_class(spec) -> ObstructionReport:
-    if isinstance(spec, TorusBundleSpec):
-        return _torus_obstruction(spec)
-    if isinstance(spec, KbBundleSpec):
-        return _kb_obstruction(spec)
-    raise MalformedSpec(f"unsupported bundle spec {type(spec).__name__}")
-
-
-def _torus_obstruction(spec: TorusBundleSpec) -> ObstructionReport:
-    values = [s_of_r(spec, i) for i in range(len(spec.base.relators))]
-    lifted = all(m.is_identity() for m, _ in values)
-    svecs = tuple(t for _, t in values)
+def obstruction_class(spec: BundleSpec) -> ObstructionReport:
+    """The class of each s(r) in the coefficient module modulo J_w."""
+    if not isinstance(spec, (TorusBundleSpec, KbBundleSpec)):
+        raise MalformedSpec(f"unsupported bundle spec {type(spec).__name__}")
+    lifted, svecs, vectors = spec.relator_values()
     jw = jw_submodule(spec)
-    quotient = cokernel(IntMatrix.from_columns(list(jw), rows=spec.fibre_rank))
-    coords = tuple(quotient.project(v) for v in svecs)
-    nonstandard = len(spec.base.relators) > 1
-    nonzero_fibre = spec.fibre_rank == 2
+    quotient = cokernel(IntMatrix.from_columns(list(jw), rows=spec.coefficients.dim))
+    coords = tuple(quotient.project(v) for v in vectors)
     if not lifted:
         verdict = VERDICT_ACTION_DOES_NOT_LIFT
     elif all(all(c == 0 for c in cs) for cs in coords):
         verdict = VERDICT_SPLITS
     else:
-        verdict = VERDICT_NO_SECTION if nonzero_fibre else VERDICT_NO_SPLITTING
-    return ObstructionReport(lifted, svecs, jw, quotient, coords, verdict, nonstandard)
-
-
-def _kb_obstruction(spec: KbBundleSpec) -> ObstructionReport:
-    svals: List[KbElement] = []
-    lifted = True
-    for r, off in zip(spec.base.relators, spec.relator_offsets):
-        elem, aut = _kb_evaluate(spec, r)
-        total = kb_multiply(elem, aut.apply(off))
-        if aut != KbAut.identity() or not total.is_central():
-            lifted = False
-        svals.append(total)
-    zeta = _kb_zeta_rep(spec)
-    jw: List[Vector] = []
-    for r in spec.base.relators:
-        for x in spec.base.generators:
-            m = evaluate_linear(fox_derivative(r, x), zeta)
-            jw.append((m.data[0][0],))
-    quotient = cokernel(IntMatrix.from_columns(jw, rows=1))
-    if lifted:
-        svecs = tuple((kb_center_component(v),) for v in svals)
-        coords = tuple(quotient.project(v) for v in svecs)
-    else:
-        svecs = tuple((v.a, v.b) for v in svals)
-        coords = ()
-    nonstandard = len(spec.base.relators) > 1
-    if not lifted:
-        verdict = VERDICT_ACTION_DOES_NOT_LIFT
-    elif all(all(c == 0 for c in cs) for cs in coords):
-        verdict = VERDICT_SPLITS
-    else:
-        verdict = VERDICT_NO_SECTION
-    return ObstructionReport(lifted, svecs, tuple(jw), quotient, coords, verdict, nonstandard)
+        verdict = spec.nonzero_verdict
+    return ObstructionReport(lifted, svecs, jw, quotient, coords, verdict,
+                             nonstandard_quotient=len(spec.base.relators) > 1)
 
 
 def coinvariants(fibre_rank: int, mats: Sequence[IntMatrix]) -> AbelianGroup:
@@ -296,31 +291,19 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
     m = module.dim
     gens = base.generators
     rels = base.relators
-    eye = IntMatrix.identity(m)
-
-    # delta2 as a block matrix (m|R| x m|X|)
-    blocks = [[evaluate_linear(fox_derivative(r, x), module) for x in gens] for r in rels]
-    d2_rows: List[Tuple[int, ...]] = []
-    for bi, row_blocks in enumerate(blocks):
-        for i in range(m):
-            row: List[int] = []
-            for blk in row_blocks:
-                row.extend(blk.data[i])
-            d2_rows.append(tuple(row))
-    d2 = IntMatrix(m * len(rels), m * len(gens), tuple(d2_rows))
-
-    # delta1 columns: one per fibre basis vector
-    d1_cols: List[Vector] = []
-    for j in range(m):
-        e = tuple(1 if i == j else 0 for i in range(m))
-        col: List[int] = []
-        for x in gens:
-            col.extend((module.matrix(x) - eye).apply(e))
-        d1_cols.append(tuple(col))
-
     for r in rels:
         if not module.evaluate_word(r).is_identity():
-            raise ValueError(f"module matrices do not kill the relator {r}")
+            raise MalformedSpec(f"module matrices do not kill the relator {r}")
+
+    # delta1 columns: one per fibre basis vector
+    eye = IntMatrix.identity(m)
+    diffs = [module.matrix(x) - eye for x in gens]
+    d1_cols = [tuple(c for d in diffs for c in d.column(j)) for j in range(m)]
+
+    # delta2 as a block matrix (m|R| x m|X|)
+    d2_rows = [tuple(c for blk in row for c in blk.data[i])
+               for row in _fox_blocks(base, module) for i in range(m)]
+    d2 = IntMatrix(m * len(rels), m * len(gens), tuple(d2_rows))
 
     kb = kernel_basis(d2)
     kmat = IntMatrix.from_columns(list(kb), rows=m * len(gens))

@@ -1,6 +1,10 @@
 """Formal group-ring elements on free-group words, Fox derivatives, and
 their evaluation under linear and affine integer representations.
 
+Words are evaluated by one fold, ``evaluate_word``; the Fox Jacobian of a
+relator under a linear representation comes from one pass, ``fox_jacobian``.
+``fox_derivative`` and ``evaluate_linear`` stay as the formal reference.
+
 Group-ring words are never reduced modulo relations of the target group;
 every consumer evaluates them under a representation instead, so no word
 problem ever arises.
@@ -12,10 +16,13 @@ Also hosts the Klein-bottle group model: normal forms x^a y^b for the group
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Mapping, Sequence, Tuple, TypeVar
 
-from .words import Word, exponent_sum
+from .words import Word
 from .zlinalg import IntMatrix, Vector
+
+T = TypeVar("T")
 
 
 class FreeRingElement:
@@ -50,17 +57,6 @@ class FreeRingElement:
 
     def __neg__(self) -> "FreeRingElement":
         return FreeRingElement({w: -c for w, c in self.terms.items()})
-
-    def scale(self, k: int) -> "FreeRingElement":
-        return FreeRingElement({w: k * c for w, c in self.terms.items()})
-
-    def word_mul(self, w: Word) -> "FreeRingElement":
-        """Left-multiply every term by the word w."""
-        out: Dict[Word, int] = {}
-        for t, c in self.terms.items():
-            wt = w * t
-            out[wt] = out.get(wt, 0) + c
-        return FreeRingElement(out)
 
     def __mul__(self, other: "FreeRingElement") -> "FreeRingElement":
         out: Dict[Word, int] = {}
@@ -116,6 +112,16 @@ def fox_identity_residual(r: Word, gens: Sequence[str]) -> FreeRingElement:
     return total - (FreeRingElement.of(r) - FreeRingElement.one())
 
 
+def evaluate_word(w: Word, image: Callable[[str, int], T], mul: Callable[[T, T], T], one: T) -> T:
+    """Value of w in a group: the product, left to right from one, of the
+    images image(gen, sign) of its letters.  Every word evaluation under a
+    representation goes through this fold."""
+    out = one
+    for g, s in w.letters:
+        out = mul(out, image(g, s))
+    return out
+
+
 @dataclass(frozen=True)
 class LinearRep:
     """Assignment of a GL(m, Z) matrix to each generator."""
@@ -130,22 +136,17 @@ class LinearRep:
             if not m.is_unimodular():
                 raise ValueError(f"matrix for {g!r} is not invertible over Z")
 
-    @staticmethod
-    def trivial(gens: Sequence[str], dim: int) -> "LinearRep":
-        eye = IntMatrix.identity(dim)
-        return LinearRep({g: eye for g in gens}, dim)
+    @cached_property
+    def _inverses(self) -> Dict[str, IntMatrix]:
+        return {g: m.inverse_unimodular() for g, m in self.assignment.items()}
 
     def matrix(self, gen: str, sign: int = 1) -> IntMatrix:
         if gen not in self.assignment:
             raise KeyError(f"generator {gen!r} has no assigned matrix")
-        m = self.assignment[gen]
-        return m if sign == 1 else m.inverse_unimodular()
+        return self.assignment[gen] if sign == 1 else self._inverses[gen]
 
     def evaluate_word(self, w: Word) -> IntMatrix:
-        out = IntMatrix.identity(self.dim)
-        for g, s in w.letters:
-            out = out @ self.matrix(g, s)
-        return out
+        return evaluate_word(w, self.matrix, IntMatrix.__matmul__, IntMatrix.identity(self.dim))
 
 
 def evaluate_linear(e: FreeRingElement, rep: LinearRep) -> IntMatrix:
@@ -155,6 +156,28 @@ def evaluate_linear(e: FreeRingElement, rep: LinearRep) -> IntMatrix:
         m = rep.evaluate_word(w)
         out = out + IntMatrix(m.rows, m.cols, tuple(tuple(c * x for x in row) for row in m.data))
     return out
+
+
+def fox_jacobian(r: Word, rep: LinearRep) -> Dict[str, IntMatrix]:
+    """theta(d r / d gen) for every generator of the representation.
+
+    One left-to-right pass over r with the running prefix value P: a letter
+    gen^+1 adds P to the entry of gen and then moves P to P theta(gen); a
+    letter gen^-1 first moves P to P theta(gen)^-1 and then subtracts it.
+    Generators absent from r get the zero matrix.
+    """
+    zero = IntMatrix.zeros(rep.dim, rep.dim)
+    jac = {g: zero for g in rep.assignment}
+    prefix = IntMatrix.identity(rep.dim)
+    for g, s in r.letters:
+        m = rep.matrix(g, s)
+        if s == 1:
+            jac[g] = jac[g] + prefix
+            prefix = prefix @ m
+        else:
+            prefix = prefix @ m
+            jac[g] = jac[g] - prefix
+    return jac
 
 
 @dataclass(frozen=True)
@@ -169,14 +192,12 @@ class AffineRep:
     dim: int
 
     def __post_init__(self) -> None:
-        for g, (m, t) in self.assignment.items():
-            if m.rows != self.dim or m.cols != self.dim or len(t) != self.dim:
+        for g, (_, t) in self.assignment.items():
+            if len(t) != self.dim:
                 raise ValueError(f"affine pair for {g!r} has wrong size")
-            if not m.is_unimodular():
-                raise ValueError(f"matrix part for {g!r} is not invertible over Z")
-
-    def linear_part(self) -> LinearRep:
-        return LinearRep({g: m for g, (m, _) in self.assignment.items()}, self.dim)
+        # the matrix part: checked, and its inverses computed, once
+        linear = LinearRep({g: m for g, (m, _) in self.assignment.items()}, self.dim)
+        object.__setattr__(self, "linear", linear)
 
     def pair(self, gen: str, sign: int = 1) -> Tuple[IntMatrix, Vector]:
         if gen not in self.assignment:
@@ -184,7 +205,7 @@ class AffineRep:
         m, t = self.assignment[gen]
         if sign == 1:
             return m, t
-        minv = m.inverse_unimodular()
+        minv = self.linear.matrix(gen, -1)
         return minv, tuple(-x for x in minv.apply(t))
 
 
@@ -194,10 +215,8 @@ def affine_multiply(p: Tuple[IntMatrix, Vector], q: Tuple[IntMatrix, Vector]):
 
 
 def evaluate_affine(w: Word, rep: AffineRep) -> Tuple[IntMatrix, Vector]:
-    out = (IntMatrix.identity(rep.dim), tuple(0 for _ in range(rep.dim)))
-    for g, s in w.letters:
-        out = affine_multiply(out, rep.pair(g, s))
-    return out
+    return evaluate_word(w, rep.pair, affine_multiply,
+                         (IntMatrix.identity(rep.dim), tuple(0 for _ in range(rep.dim))))
 
 
 # --- Klein-bottle group model -----------------------------------------------
@@ -251,12 +270,11 @@ def kb_inverse(p: KbElement) -> KbElement:
 
 
 def kb_power(p: KbElement, n: int) -> KbElement:
-    if n < 0:
-        return kb_power(kb_inverse(p), -n)
-    out = KbElement.identity()
-    for _ in range(n):
-        out = kb_multiply(out, p)
-    return out
+    # y^b x^a = x^a y^((-1)^a b): for even a the factors of p^n commute,
+    # for odd a the y-parts cancel in pairs
+    if p.a % 2 == 0:
+        return KbElement(n * p.a, n * p.b)
+    return KbElement(n * p.a, p.b * (n % 2))
 
 
 def kb_center_component(p: KbElement) -> int:
@@ -307,12 +325,10 @@ class KbAut:
         return kb_center_component(self.apply(KbElement.x(2)))
 
 
-def kb_aut_apply(a: KbAut, p: KbElement) -> KbElement:
-    return a.apply(p)
-
-
-def kb_aut_compose(a: KbAut, b: KbAut) -> KbAut:
-    return a.compose(b)
+def kb_pair_multiply(p: Tuple[KbElement, KbAut], q: Tuple[KbElement, KbAut]):
+    """Product in fibre x| Aut(fibre): (e, a)(e', a') = (e a(e'), a o a')."""
+    (e, a), (f, b) = p, q
+    return kb_multiply(e, a.apply(f)), a.compose(b)
 
 
 def kb_conjugation(g: KbElement) -> KbAut:

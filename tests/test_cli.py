@@ -95,14 +95,6 @@ def test_reports_are_byte_identical():
         assert first.returncode == second.returncode == 0
 
 
-def test_jobs_match_sequential():
-    files = sorted(str(p) for p in SPECS.glob("*.bundle"))
-    seq = run_cli("--json", "split-check", *files)
-    par = run_cli("--json", "split-check", *files, "--jobs", "4")
-    assert seq.returncode == par.returncode == 0
-    assert seq.stdout == par.stdout
-
-
 def test_exit_code_file_not_found():
     out = run_cli("abelianize", "/no/such/file.pres")
     assert out.returncode == 2
@@ -125,6 +117,17 @@ def test_exit_code_malformed_spec(tmp_path):
 
     out = run_cli("transgress", "--range", "5..1")
     assert out.returncode == 4
+
+
+def test_cohomology_of_a_module_that_misses_the_relator_exits_4(tmp_path):
+    bad = tmp_path / "shear_flip.bundle"
+    bad.write_text("[base]\n< u, v | [u,v] >\n[fibre]\ntorus 2\n"
+                   "[action]\nu = 1 1 ; 0 1\nv = 0 1 ; 1 0\n")
+    out = run_cli("--json", "cohomology", str(bad))
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert "do not kill the relator" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_no_section_is_still_success():

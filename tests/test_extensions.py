@@ -22,13 +22,17 @@ from bundlesec.extensions import (
 from bundlesec.groupring import (
     KB_ALPHA,
     KB_CONJ_X,
+    KB_CONJ_Y,
     KB_GAMMA,
     AffineRep,
     KbAut,
     KbElement,
     LinearRep,
+    kb_conjugation,
+    kb_inverse,
+    kb_multiply,
 )
-from bundlesec.words import abelianization, parse_presentation
+from bundlesec.words import Word, abelianization, parse_presentation
 from bundlesec.zlinalg import IntMatrix
 
 TORUS = parse_presentation("< u, v | [u,v] >")
@@ -132,6 +136,29 @@ def test_kb_noncentral_relator_value_does_not_lift():
     report = obstruction_class(_kb_spec(KbAut.identity(), KbAut.identity(),
                                         offset=KbElement(0, 1)))
     assert not report.lifted
+
+
+kb_small = st.builds(KbElement, st.integers(min_value=-3, max_value=3),
+                     st.integers(min_value=-3, max_value=3))
+kb_auts = st.sampled_from([KbAut.identity(), KB_ALPHA, KB_GAMMA, KB_CONJ_X, KB_CONJ_Y,
+                           kb_conjugation(KbElement(1, 2)), KB_ALPHA.compose(KB_GAMMA)])
+uv_words = st.lists(st.tuples(st.sampled_from("uv"), st.sampled_from((1, -1))),
+                    max_size=16).map(Word.make)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(uv_words, kb_auts, kb_auts, kb_small, kb_small)
+def test_kb_evaluation_matches_a_letter_by_letter_product(w, aut_u, aut_v, k_u, k_v):
+    spec = _kb_spec(aut_u, aut_v, k_u, k_v)
+    elem, aut = KbElement.identity(), KbAut.identity()
+    for g, s in w.letters:
+        a, k = spec.action_cocycle[g]
+        if s == -1:
+            a = a.inverse()
+            k = kb_inverse(a.apply(k))
+        elem = kb_multiply(elem, aut.apply(k))
+        aut = aut.compose(a)
+    assert spec.evaluate(w) == (elem, aut)
 
 
 # --- coinvariants and the abelianization test ------------------------------------

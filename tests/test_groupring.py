@@ -16,6 +16,7 @@ from bundlesec.groupring import (
     evaluate_affine,
     evaluate_linear,
     fox_derivative,
+    fox_jacobian,
     fox_identity_residual,
     kb_aut_from_word,
     kb_conjugation,
@@ -127,6 +128,67 @@ def test_linear_rep_rejects_singular():
         LinearRep({"x": IntMatrix.from_rows([[2]])}, 1)
 
 
+# --- differential checks of the one-pass evaluators --------------------------------
+
+
+@st.composite
+def unimodular(draw, m):
+    """A product of elementary GL(m, Z) matrices: shears and sign flips."""
+    out = IntMatrix.identity(m)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=m - 1))
+        j = draw(st.integers(min_value=0, max_value=m - 1))
+        rows = [[int(a == b) for b in range(m)] for a in range(m)]
+        if i == j:
+            rows[i][i] = -1
+        else:
+            rows[i][j] = draw(st.integers(min_value=-2, max_value=2))
+        out = out @ IntMatrix.from_rows(rows)
+    return out
+
+
+@st.composite
+def linear_reps(draw):
+    m = draw(st.integers(min_value=1, max_value=3))
+    return LinearRep({g: draw(unimodular(m)) for g in "xyz"}, m)
+
+
+@st.composite
+def affine_reps(draw):
+    rep = draw(linear_reps())
+    vec = st.tuples(*[st.integers(min_value=-3, max_value=3)] * rep.dim)
+    return AffineRep({g: (m, draw(vec)) for g, m in rep.assignment.items()}, rep.dim)
+
+
+xy_words = st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from((1, -1))),
+                    max_size=16).map(Word.make)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(xy_words, linear_reps())
+def test_fox_jacobian_matches_the_reference_derivatives(w, rep):
+    jac = fox_jacobian(w, rep)
+    assert set(jac) == {"x", "y", "z"}
+    for g in "xyz":
+        assert jac[g] == evaluate_linear(fox_derivative(w, g), rep)
+    # z never occurs in w
+    assert jac["z"] == IntMatrix.zeros(rep.dim, rep.dim)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(xy_words, affine_reps())
+def test_evaluate_affine_matches_a_letter_by_letter_product(w, rep):
+    out = (IntMatrix.identity(rep.dim), (0,) * rep.dim)
+    for g, s in w.letters:
+        m, t = rep.assignment[g]
+        if s == -1:
+            m = m.inverse_unimodular()
+            t = tuple(-x for x in m.apply(t))
+        out = affine_multiply(out, (m, t))
+    assert evaluate_affine(w, rep) == out
+    assert rep.linear.evaluate_word(w) == out[0]
+
+
 # --- Klein-bottle model ----------------------------------------------------------
 
 
@@ -157,6 +219,17 @@ def test_kb_power(p, n):
     for _ in range(abs(n)):
         out = kb_multiply(out, base)
     assert kb_power(p, n) == out
+
+
+def test_kb_power_closed_form_matches_repeated_products():
+    for a in range(-5, 6):
+        for b in range(-5, 6):
+            p = KbElement(a, b)
+            for n in range(-7, 8):
+                out = KbElement.identity()
+                for _ in range(abs(n)):
+                    out = kb_multiply(out, p if n >= 0 else kb_inverse(p))
+                assert kb_power(p, n) == out
 
 
 def test_kb_centre():
