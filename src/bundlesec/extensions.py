@@ -34,8 +34,7 @@ from .zlinalg import (
     Vector,
     cokernel,
     direct_sum,
-    kernel_basis,
-    solve,
+    smith_normal_form,
 )
 
 VERDICT_SPLITS = "SPLITS"
@@ -305,16 +304,18 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
                for row in _fox_blocks(base, module) for i in range(m)]
     d2 = IntMatrix(m * len(rels), m * len(gens), tuple(d2_rows))
 
-    kb = kernel_basis(d2)
-    kmat = IntMatrix.from_columns(list(kb), rows=m * len(gens))
+    # one decomposition U d2 V = D: ker d2 is spanned by the V columns over
+    # the zero pivots, H^2 is read from U and D, and the coordinates of a
+    # delta1 column c in that kernel basis are the free rows of V^-1 c
+    dec = smith_normal_form(d2)
     coeff_cols: List[Vector] = []
     for col in d1_cols:
-        x = solve(kmat, col)
+        x = dec.kernel_coordinates(col)
         if x is None:
             raise AssertionError("image of delta1 fell outside the kernel of delta2")
         coeff_cols.append(x)
-    h1 = cokernel(IntMatrix.from_columns(coeff_cols, rows=len(kb)))
-    h2 = cokernel(d2)
+    h1 = cokernel(IntMatrix.from_columns(coeff_cols, rows=len(dec.free_columns())))
+    h2 = dec.cokernel()
     return h1, h2
 
 

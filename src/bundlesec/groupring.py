@@ -367,8 +367,12 @@ def kb_aut_from_word(text: str) -> KbAut:
         if n < 0:
             a = a.inverse()
             n = -n
-        for _ in range(n):
-            out = out.compose(a)
+        # square and multiply: out o a^n in O(log n) compositions
+        while n:
+            if n & 1:
+                out = out.compose(a)
+            a = a.compose(a)
+            n >>= 1
     return out
 
 

@@ -45,35 +45,44 @@ class BundleFile:
     offset_lines: Dict[int, str]
 
     def torus_action(self) -> LinearRep:
-        mats = {g: _parse_matrix(txt, self.fibre_rank) for g, txt in self.action_lines.items()}
-        return LinearRep(mats, self.fibre_rank)
+        rank = self.fibre_rank
+        mats = {g: _parse_matrix(self._action_line(g), rank) for g in self.base.generators}
+        try:
+            return LinearRep(mats, rank)
+        except ValueError as exc:
+            raise MalformedSpec(str(exc)) from exc
 
     def to_spec(self):
         if self.fibre_kind == "torus":
             return self._torus_spec()
         return self._kb_spec()
 
+    def _action_line(self, g: str) -> str:
+        if g not in self.action_lines:
+            raise MalformedSpec(f"[action] is missing generator {g!r}")
+        return self.action_lines[g]
+
     def _torus_spec(self) -> TorusBundleSpec:
         rank = self.fibre_rank
         assignment = {}
         for g in self.base.generators:
-            if g not in self.action_lines:
-                raise MalformedSpec(f"[action] is missing generator {g!r}")
-            mat = _parse_matrix(self.action_lines[g], rank)
+            mat = _parse_matrix(self._action_line(g), rank)
             tvec = _parse_vector(self.cocycle_lines.get(g, ""), rank)
             assignment[g] = (mat, tvec)
         offsets = []
         for i in range(1, len(self.base.relators) + 1):
             offsets.append(_parse_vector(self.offset_lines.get(i, ""), rank))
-        return TorusBundleSpec(self.base, rank, AffineRep(assignment, rank), tuple(offsets))
+        try:
+            cocycle = AffineRep(assignment, rank)
+        except ValueError as exc:
+            raise MalformedSpec(str(exc)) from exc
+        return TorusBundleSpec(self.base, rank, cocycle, tuple(offsets))
 
     def _kb_spec(self) -> KbBundleSpec:
         pairs: Dict[str, Tuple[KbAut, KbElement]] = {}
         for g in self.base.generators:
-            if g not in self.action_lines:
-                raise MalformedSpec(f"[action] is missing generator {g!r}")
             try:
-                aut = kb_aut_from_word(self.action_lines[g])
+                aut = kb_aut_from_word(self._action_line(g))
                 elem = kb_element_from_word(self.cocycle_lines.get(g, "1"))
             except ValueError as exc:
                 raise MalformedSpec(str(exc)) from exc

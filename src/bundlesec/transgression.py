@@ -89,25 +89,31 @@ class LaurentElement:
 
 
 def laurent_divide(num: LaurentElement, den: LaurentElement) -> LaurentElement:
-    """Exact division; raises ValueError when den does not divide num."""
+    """Exact division; raises ValueError when den does not divide num.
+
+    Newton polytopes add under multiplication, so an exact quotient has every
+    exponent inside the box between min(num) - min(den) and max(num) - max(den),
+    taken coordinate by coordinate.  Long division takes lex-decreasing
+    shifts, which are terms of the quotient when the division is exact; a
+    shift outside the box proves it inexact, and the box is finite, so the
+    loop ends.
+    """
     if den.is_zero():
         raise ValueError("division by zero")
     if num.is_zero():
         return LaurentElement.zero()
+    box = [(min(m[i] for m in num.terms) - min(m[i] for m in den.terms),
+            max(m[i] for m in num.terms) - max(m[i] for m in den.terms)) for i in (0, 1)]
     lead = max(den.terms)  # lex order on exponent pairs
     lead_c = den.terms[lead]
     quotient = LaurentElement.zero()
     rem = num
-    guard = 0
     while not rem.is_zero():
-        guard += 1
-        if guard > 10000:
-            raise ValueError("division does not terminate")
         m = max(rem.terms)
         c = rem.terms[m]
-        if c % lead_c != 0:
-            raise ValueError("inexact Laurent division")
         shift = (m[0] - lead[0], m[1] - lead[1])
+        if c % lead_c != 0 or not all(lo <= e <= hi for e, (lo, hi) in zip(shift, box)):
+            raise ValueError("inexact Laurent division")
         piece = LaurentElement.monomial(shift[0], shift[1], c // lead_c)
         quotient = quotient + piece
         rem = rem - piece * den

@@ -127,11 +127,44 @@ class IntMatrix:
         return self.rows == self.cols and self.determinant() in (1, -1)
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a determinant +-1 matrix, exactly over the integers."""
-        dec = smith_normal_form(self)
-        if not dec.D.is_identity():
+        """Inverse of a determinant +-1 matrix by Gauss-Jordan elimination over Z.
+
+        Euclid steps on each column leave one pivot, the gcd of the column
+        below the diagonal; a unimodular matrix makes every pivot a unit, which
+        then clears its column above and below.
+        """
+        if self.rows != self.cols:
             raise ValueError("matrix is not invertible over the integers")
-        return dec.V @ dec.U
+        n = self.rows
+        a = [list(row) + [1 if i == j else 0 for j in range(n)]
+             for i, row in enumerate(self.data)]
+        for t in range(n):
+            while True:
+                live = [i for i in range(t, n) if a[i][t] != 0]
+                if not live:
+                    raise ValueError("matrix is not invertible over the integers")
+                p = min(live, key=lambda i: abs(a[i][t]))
+                a[t], a[p] = a[p], a[t]
+                pivot_row = a[t]
+                done = True
+                for i in range(t + 1, n):
+                    if a[i][t] == 0:
+                        continue
+                    q = a[i][t] // pivot_row[t]
+                    a[i] = [x - q * y for x, y in zip(a[i], pivot_row)]
+                    done = done and a[i][t] == 0
+                if done:
+                    break
+            if a[t][t] not in (1, -1):
+                raise ValueError("matrix is not invertible over the integers")
+            if a[t][t] == -1:
+                a[t] = [-x for x in a[t]]
+            pivot_row = a[t]
+            for i in range(n):
+                if i != t and a[i][t] != 0:
+                    q = a[i][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], pivot_row)]
+        return IntMatrix(n, n, tuple(tuple(row[n:]) for row in a))
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.data)
@@ -139,11 +172,16 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ M @ V == D with U, V unimodular and D diagonal, d1 | d2 | ..."""
+    """U @ M @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
+
+    Vinv is the inverse of V.  Kernel, cokernel and solutions of M are all
+    read from one decomposition.
+    """
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    Vinv: IntMatrix
 
     def diagonal(self) -> Tuple[int, ...]:
         n = min(self.D.rows, self.D.cols)
@@ -153,6 +191,55 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
+    def free_columns(self) -> Tuple[int, ...]:
+        """The j with D e_j == 0; the columns of V there span the kernel of M."""
+        diag = self.diagonal()
+        return (tuple(j for j, d in enumerate(diag) if d == 0)
+                + tuple(range(len(diag), self.D.cols)))
+
+    def kernel_basis(self) -> Tuple[Vector, ...]:
+        """A lattice basis of { v : M @ v == 0 }."""
+        return tuple(self.V.column(j) for j in self.free_columns())
+
+    def kernel_coordinates(self, v: Sequence[int]) -> Optional[Vector]:
+        """Coordinates of v in ``kernel_basis()``, or None if M @ v != 0.
+
+        y = Vinv @ v satisfies D @ y == U @ M @ v, so M @ v == 0 exactly when
+        y vanishes at every nonzero pivot; then v is the sum of y_j V e_j over
+        the free columns j.
+        """
+        y = self.Vinv.apply(v)
+        if any(y[j] != 0 for j, d in enumerate(self.diagonal()) if d != 0):
+            return None
+        return tuple(y[j] for j in self.free_columns())
+
+    def cokernel(self) -> "AbelianGroup":
+        """The quotient Z^rows / im(M), with its canonical projection."""
+        diag = self.diagonal()
+        torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
+        free_rows = [i for i, d in enumerate(diag) if d == 0] + list(range(len(diag), self.D.rows))
+        factors = tuple(diag[i] for i in torsion_rows) + tuple(0 for _ in free_rows)
+        proj_rows = tuple(self.U.data[i] for i in torsion_rows + free_rows)
+        return AbelianGroup(factors, IntMatrix(len(factors), self.D.rows, proj_rows))
+
+    def solve(self, v: Sequence[int]) -> Optional[Vector]:
+        """One integer solution x of M @ x == v, or None if there is none."""
+        if len(v) != self.D.rows:
+            raise ValueError("dimension mismatch")
+        w = self.U.apply(v)
+        diag = self.diagonal()
+        y = [0] * self.D.cols
+        for i, wi in enumerate(w):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if wi != 0:
+                    return None
+            else:
+                if wi % d != 0:
+                    return None
+                y[i] = wi // d
+        return self.V.apply(y)
+
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Diagonalize by row/column operations, pivoting on the minimal nonzero entry."""
@@ -160,6 +247,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     a = [list(row) for row in m.data]
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    # V's inverse: each column operation on v is undone by a row operation here
+    vinv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -170,6 +259,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def addmul_row(dst, src, q):
         # row[dst] += q * row[src]
@@ -181,10 +271,14 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             urow[k] += q * usrc[k]
 
     def addmul_col(dst, src, q):
+        # col[dst] += q * col[src]; its inverse is row[src] -= q * row[dst]
         for row in a:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        isrc, idst = vinv[src], vinv[dst]
+        for k in range(c):
+            isrc[k] -= q * idst[k]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -239,8 +333,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             continue
         t += 1
 
-    d = IntMatrix.from_rows(a)
-    return SmithDecomposition(IntMatrix.from_rows(u), d, IntMatrix.from_rows(v))
+    def frozen(rows, ncols):
+        return IntMatrix(len(rows), ncols, tuple(tuple(row) for row in rows))
+
+    return SmithDecomposition(frozen(u, r), frozen(a, c), frozen(v, c), frozen(vinv, c))
 
 
 @dataclass(frozen=True)
@@ -299,43 +395,17 @@ class AbelianGroup:
 
 def cokernel(m: IntMatrix) -> AbelianGroup:
     """The quotient Z^rows / im(m), with its canonical projection."""
-    dec = smith_normal_form(m)
-    diag = dec.diagonal()
-    torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
-    free_rows = [i for i, d in enumerate(diag) if d == 0] + list(range(len(diag), m.rows))
-    factors = tuple(diag[i] for i in torsion_rows) + tuple(0 for _ in free_rows)
-    proj_rows = [dec.U.data[i] for i in torsion_rows + free_rows]
-    projection = IntMatrix(len(factors), m.rows, tuple(tuple(r) for r in proj_rows))
-    return AbelianGroup(factors, projection)
+    return smith_normal_form(m).cokernel()
 
 
 def kernel_basis(m: IntMatrix) -> Tuple[Vector, ...]:
     """A lattice basis of { v : m @ v == 0 }."""
-    dec = smith_normal_form(m)
-    diag = dec.diagonal()
-    free = [j for j, d in enumerate(diag) if d == 0] + list(range(len(diag), m.cols))
-    return tuple(dec.V.column(j) for j in free)
+    return smith_normal_form(m).kernel_basis()
 
 
 def solve(m: IntMatrix, v: Sequence[int]) -> Optional[Vector]:
     """One integer solution x of m @ x == v, or None if there is none."""
-    if len(v) != m.rows:
-        raise ValueError("dimension mismatch")
-    dec = smith_normal_form(m)
-    w = dec.U.apply(v)
-    diag = dec.diagonal()
-    y = [0] * m.cols
-    for i, wi in enumerate(w):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if wi != 0:
-                return None
-        else:
-            if wi % d != 0:
-                return None
-            if i < m.cols:
-                y[i] = wi // d
-    return dec.V.apply(y)
+    return smith_normal_form(m).solve(v)
 
 
 def submodule_membership(gens: Sequence[Sequence[int]], v: Sequence[int]):

@@ -130,6 +130,24 @@ def test_cohomology_of_a_module_that_misses_the_relator_exits_4(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+TORUS_HEAD = "[base]\n< u, v | [u,v] >\n[fibre]\ntorus 2\n"
+
+
+@pytest.mark.parametrize("command", ["split-check", "cohomology"])
+@pytest.mark.parametrize("action, needle", [
+    ("u = 2 0 ; 0 1\nv = 1 0 ; 0 1\n", "not invertible over Z"),
+    ("v = 1 0 ; 0 1\n", "missing generator 'u'"),
+])
+def test_hostile_torus_actions_exit_4(tmp_path, command, action, needle):
+    bad = tmp_path / "hostile.bundle"
+    bad.write_text(TORUS_HEAD + "[action]\n" + action)
+    out = run_cli("--json", command, str(bad))
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert needle in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_no_section_is_still_success():
     out = run_cli("split-check", str(SPECS / "flat_kb.bundle"))
     assert out.returncode == 0

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bundlesec.groupring import (
     KB_ALPHA,
+    KB_AUT_NAMES,
     KB_CONJ_Y,
     KB_GAMMA,
     AffineRep,
@@ -296,3 +297,28 @@ def test_kb_word_parsers():
         kb_element_from_word("z")
     with pytest.raises(ValueError):
         kb_aut_from_word("beta")
+
+
+def _kb_aut_power_by_repeated_composition(name, n):
+    out = KbAut.identity()
+    a = KB_AUT_NAMES[name] if n >= 0 else KB_AUT_NAMES[name].inverse()
+    for _ in range(abs(n)):
+        out = out.compose(a)
+    return out
+
+
+def test_kb_aut_powers_match_repeated_composition():
+    for name in KB_AUT_NAMES:
+        for n in range(-7, 8):
+            expected = _kb_aut_power_by_repeated_composition(name, n)
+            assert kb_aut_from_word(f"{name}^{n}") == expected
+            # after a prefix, the power composes on the right
+            assert kb_aut_from_word(f"gamma {name}^{n}") == KB_GAMMA.compose(expected)
+
+
+def test_kb_aut_huge_exponent_is_fast():
+    import time
+    start = time.perf_counter()
+    aut = kb_aut_from_word("gamma^200000")
+    assert time.perf_counter() - start < 0.5
+    assert aut == KbAut(KbElement(1, 200000), KbElement.y())

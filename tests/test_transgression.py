@@ -62,6 +62,22 @@ def test_laurent_inexact_division_raises():
         laurent_divide(one, one + x)
 
 
+def test_laurent_inexact_division_fails_fast_inside_the_lex_window():
+    # the leading x-coefficient 1 - y of the divisor does not divide that of
+    # x^2 + 1, so long division walks y-exponents down forever at x-exponent
+    # 1, never below the lex bound min(num) - min(den) = (0, 0); the
+    # y-range of the quotient's Newton box stops it
+    import time
+    x = LaurentElement.monomial(1, 0)
+    y = LaurentElement.monomial(0, 1)
+    one = LaurentElement.one()
+    start = time.perf_counter()
+    for num, den in ((x * x + one, x - x * y + one), (one, one - y), (x * y, x + y)):
+        with pytest.raises(ValueError):
+            laurent_divide(num, den)
+    assert time.perf_counter() - start < 0.5
+
+
 # --- resolutions ---------------------------------------------------------------
 
 

@@ -167,3 +167,101 @@ def test_unimodular_inverse(m):
         inv = mat.inverse_unimodular()
         assert (mat @ inv).is_identity()
         assert (inv @ mat).is_identity()
+
+
+def _random_matrix(rng, r, c, bound=9):
+    return IntMatrix(r, c, tuple(tuple(rng.randint(-bound, bound) for _ in range(c))
+                                 for _ in range(r)))
+
+
+def test_smith_decomposition_carries_v_inverse_on_every_shape():
+    import random
+    rng = random.Random(11)
+    shapes = [(r, c) for r in range(10) for c in range(10)]
+    for r, c in shapes * 3:
+        m = _random_matrix(rng, r, c)
+        if rng.random() < 0.3 and r:
+            # a zero row and, where there is one, a zero column
+            rows = [list(row) for row in m.data]
+            rows[rng.randrange(r)] = [0] * c
+            if c:
+                j = rng.randrange(c)
+                for row in rows:
+                    row[j] = 0
+            m = IntMatrix(r, c, tuple(tuple(row) for row in rows))
+        dec = smith_normal_form(m)
+        assert (dec.D.rows, dec.D.cols) == (r, c)
+        assert dec.U @ m @ dec.V == dec.D
+        assert (dec.Vinv @ dec.V).is_identity()
+        assert (dec.V @ dec.Vinv).is_identity()
+
+
+def test_kernel_coordinates_invert_the_kernel_basis():
+    import random
+    rng = random.Random(12)
+    for _ in range(200):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        m = _random_matrix(rng, r, c, bound=3)
+        dec = smith_normal_form(m)
+        basis = dec.kernel_basis()
+        coords = tuple(rng.randint(-5, 5) for _ in basis)
+        v = tuple(sum(x * b[i] for x, b in zip(coords, basis)) for i in range(c))
+        assert dec.kernel_coordinates(v) == coords
+        w = tuple(rng.randint(-5, 5) for _ in range(c))
+        got = dec.kernel_coordinates(w)
+        if m.apply(w) == tuple(0 for _ in range(r)):
+            assert got is not None
+        else:
+            assert got is None
+
+
+def _elementary_product(rng, n, steps):
+    """A random product of elementary GL(n, Z) matrices."""
+    if n == 0:
+        return IntMatrix.identity(0)
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        i, j = rng.randrange(n), rng.randrange(n)
+        if kind == 0 and i != j:
+            q = rng.randint(-3, 3)
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+        elif kind == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-a for a in rows[i]]
+    return IntMatrix.from_rows(rows)
+
+
+def test_inverse_unimodular_matches_the_smith_route():
+    import random
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        m = _elementary_product(rng, n, rng.randint(0, 3 * n + 2))
+        dec = smith_normal_form(m)
+        assert dec.D.is_identity()
+        reference = dec.V @ dec.U
+        assert m.inverse_unimodular() == reference
+        assert (m @ reference).is_identity()
+
+
+def test_inverse_unimodular_rejects_non_units():
+    import random
+    rng = random.Random(14)
+    singular = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    det_two = IntMatrix.from_rows([[2, 0], [0, 1]])
+    for bad in (singular, det_two, IntMatrix.zeros(2, 2)):
+        with pytest.raises(ValueError):
+            bad.inverse_unimodular()
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        p = _elementary_product(rng, n, 3 * n)
+        q = _elementary_product(rng, n, 3 * n)
+        scale = IntMatrix.from_rows(
+            [[(rng.choice((2, -2)) if i == j == 0 else int(i == j)) for j in range(n)]
+             for i in range(n)])
+        with pytest.raises(ValueError):
+            (p @ scale @ q).inverse_unimodular()
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]).inverse_unimodular()
