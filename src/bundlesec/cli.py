@@ -235,9 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bundlesec",
         description="Splitting obstructions for surface-bundle group extensions.")
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable reports")
-    fmt.add_argument("--text", action="store_true", help="human-readable output (default)")
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable reports (text is the default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("abelianize", help="invariant factors of a presented group")

@@ -6,6 +6,12 @@ A bundle is described by an affine representation of the free group on the
 base generators (the set-theoretic lifts), plus one fibre offset per base
 relator: the presented extension is (fibre x| F(X)) / << r . offset^-1 >>.
 The obstruction s(r) is the fibre value of the relator word under the lifts.
+
+Each base relator r is walked once per spec, by the Fox pass over the
+coefficient module: it gives theta(r) and the blocks theta(d r / d x).  J_w
+is spanned by the block columns, the delta2 of ``h1_h2_base`` is built from
+them, and for a torus fibre s(r) is sum_x theta(d r / d x) t_x plus
+theta(r) times the offset (the crossed-homomorphism form of Fox calculus).
 """
 
 from __future__ import annotations
@@ -19,8 +25,6 @@ from .groupring import (
     KbAut,
     KbElement,
     LinearRep,
-    affine_multiply,
-    evaluate_affine,
     evaluate_word,
     fox_jacobian,
     kb_center_component,
@@ -49,6 +53,22 @@ class MalformedSpec(ValueError):
 
 def _zero(n: int) -> Vector:
     return tuple(0 for _ in range(n))
+
+
+FoxRow = Tuple[IntMatrix, List[IntMatrix]]
+
+
+def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
+    """(theta(r), [theta(d r / d x) for each base generator x]) for every base
+    relator r, from one Fox pass each."""
+    eye = IntMatrix.identity(module.dim)
+    zero = IntMatrix.zeros(module.dim, module.dim)
+    rows = []
+    for r in base.relators:
+        value, jac = fox_jacobian(r, base.generators, module.matrix, IntMatrix.__matmul__,
+                                  eye, zero)
+        rows.append((value, [jac[x] for x in base.generators]))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -80,6 +100,11 @@ class TorusBundleSpec:
     def coefficients(self) -> LinearRep:
         """The fibre as a module over the base: theta, the matrix part of the lifts."""
         return self.action_cocycle.linear
+
+    @cached_property
+    def fox_rows(self) -> List[FoxRow]:
+        """The Fox row of each base relator, made once; s(r) and J_w read it."""
+        return _fox_rows(self.base, self.coefficients)
 
     def relator_values(self) -> Tuple[bool, Tuple[Vector, ...], Tuple[Vector, ...]]:
         """(lifted, s(r) per relator, the vectors whose classes are taken)."""
@@ -123,6 +148,11 @@ class KbBundleSpec:
              for g, (aut, _) in self.action_cocycle.items()},
             1,
         )
+
+    @cached_property
+    def fox_rows(self) -> List[FoxRow]:
+        """The Fox row of each base relator, made once; J_w reads it."""
+        return _fox_rows(self.base, self.coefficients)
 
     def evaluate(self, w: Word) -> Tuple[KbElement, KbAut]:
         """Value of a base word under the lifts in fibre x| Aut(fibre)."""
@@ -174,31 +204,23 @@ class ObstructionReport:
 
 
 def s_of_r(spec: TorusBundleSpec, relator_index: int = 0) -> Tuple[IntMatrix, Vector]:
-    """Full affine value of a base relator under the lifts, offset included.
+    """Full affine value of a base relator under the lifts, offset included:
+    (theta(r), sum_x theta(d r / d x) t_x + theta(r) offset).
 
     The matrix part must be the identity for the action to lift; the vector
     part is then the obstruction element in the fibre.
     """
-    r = spec.base.relators[relator_index]
-    m, t = evaluate_affine(r, spec.action_cocycle)
-    g = spec.relator_offsets[relator_index]
-    return affine_multiply((m, t), (IntMatrix.identity(spec.fibre_rank), g))
-
-
-def _fox_blocks(base: Presentation, module: LinearRep) -> List[List[IntMatrix]]:
-    """theta(d r / d x): one row per base relator r, one block per generator x."""
-    rows = []
-    for r in base.relators:
-        jac = fox_jacobian(r, module)
-        rows.append([jac[x] for x in base.generators])
-    return rows
+    value, blocks = spec.fox_rows[relator_index]
+    lifts = spec.action_cocycle.assignment
+    parts = [value.apply(spec.relator_offsets[relator_index])]
+    parts += [blk.apply(lifts[x][1]) for x, blk in zip(spec.base.generators, blocks)]
+    return value, tuple(map(sum, zip(*parts)))
 
 
 def jw_submodule(spec: BundleSpec) -> Tuple[Vector, ...]:
     """Generators of J_w . (coefficient module): the columns of every block
     theta(d r / d x)."""
-    blocks = _fox_blocks(spec.base, spec.coefficients)
-    return tuple(col for row in blocks for blk in row for col in blk.columns())
+    return tuple(col for _, blocks in spec.fox_rows for blk in blocks for col in blk.columns())
 
 
 def obstruction_class(spec: BundleSpec) -> ObstructionReport:
@@ -290,8 +312,9 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
     m = module.dim
     gens = base.generators
     rels = base.relators
-    for r in rels:
-        if not module.evaluate_word(r).is_identity():
+    rows = _fox_rows(base, module)
+    for r, (value, _) in zip(rels, rows):
+        if not value.is_identity():
             raise MalformedSpec(f"module matrices do not kill the relator {r}")
 
     # delta1 columns: one per fibre basis vector
@@ -300,8 +323,8 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
     d1_cols = [tuple(c for d in diffs for c in d.column(j)) for j in range(m)]
 
     # delta2 as a block matrix (m|R| x m|X|)
-    d2_rows = [tuple(c for blk in row for c in blk.data[i])
-               for row in _fox_blocks(base, module) for i in range(m)]
+    d2_rows = [tuple(c for blk in blocks for c in blk.data[i])
+               for _, blocks in rows for i in range(m)]
     d2 = IntMatrix(m * len(rels), m * len(gens), tuple(d2_rows))
 
     # one decomposition U d2 V = D: ker d2 is spanned by the V columns over

@@ -1,13 +1,17 @@
-"""Formal group-ring elements on free-group words, Fox derivatives, and
-their evaluation under linear and affine integer representations.
+"""Free-group words evaluated in groups and rings: integer representations
+and Fox calculus.
 
-Words are evaluated by one fold, ``evaluate_word``; the Fox Jacobian of a
-relator under a linear representation comes from one pass, ``fox_jacobian``.
-``fox_derivative`` and ``evaluate_linear`` stay as the formal reference.
+A word is evaluated in a group by one fold, ``evaluate_word``.  Its Fox
+derivatives are evaluated in a ring by one prefix pass, ``fox_jacobian``,
+which also returns the value of the word; matrix rings, the affine lifts of
+a torus bundle and the Laurent ring of ``transgression`` all read it.  The
+program never forms Fox derivatives as formal group-ring elements, so no
+word problem in the target group ever arises.
 
-Group-ring words are never reduced modulo relations of the target group;
-every consumer evaluates them under a representation instead, so no word
-problem ever arises.
+The conveniences ``LinearRep.evaluate_word``, ``evaluate_affine``,
+``fox_derivative`` (over the formal ring ``FreeRingElement``) and
+``evaluate_linear`` have no letter loop of their own: each reads the fold or
+the pass.
 
 Also hosts the Klein-bottle group model: normal forms x^a y^b for the group
 < x, y | x y x^-1 y >, its automorphisms, and its centre (generated by x^2).
@@ -25,97 +29,10 @@ from .zlinalg import IntMatrix, Vector
 T = TypeVar("T")
 
 
-class FreeRingElement:
-    """A finite integer combination of freely reduced words."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Word, int] = ()):
-        clean = {w: c for w, c in dict(terms).items() if c != 0}
-        self.terms: Dict[Word, int] = clean
-
-    @staticmethod
-    def zero() -> "FreeRingElement":
-        return FreeRingElement()
-
-    @staticmethod
-    def one() -> "FreeRingElement":
-        return FreeRingElement({Word.identity(): 1})
-
-    @staticmethod
-    def of(w: Word, coeff: int = 1) -> "FreeRingElement":
-        return FreeRingElement({w: coeff})
-
-    def __add__(self, other: "FreeRingElement") -> "FreeRingElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return FreeRingElement(out)
-
-    def __sub__(self, other: "FreeRingElement") -> "FreeRingElement":
-        return self + (-other)
-
-    def __neg__(self) -> "FreeRingElement":
-        return FreeRingElement({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other: "FreeRingElement") -> "FreeRingElement":
-        out: Dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return FreeRingElement(out)
-
-    def augmentation(self) -> int:
-        return sum(self.terms.values())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeRingElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in sorted(self.terms.items(), key=lambda t: str(t[0])):
-            bits.append(f"{c}*({w})")
-        return " + ".join(bits)
-
-
-def fox_derivative(r: Word, gen: str) -> FreeRingElement:
-    """The free derivative d/d(gen) of r.
-
-    For r = prod x_i^{eta(i)} this is the sum over occurrences of gen of
-    eta(i) * (prefix before position i) * gen^{delta(i)}, where delta = 0
-    for a positive letter and -1 for a negative one.
-    """
-    out = FreeRingElement.zero()
-    for i, (g, s) in enumerate(r.letters):
-        if g != gen:
-            continue
-        prefix = Word(r.letters[:i])
-        if s == 1:
-            out = out + FreeRingElement.of(prefix, 1)
-        else:
-            out = out + FreeRingElement.of(prefix * Word.gen(gen, -1), -1)
-    return out
-
-
-def fox_identity_residual(r: Word, gens: Sequence[str]) -> FreeRingElement:
-    """sum_g (d r / d g) * (g - 1) - (r - 1); zero for every word r."""
-    total = FreeRingElement.zero()
-    for g in gens:
-        d = fox_derivative(r, g)
-        total = total + d * (FreeRingElement.of(Word.gen(g)) - FreeRingElement.one())
-    return total - (FreeRingElement.of(r) - FreeRingElement.one())
-
-
 def evaluate_word(w: Word, image: Callable[[str, int], T], mul: Callable[[T, T], T], one: T) -> T:
     """Value of w in a group: the product, left to right from one, of the
-    images image(gen, sign) of its letters.  Every word evaluation under a
-    representation goes through this fold."""
+    images image(gen, sign) of its letters.  For a value in a ring together
+    with the Fox derivatives, use ``fox_jacobian``."""
     out = one
     for g, s in w.letters:
         out = mul(out, image(g, s))
@@ -146,46 +63,41 @@ class LinearRep:
         return self.assignment[gen] if sign == 1 else self._inverses[gen]
 
     def evaluate_word(self, w: Word) -> IntMatrix:
+        """theta(w), by the fold ``evaluate_word``."""
         return evaluate_word(w, self.matrix, IntMatrix.__matmul__, IntMatrix.identity(self.dim))
 
 
-def evaluate_linear(e: FreeRingElement, rep: LinearRep) -> IntMatrix:
-    """Linear extension of the representation to the group ring."""
-    out = IntMatrix.zeros(rep.dim, rep.dim)
-    for w, c in e.terms.items():
-        m = rep.evaluate_word(w)
-        out = out + IntMatrix(m.rows, m.cols, tuple(tuple(c * x for x in row) for row in m.data))
-    return out
+def fox_jacobian(w: Word, gens: Sequence[str], image: Callable[[str, int], T],
+                 mul: Callable[[T, T], T], one: T, zero: T) -> Tuple[T, Dict[str, T]]:
+    """The value of w in a ring together with its Fox derivatives
+    d w / d gen for every gen in gens, from one left-to-right pass.
 
-
-def fox_jacobian(r: Word, rep: LinearRep) -> Dict[str, IntMatrix]:
-    """theta(d r / d gen) for every generator of the representation.
-
-    One left-to-right pass over r with the running prefix value P: a letter
-    gen^+1 adds P to the entry of gen and then moves P to P theta(gen); a
-    letter gen^-1 first moves P to P theta(gen)^-1 and then subtracts it.
-    Generators absent from r get the zero matrix.
+    Letters map to units by image(gen, sign), products are taken with mul
+    and derivatives are summed with the ring's own + and -.  With P the
+    running prefix value, a letter gen^+1 adds P to the entry of gen and then
+    moves P to P image(gen); a letter gen^-1 first moves P to P image(gen)^-1
+    and then subtracts it.  The final P is the value of w.  Generators absent
+    from w get zero.
     """
-    zero = IntMatrix.zeros(rep.dim, rep.dim)
-    jac = {g: zero for g in rep.assignment}
-    prefix = IntMatrix.identity(rep.dim)
-    for g, s in r.letters:
-        m = rep.matrix(g, s)
+    jac = {g: zero for g in gens}
+    prefix = one
+    for g, s in w.letters:
         if s == 1:
             jac[g] = jac[g] + prefix
-            prefix = prefix @ m
+            prefix = mul(prefix, image(g, s))
         else:
-            prefix = prefix @ m
+            prefix = mul(prefix, image(g, s))
             jac[g] = jac[g] - prefix
-    return jac
+    return prefix, jac
 
 
 @dataclass(frozen=True)
 class AffineRep:
     """Assignment of an affine pair (matrix, translation) to each generator.
 
-    Pairs multiply by (A, t)(B, s) = (AB, t + A s), so evaluation of a word is
-    left to right; the inverse of (A, t) is (A^-1, -A^-1 t).
+    Pairs multiply by (A, t)(B, s) = (AB, t + A s), so the value of a word w
+    is (theta(w), sum_x theta(d w / d x) t_x), with theta the matrix part:
+    one Fox pass over the linear representation ``linear`` gives both.
     """
 
     assignment: Mapping[str, Tuple[IntMatrix, Vector]]
@@ -199,24 +111,52 @@ class AffineRep:
         linear = LinearRep({g: m for g, (m, _) in self.assignment.items()}, self.dim)
         object.__setattr__(self, "linear", linear)
 
-    def pair(self, gen: str, sign: int = 1) -> Tuple[IntMatrix, Vector]:
-        if gen not in self.assignment:
-            raise KeyError(f"generator {gen!r} has no assigned affine pair")
-        m, t = self.assignment[gen]
-        if sign == 1:
-            return m, t
-        minv = self.linear.matrix(gen, -1)
-        return minv, tuple(-x for x in minv.apply(t))
-
-
-def affine_multiply(p: Tuple[IntMatrix, Vector], q: Tuple[IntMatrix, Vector]):
-    (a, t), (b, s) = p, q
-    return a @ b, tuple(x + y for x, y in zip(t, a.apply(s)))
-
 
 def evaluate_affine(w: Word, rep: AffineRep) -> Tuple[IntMatrix, Vector]:
-    return evaluate_word(w, rep.pair, affine_multiply,
-                         (IntMatrix.identity(rep.dim), tuple(0 for _ in range(rep.dim))))
+    """The value (theta(w), sum_x theta(d w / d x) t_x) of w under the lifts."""
+    value, jac = fox_jacobian(w, rep.assignment, rep.linear.matrix, IntMatrix.__matmul__,
+                              IntMatrix.identity(rep.dim), IntMatrix.zeros(rep.dim, rep.dim))
+    parts = [(0,) * rep.dim] + [jac[g].apply(t) for g, (_, t) in rep.assignment.items()]
+    return value, tuple(map(sum, zip(*parts)))
+
+
+class FreeRingElement(Dict[Word, int]):
+    """An element of the integral group ring of a free group, as
+    {freely reduced word: nonzero coefficient}."""
+
+    def __add__(self, other: "FreeRingElement") -> "FreeRingElement":
+        out = dict(self)
+        for w, c in other.items():
+            out[w] = out.get(w, 0) + c
+        return FreeRingElement({w: c for w, c in out.items() if c})
+
+    def __sub__(self, other: "FreeRingElement") -> "FreeRingElement":
+        return self + FreeRingElement({w: -c for w, c in other.items()})
+
+    def __mul__(self, other: "FreeRingElement") -> "FreeRingElement":
+        out = FreeRingElement()
+        for w1, c1 in self.items():
+            for w2, c2 in other.items():
+                out = out + FreeRingElement({w1 * w2: c1 * c2})
+        return out
+
+
+def fox_derivative(w: Word, gen: str) -> FreeRingElement:
+    """d w / d gen in the group ring: the Fox pass with each letter sent to itself."""
+    gens = {g for g, _ in w.letters} | {gen}
+    _, jac = fox_jacobian(w, gens, lambda g, s: FreeRingElement({Word.gen(g, s): 1}),
+                          FreeRingElement.__mul__, FreeRingElement({Word.identity(): 1}),
+                          FreeRingElement())
+    return jac[gen]
+
+
+def evaluate_linear(e: FreeRingElement, rep: LinearRep) -> IntMatrix:
+    """theta extended linearly to the group ring."""
+    out = IntMatrix.zeros(rep.dim, rep.dim)
+    for w, c in e.items():
+        m = rep.evaluate_word(w)
+        out = out + IntMatrix(m.rows, m.cols, tuple(tuple(c * x for x in r) for r in m.data))
+    return out
 
 
 # --- Klein-bottle group model -----------------------------------------------

@@ -120,8 +120,10 @@ def _parse_matrix(text: str, rank: int) -> IntMatrix:
 
 def parse_bundle_file(text: str) -> BundleFile:
     sections: Dict[str, List[str]] = {}
+    base_lines: List[str] = []  # the [base] lines in place, every other line blank
     current: Optional[str] = None
     for raw in text.splitlines():
+        base_lines.append("")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -134,13 +136,15 @@ def parse_bundle_file(text: str) -> BundleFile:
         if current is None:
             raise MalformedSpec(f"content before any section: {line!r}")
         sections[current].append(line)
+        if current == "base":
+            base_lines[-1] = raw
 
     for required in ("base", "fibre"):
         if required not in sections:
             raise MalformedSpec(f"missing [{required}] section")
 
-    base_text = " ".join(sections["base"])
-    base = parse_presentation(base_text)  # ParseError propagates with location
+    # a ParseError's line and column are the file's own
+    base = parse_presentation("\n".join(base_lines).rstrip())
 
     fibre_words = " ".join(sections["fibre"]).split()
     if not fibre_words:

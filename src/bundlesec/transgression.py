@@ -5,9 +5,12 @@ Two independent computations are compared for the family of central
 extensions pi_k = < u, x, y | u^-k [x,y], [u,x], [u,y] > of Z^2 by Z:
 
 * ``transgress`` runs the bicomplex zig-zag on the presentation resolution
-  tensored down to the Laurent ring Z[x^+-, y^+-];
+  tensored down to the Laurent ring Z[x^+-, y^+-], whose boundary blocks are
+  the Fox derivatives of the relators from the ring-generic Fox pass
+  ``groupring.fox_jacobian``;
 * ``xi_star`` evaluates the base relator word through the section lifts in
-  the group itself (via the nilpotent normal form u^m x^a y^b).
+  the group itself (via the nilpotent normal form u^m x^a y^b), with a loop
+  of its own so that the two routes share no code.
 
 The global sign of the zig-zag is a convention; it is pinned here so that
 the k = 1 extension yields +1 on both routes.
@@ -16,9 +19,9 @@ the k = 1 extension yields +1 on both routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .groupring import FreeRingElement, fox_derivative
+from .groupring import fox_jacobian
 from .words import Word, commutator
 
 Monomial = Tuple[int, int]
@@ -120,28 +123,24 @@ def laurent_divide(num: LaurentElement, den: LaurentElement) -> LaurentElement:
     return quotient
 
 
-def laurent_of_word(w: Word, images: Mapping[str, Monomial]) -> LaurentElement:
-    """Push a free-group word to the Laurent ring via exponent images."""
-    a = b = 0
-    for g, s in w.letters:
-        da, db = images[g]
-        a += s * da
-        b += s * db
-    return LaurentElement.monomial(a, b)
-
-
-def laurent_of_ring_element(e: FreeRingElement, images: Mapping[str, Monomial]) -> LaurentElement:
-    out = LaurentElement.zero()
-    for w, c in e.terms.items():
-        out = out + LaurentElement({next(iter(laurent_of_word(w, images).terms)): c})
-    return out
-
-
 _X = Word.gen("x")
 _Y = Word.gen("y")
 _U = Word.gen("u")
 _BASE_RELATOR = commutator(_X, _Y)
 _IMAGES: Dict[str, Monomial] = {"x": (1, 0), "y": (0, 1), "u": (0, 0)}
+
+
+def _laurent_image(gen: str, sign: int) -> LaurentElement:
+    a, b = _IMAGES[gen]
+    return LaurentElement.monomial(sign * a, sign * b)
+
+
+def _fox_row(w: Word, gens: Sequence[str]) -> Tuple[LaurentElement, ...]:
+    """The images of d w / d gen in the Laurent ring (x -> x, y -> y, u -> 1),
+    one entry per generator, from one Fox pass."""
+    _, jac = fox_jacobian(w, gens, _laurent_image, LaurentElement.__mul__,
+                          LaurentElement.one(), LaurentElement.zero())
+    return tuple(jac[g] for g in gens)
 
 
 @dataclass(frozen=True)
@@ -169,11 +168,7 @@ def build_fl_complex(base=None) -> FLComplex:
     y = LaurentElement.monomial(0, 1)
     one = LaurentElement.one()
     d1 = (x - one, y - one)
-    d2 = (
-        laurent_of_ring_element(fox_derivative(_BASE_RELATOR, "x"), _IMAGES),
-        laurent_of_ring_element(fox_derivative(_BASE_RELATOR, "y"), _IMAGES),
-    )
-    complex_ = FLComplex(d1, d2)
+    complex_ = FLComplex(d1, _fox_row(_BASE_RELATOR, ("x", "y")))
     if not complex_.composition_is_zero():
         raise AssertionError("d2 . d1 != 0 in the presentation resolution")
     return complex_
@@ -218,13 +213,8 @@ def build_partial_resolution(spec: CentralExtensionSpec) -> PartialResolution:
         LaurentElement.monomial(1, 0) - one,
         LaurentElement.monomial(0, 1) - one,
     )
-    rows = []
-    for rho in spec.relators():
-        rows.append(tuple(
-            laurent_of_ring_element(fox_derivative(rho, g), _IMAGES)
-            for g in ("u", "x", "y")
-        ))
-    res = PartialResolution(d1, tuple(rows))
+    rows = tuple(_fox_row(rho, ("u", "x", "y")) for rho in spec.relators())
+    res = PartialResolution(d1, rows)
     if not res.composition_is_zero():
         raise AssertionError("d2 . d1 != 0 in the tensored-down resolution")
     return res

@@ -15,6 +15,11 @@ from .zlinalg import AbelianGroup, IntMatrix, cokernel
 
 Letter = Tuple[str, int]
 
+# The most letters a parsed relator may hold before free reduction.  The
+# parser checks it before it expands each power, so a huge exponent is a
+# ParseError instead of a tuple of millions of letters.
+MAX_RELATOR_LETTERS = 10_000
+
 
 class ParseError(ValueError):
     """Raised on malformed DSL input, with 1-based line/column of the offender."""
@@ -70,10 +75,8 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word.identity()
-        for _ in range(n):
-            out = out * self
-        return out
+        # one reduction pass over n copies of the letters
+        return Word.make(self.letters * n)
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -314,20 +317,26 @@ class _Parser:
                 self.expect(",")
                 b = self.parse_name(known)
                 self.expect("]")
+                self.check_length(len(letters) + 4, tok)
                 letters.extend(commutator(Word.gen(a), Word.gen(b)).letters)
                 parsed_any = True
             elif tok.kind == "NAME":
                 self.next()
                 exponent = 1
+                etok = tok
                 if self.peek().text == "^":
                     self.next()
                     etok = self.next()
                     if etok.kind != "INT":
                         raise ParseError("expected an integer exponent", etok.line, etok.col)
-                    exponent = int(etok.text)
+                    try:
+                        exponent = int(etok.text)
+                    except ValueError:  # more digits than int() converts
+                        raise ParseError("exponent too large", etok.line, etok.col) from None
                 if tok.text not in known:
                     raise ParseError(f"unknown generator {tok.text!r} in relator",
                                      tok.line, tok.col)
+                self.check_length(len(letters) + abs(exponent), etok)
                 letters.extend(Word.gen(tok.text, exponent).letters)
                 parsed_any = True
             else:
@@ -335,6 +344,11 @@ class _Parser:
         if not parsed_any:
             raise self.fail("expected a relator")
         return [Word.make(letters)]
+
+    def check_length(self, count: int, tok: _Token) -> None:
+        if count > MAX_RELATOR_LETTERS:
+            raise ParseError(f"relator longer than {MAX_RELATOR_LETTERS} letters",
+                             tok.line, tok.col)
 
     def parse_comm(self, known: set) -> List[Word]:
         self.next()  # comm

@@ -19,9 +19,10 @@ from bundlesec.extensions import (
     obstruction_class,
     semidirect_presentation,
 )
-from bundlesec.groupring import AffineRep, FreeRingElement, LinearRep, fox_derivative
+from bundlesec.groupring import AffineRep, LinearRep
 from bundlesec.words import Word, parse_presentation
 from bundlesec.zlinalg import IntMatrix, smith_normal_form
+from fox_reference import FreeRingElement, fox_derivative
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 

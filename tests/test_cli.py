@@ -152,3 +152,33 @@ def test_no_section_is_still_success():
     out = run_cli("split-check", str(SPECS / "flat_kb.bundle"))
     assert out.returncode == 0
     assert "NO_SECTION" in out.stdout
+
+
+HUGE_EXPONENT_BASE = "< u, v | [u,v] u^3000000 u^-3000000 >"
+
+
+@pytest.mark.parametrize("name, text, command, line", [
+    ("huge.pres", HUGE_EXPONENT_BASE, "abelianize", 1),
+    # the location is the file's: the base sits on line 2
+    ("huge.bundle", f"[base]\n{HUGE_EXPONENT_BASE}\n[fibre]\ntorus 1\n"
+                    "[action]\nu = 1\nv = 1\n", "split-check", 2),
+])
+def test_relator_over_the_letter_cap_exits_3_fast(tmp_path, name, text, command, line):
+    import io
+    import time
+    from contextlib import redirect_stderr
+
+    from bundlesec import cli
+
+    path = tmp_path / name
+    path.write_text(text)
+    out = run_cli(command, str(path))
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert f"relator longer than 10000 letters (line {line}, column 18)" in out.stderr
+    assert "Traceback" not in out.stderr
+    # in process, so that interpreter start-up is not timed
+    start = time.perf_counter()
+    with redirect_stderr(io.StringIO()):
+        assert cli.main([command, str(path)]) == 3
+    assert time.perf_counter() - start < 0.5

@@ -102,6 +102,39 @@ def test_s_of_r_includes_the_offset():
     assert t == (1, 0)
 
 
+def _count_letter_walks(monkeypatch):
+    """Count calls of the word fold and the Fox pass, wherever they are bound."""
+    import sys
+    from bundlesec import groupring
+    calls = {"evaluate_word": 0, "fox_jacobian": 0}
+    for name in calls:
+        original = getattr(groupring, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("bundlesec") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_split_check_walks_each_relator_once(monkeypatch, tmp_path):
+    import io
+    from contextlib import redirect_stdout
+    from bundlesec import cli
+    path = tmp_path / "two_relators.bundle"
+    path.write_text("[base]\n< u, v | [u,v], [u,v] u v u^-1 v^-1 >\n[fibre]\ntorus 2\n"
+                    "[action]\nu = 1 1 ; 0 1\nv = 1 0 ; 0 1\n"
+                    "[cocycle]\nu = 1 2\noffset 1 = 1 0\n")
+    calls = _count_letter_walks(monkeypatch)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["--json", "split-check", str(path)]) == 0
+    # s(r), J_w and theta(r) all come from one Fox pass per relator
+    assert calls == {"evaluate_word": 0, "fox_jacobian": 2}
+
+
 # --- worked Klein-bottle examples ---------------------------------------------
 
 

@@ -1,24 +1,24 @@
-"""Fox calculus, representation evaluation, and the Klein-bottle model."""
+"""Fox calculus, representation evaluation, and the Klein-bottle model.
+
+The formal Fox calculus and the letter-by-letter affine fold are the
+reference routes in ``fox_reference``; the program's own Fox pass, and the
+conveniences read from it, are checked against them."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bundlesec import groupring
+from bundlesec.extensions import TorusBundleSpec, s_of_r
 from bundlesec.groupring import (
     KB_ALPHA,
     KB_AUT_NAMES,
     KB_CONJ_Y,
     KB_GAMMA,
     AffineRep,
-    FreeRingElement,
     KbAut,
     KbElement,
     LinearRep,
-    affine_multiply,
-    evaluate_affine,
-    evaluate_linear,
-    fox_derivative,
     fox_jacobian,
-    fox_identity_residual,
     kb_aut_from_word,
     kb_conjugation,
     kb_element_from_word,
@@ -26,8 +26,18 @@ from bundlesec.groupring import (
     kb_multiply,
     kb_power,
 )
-from bundlesec.words import Word, commutator
+from bundlesec.words import Presentation, Word, commutator
 from bundlesec.zlinalg import IntMatrix
+from fox_reference import (
+    FreeRingElement,
+    affine_multiply,
+    affine_pair,
+    evaluate_affine,
+    evaluate_linear,
+    fox_derivative,
+    fox_identity_residual,
+    linear_value,
+)
 
 letters = st.lists(
     st.tuples(st.sampled_from("xy"), st.sampled_from((1, -1))), max_size=12)
@@ -101,8 +111,8 @@ def test_affine_evaluation_trivial_action():
 def test_affine_inverse_pairs():
     shear = IntMatrix.from_rows([[1, 1], [0, 1]])
     rep = AffineRep({"u": (shear, (3, -2))}, 2)
-    forward = rep.pair("u", 1)
-    backward = rep.pair("u", -1)
+    forward = affine_pair(rep, "u", 1)
+    backward = affine_pair(rep, "u", -1)
     m, t = affine_multiply(forward, backward)
     assert m.is_identity() and t == (0, 0)
     m, t = affine_multiply(backward, forward)
@@ -150,7 +160,7 @@ def unimodular(draw, m):
 
 @st.composite
 def linear_reps(draw):
-    m = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=4))
     return LinearRep({g: draw(unimodular(m)) for g in "xyz"}, m)
 
 
@@ -168,7 +178,9 @@ xy_words = st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from((1, -1))),
 @settings(max_examples=200, derandomize=True)
 @given(xy_words, linear_reps())
 def test_fox_jacobian_matches_the_reference_derivatives(w, rep):
-    jac = fox_jacobian(w, rep)
+    value, jac = fox_jacobian(w, "xyz", rep.matrix, IntMatrix.__matmul__,
+                              IntMatrix.identity(rep.dim), IntMatrix.zeros(rep.dim, rep.dim))
+    assert value == linear_value(w, rep)
     assert set(jac) == {"x", "y", "z"}
     for g in "xyz":
         assert jac[g] == evaluate_linear(fox_derivative(w, g), rep)
@@ -177,17 +189,39 @@ def test_fox_jacobian_matches_the_reference_derivatives(w, rep):
 
 
 @settings(max_examples=200, derandomize=True)
+@given(xy_words, linear_reps())
+def test_formal_fox_derivative_from_the_pass_matches_the_reference(w, rep):
+    for g in "xyz":
+        d = groupring.fox_derivative(w, g)
+        assert d == fox_derivative(w, g).terms
+        assert groupring.evaluate_linear(d, rep) == evaluate_linear(fox_derivative(w, g), rep)
+
+
+@settings(max_examples=200, derandomize=True)
 @given(xy_words, affine_reps())
 def test_evaluate_affine_matches_a_letter_by_letter_product(w, rep):
-    out = (IntMatrix.identity(rep.dim), (0,) * rep.dim)
-    for g, s in w.letters:
-        m, t = rep.assignment[g]
-        if s == -1:
-            m = m.inverse_unimodular()
-            t = tuple(-x for x in m.apply(t))
-        out = affine_multiply(out, (m, t))
-    assert evaluate_affine(w, rep) == out
-    assert rep.linear.evaluate_word(w) == out[0]
+    assert groupring.evaluate_affine(w, rep) == evaluate_affine(w, rep)
+    assert rep.linear.evaluate_word(w) == linear_value(w, rep.linear)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(xy_words, xy_words, affine_reps(), st.data())
+def test_affine_value_from_the_fox_pass_matches_a_letter_by_letter_product(r1, r2, rep, data):
+    # s(r) = (theta(r), sum_x theta(d r / d x) t_x + theta(r) offset) from the
+    # Fox pass; the actions need not lift, and the offsets need not be zero
+    vec = st.tuples(*[st.integers(min_value=-3, max_value=3)] * rep.dim)
+    offsets = (data.draw(vec), data.draw(vec))
+    spec = TorusBundleSpec(Presentation(("x", "y", "z"), (r1, r2)), rep.dim, rep, offsets)
+    eye = IntMatrix.identity(rep.dim)
+    for i, (r, offset) in enumerate(zip((r1, r2), offsets)):
+        assert s_of_r(spec, i) == affine_multiply(evaluate_affine(r, rep), (eye, offset))
+
+
+def test_fox_jacobian_in_the_integers():
+    # x, y -> -1: d(x^3 y^-1)/dx = 1 + x + x^2 -> 1, d/dy = -x^3 y^-1 -> -1
+    value, jac = fox_jacobian(Word.gen("x", 3) * Word.gen("y", -1), "xyz",
+                              lambda g, s: -1, int.__mul__, 1, 0)
+    assert (value, jac) == (1, {"x": 1, "y": -1, "z": 0})
 
 
 # --- Klein-bottle model ----------------------------------------------------------

@@ -6,9 +6,10 @@ separately, with delta2 built from the reference Fox derivatives."""
 import random
 
 from bundlesec.extensions import h1_h2_base
-from bundlesec.groupring import LinearRep, evaluate_linear, fox_derivative
+from bundlesec.groupring import LinearRep
 from bundlesec.words import Presentation, Word, commutator
 from bundlesec.zlinalg import IntMatrix, cokernel, kernel_basis, solve
+from fox_reference import evaluate_linear, fox_derivative
 
 
 def _h1_h2_reference(base, module):

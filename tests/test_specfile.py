@@ -40,7 +40,7 @@ def test_parse_torus_bundle():
     spec = bundle.to_spec()
     assert isinstance(spec, TorusBundleSpec)
     assert spec.fibre_rank == 2
-    assert spec.action_cocycle.pair("v")[1] == (1, -2)
+    assert spec.action_cocycle.assignment["v"][1] == (1, -2)
     assert spec.relator_offsets == ((3, 4),)
 
 
@@ -58,7 +58,7 @@ def test_parse_kb_bundle():
 def test_missing_cocycle_defaults_to_zero():
     text = TORUS_TEXT.replace("[cocycle]\nu = 0 0\nv = 1 -2\noffset 1 = 3 4\n", "")
     spec = parse_bundle_file(text).to_spec()
-    assert spec.action_cocycle.pair("v")[1] == (0, 0)
+    assert spec.action_cocycle.assignment["v"][1] == (0, 0)
     assert spec.relator_offsets == ((0, 0),)
 
 
@@ -86,6 +86,15 @@ def test_malformed_files(mutation, needle):
 def test_bad_presentation_raises_parse_error():
     with pytest.raises(ParseError):
         parse_bundle_file(TORUS_TEXT.replace("[u,v]", "[u,w]"))
+
+
+def test_parse_error_names_the_line_and_column_in_the_file():
+    # the [base] section spans two lines after a comment line
+    text = TORUS_TEXT.replace("< u, v | [u,v] >", "# the base\n< u, v |\n   [u,w] >")
+    with pytest.raises(ParseError) as err:
+        parse_bundle_file(text)
+    assert (err.value.line, err.value.col) == (5, 7)
+    assert str(err.value) == "unknown generator 'w' in relator (line 5, column 7)"
 
 
 def test_non_invertible_matrix_is_rejected():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundlesec.transgression import (
+    _IMAGES,
     CentralExtensionSpec,
     LaurentElement,
     build_fl_complex,
@@ -12,9 +13,11 @@ from bundlesec.transgression import (
     transgress,
     transgression_cycle_components,
     verify_transgression_identity,
+    _fox_row,
     xi_star,
 )
-from bundlesec.words import parse_presentation
+from bundlesec.words import Word, parse_presentation
+from fox_reference import fox_derivative, laurent_of_ring_element
 
 
 # --- Laurent arithmetic ---------------------------------------------------------
@@ -79,6 +82,19 @@ def test_laurent_inexact_division_fails_fast_inside_the_lex_window():
 
 
 # --- resolutions ---------------------------------------------------------------
+
+
+uxy_words = st.lists(st.tuples(st.sampled_from("uxy"), st.sampled_from((1, -1))),
+                     max_size=16).map(Word.make)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(uxy_words)
+def test_laurent_fox_pass_matches_the_formal_route(w):
+    row = _fox_row(w, ("u", "x", "y"))
+    assert row == tuple(laurent_of_ring_element(fox_derivative(w, g), _IMAGES)
+                        for g in ("u", "x", "y"))
+
 
 
 def test_fl_complex_shape():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundlesec.words import (
+    MAX_RELATOR_LETTERS,
     ParseError,
     Presentation,
     Word,
@@ -46,6 +47,17 @@ def test_powers(ls, n):
         out = out * base
     assert w ** n == out
     assert exponent_sum(w ** n, "a") == n * exponent_sum(w, "a")
+
+
+def test_powers_take_one_reduction_pass():
+    import time
+    start = time.perf_counter()
+    w = Word.gen("u") ** 100000
+    assert time.perf_counter() - start < 0.5
+    assert w == Word.gen("u", 100000)
+    # only the seams between the copies cancel
+    conj = Word.make([("a", 1), ("b", 1), ("a", -1)])
+    assert conj ** 3 == Word.make([("a", 1), ("b", 1), ("b", 1), ("b", 1), ("a", -1)])
 
 
 def test_word_str_groups_exponents():
@@ -111,6 +123,27 @@ def test_parse_errors_carry_location():
         parse_presentation("< x | x ^ y >")
     with pytest.raises(ParseError):
         parse_presentation("< x | x > junk")
+
+
+def test_relator_letter_cap():
+    # letters are counted before free reduction, so u^n u^-n counts 2n
+    assert parse_presentation(f"< u | u^{MAX_RELATOR_LETTERS} >").relators[0] \
+        == Word.gen("u", MAX_RELATOR_LETTERS)
+    parse_presentation("< u, v | " + " ".join(["[u,v]"] * (MAX_RELATOR_LETTERS // 4)) + " >")
+    cases = [
+        # (text, line and column of the power or commutator that breaks the cap)
+        ("< u, v | [u,v] u^3000000 u^-3000000 >", (1, 18)),
+        ("< u, v |\n u^6000 v\n u^-6000 >", (3, 4)),
+        (f"< u | u^-{MAX_RELATOR_LETTERS} u >", (1, 16)),
+        ("< u, v | u^9999 [u,v] >", (1, 17)),
+        ("< u | u^" + "9" * 5000 + " >", (1, 9)),
+    ]
+    for text, where in cases:
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert (err.value.line, err.value.col) == where, text
+    # the cap is per relator
+    parse_presentation(f"< u | u^{MAX_RELATOR_LETTERS}, u^-{MAX_RELATOR_LETTERS} >")
 
 
 def test_orientation_character_must_kill_relators():
