@@ -7,7 +7,8 @@ Submodules:
 * ``groupring``     — word evaluation, Fox derivatives, affine lifts, the Klein-bottle group
 * ``extensions``    — the relator obstruction and the abelianization test
 * ``transgression`` — the spectral-sequence transgression over Z^2
-* ``mcg``           — homology-level mapping classes and the genus-3 example
+* ``mcg``           — mapping classes as 6x6 matrices on H_1 (each generator
+                      checked once against the form) and the genus-3 example
 * ``specfile``      — the sectioned bundle-file format
 * ``cli``           — command-line front end
 """

@@ -26,7 +26,7 @@ from .mcg import (
 )
 from .specfile import parse_bundle_file
 from .transgression import CentralExtensionSpec, transgress, xi_star
-from .words import ParseError, abelianization, parse_presentation
+from .words import MAX_RELATOR_LETTERS, ParseError, abelianization, parse_presentation
 
 SCHEMA_VERSION = 1
 
@@ -161,11 +161,17 @@ def _parse_range(text: str) -> range:
 
 def cmd_transgress(k: Optional[int], range_text: Optional[str], as_json: bool) -> int:
     if range_text is not None:
-        ks = list(_parse_range(range_text))
+        ks = _parse_range(range_text)
     elif k is not None:
-        ks = [k]
+        ks = range(k, k + 1)
     else:
         raise MalformedSpec("transgress needs --k or --range")
+    # the relator u^-k [x,y] has |k| + 4 letters; the first test bounds the
+    # second's loop
+    if (4 * (ks.stop - ks.start) > MAX_RELATOR_LETTERS
+            or sum(abs(kk) + 4 for kk in ks) > MAX_RELATOR_LETTERS):
+        raise MalformedSpec(f"request holds more than {MAX_RELATOR_LETTERS} relator "
+                            "letters (|k| + 4 per k)")
     rows = []
     all_agree = True
     for kk in ks:
@@ -187,14 +193,14 @@ def cmd_transgress(k: Optional[int], range_text: Optional[str], as_json: bool) -
 
 
 def cmd_endo(as_json: bool) -> int:
-    data = endo_monodromy()
+    mats = endo_monodromy()
     lantern = lantern_check()
-    relation = endo_relation_check(data)
+    relation = endo_relation_check(mats)
     group, coords, verdict = endo_verdict()
     kb_group, kb_coords, kb_verdict = kb_base_variant()
     tp_group, tp_coords = torus_pullback_info()
     result = {
-        "monodromy": [[list(row) for row in m.matrix.data] for m in data.matrices],
+        "monodromy": [[list(row) for row in m.data] for m in mats],
         "lantern": lantern,
         "relation": relation,
         "coinvariants": str(group),
@@ -212,9 +218,9 @@ def cmd_endo(as_json: bool) -> int:
     inputs = {"sha256": _digest(b"endo")}
     report = _report("endo", inputs, result, verdict)
     lines = ["monodromy matrices:"]
-    for i, m in enumerate(data.matrices, 1):
+    for i, m in enumerate(mats, 1):
         lines.append(f"  generator {i}:")
-        for row in m.matrix.data:
+        for row in m.data:
             lines.append("    " + " ".join(f"{e:3d}" for e in row))
     lines += [
         f"lantern relation on H_1: {'holds' if lantern else 'FAILS'}",

@@ -31,7 +31,7 @@ from .groupring import (
     kb_inverse,
     kb_pair_multiply,
 )
-from .words import Presentation, Word, abelianization, exponent_sum
+from .words import MAX_RELATOR_LETTERS, Presentation, Word, abelianization, exponent_sum
 from .zlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -363,6 +363,9 @@ def semidirect_presentation(
         offsets = [_zero(m) for _ in base.relators]
 
     def fibre_word(vec: Sequence[int]) -> Word:
+        if sum(abs(e) for e in vec) > MAX_RELATOR_LETTERS:
+            raise MalformedSpec(f"fibre word longer than {MAX_RELATOR_LETTERS} letters "
+                                "in the abelianization test")
         out = Word.identity()
         for name, e in zip(fibre_names, vec):
             out = out * Word.gen(name, e)

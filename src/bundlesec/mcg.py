@@ -6,6 +6,12 @@ surface of genus 3.  H_1 carries the intersection pairing; Dehn twists act
 by transvections.  Everything here happens in H_1 = Z^6, which is all the
 splitting criterion for the associated Jacobian bundle needs.
 
+A mapping class is its action on H_1: a plain 6x6 ``IntMatrix``.
+``form_sign`` checks that a matrix preserves or reverses the intersection
+form; it runs once on each generator (every transvection, the hyperelliptic
+involution and the reflection) and never on products or inverses, which
+scale the form by the product of their factors' signs.
+
 Coordinate conventions.  Basis (b1, b2, b3, a1, a2, a3): b_i is the class of
 the i-th glued boundary circle, a_i the class of a loop crossing that circle
 once (through one hole and back around the double).  The curve constants
@@ -16,8 +22,9 @@ the pairing matrix, so none of the constants is taken on trust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from functools import reduce
+from operator import matmul
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .zlinalg import AbelianGroup, IntMatrix
 from .extensions import coinvariants
@@ -32,81 +39,21 @@ PAIRING = IntMatrix.from_rows(
     [row_z + [-v for v in row_i] for row_z, row_i in zip(_Z3, _I3)]
     + [row_i + row_z for row_i, row_z in zip(_I3, _Z3)]
 )
+_MINUS_PAIRING = -PAIRING
 
 
-def pairing(v: Sequence[int], w: Sequence[int]) -> int:
-    """Algebraic intersection number <v, w>."""
-    jw = PAIRING.apply(tuple(w))
-    return sum(vi * ji for vi, ji in zip(v, jw))
+def form_sign(m: IntMatrix) -> int:
+    """+1 if m preserves the intersection form, -1 if it reverses it.
 
-
-@dataclass(frozen=True)
-class SymplecticSpace:
-    rank: int
-    form: IntMatrix
-
-    def __post_init__(self) -> None:
-        if self.form.rows != self.rank or self.form.cols != self.rank:
-            raise ValueError("form size does not match rank")
-        if self.form.transpose() != IntMatrix.from_rows(
-            [[-e for e in row] for row in self.form.data]
-        ):
-            raise ValueError("form is not skew-symmetric")
-        if self.form.determinant() not in (1, -1):
-            raise ValueError("form is not unimodular")
-
-
-@dataclass(frozen=True)
-class CurveClass:
-    name: str
-    vector: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vector) != RANK:
-            raise ValueError("curve class must live in Z^6")
-        if pairing(self.vector, self.vector) != 0:
-            raise ValueError("self-intersection must vanish")
-
-
-@dataclass(frozen=True)
-class MappingClass:
-    """An automorphism of H_1 scaling the intersection form by a sign.
-
-    Orientation-preserving classes are symplectic (sign +1); the reflection
-    across the gluing circles reverses the form (sign -1).
+    Orientation-preserving classes are symplectic (+1); the reflection across
+    the gluing circles reverses the form (-1).  Any other matrix raises.
     """
-
-    matrix: IntMatrix
-
-    def __post_init__(self) -> None:
-        got = self.matrix.transpose() @ PAIRING @ self.matrix
-        minus = IntMatrix.from_rows([[-e for e in row] for row in PAIRING.data])
-        if got != PAIRING and got != minus:
-            raise ValueError("matrix does not scale the intersection form by +-1")
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.matrix.transpose() @ PAIRING @ self.matrix == PAIRING else -1
-
-    @staticmethod
-    def identity() -> "MappingClass":
-        return MappingClass(IntMatrix.identity(RANK))
-
-    def __matmul__(self, other: "MappingClass") -> "MappingClass":
-        return MappingClass(self.matrix @ other.matrix)
-
-    def inverse(self) -> "MappingClass":
-        return MappingClass(self.matrix.inverse_unimodular())
-
-    def apply(self, v: Sequence[int]) -> Tuple[int, ...]:
-        return self.matrix.apply(tuple(v))
-
-    def is_identity(self) -> bool:
-        return self.matrix.is_identity()
-
-
-def commutator_class(p: MappingClass, q: MappingClass) -> MappingClass:
-    return p @ q @ p.inverse() @ q.inverse()
+    got = m.transpose() @ PAIRING @ m
+    if got == PAIRING:
+        return 1
+    if got == _MINUS_PAIRING:
+        return -1
+    raise ValueError("matrix does not scale the intersection form by +-1")
 
 
 # --- the curve dictionary ----------------------------------------------------
@@ -115,15 +62,6 @@ _B1 = (1, 0, 0, 0, 0, 0)
 _B2 = (0, 1, 0, 0, 0, 0)
 _B3 = (0, 0, 1, 0, 0, 0)
 _B4 = (-1, -1, -1, 0, 0, 0)
-
-
-def _add(*vs: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(sum(col) for col in zip(*vs))
-
-
-def _neg(v: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(-e for e in v)
-
 
 #: Homology classes of the named curves.  x0, y0, z0 are the lantern curves
 #: on the 0-side copy of the holed sphere: x0 encircles holes 1 and 2, y0
@@ -137,95 +75,73 @@ CURVE_VECTORS: Dict[str, Tuple[int, ...]] = {
     "b4": _B4,
     "d10": _B1, "d20": _B2, "d30": _B3, "d40": _B4,
     "d11": _B1, "d21": _B2, "d31": _B3, "d41": _B4,
-    "x0": _add(_B1, _B2),
-    "y0": _add(_B2, _B3),
-    "z0": _add(_B1, _B3),
-    "x1": _neg(_add(_B1, _B2)),
-    "y1": _neg(_add(_B2, _B3)),
-    "z1": _neg(_add(_B1, _B3)),
+    "x0": (1, 1, 0, 0, 0, 0),
+    "y0": (0, 1, 1, 0, 0, 0),
+    "z0": (1, 0, 1, 0, 0, 0),
+    "x1": (-1, -1, 0, 0, 0, 0),
+    "y1": (0, -1, -1, 0, 0, 0),
+    "z1": (-1, 0, -1, 0, 0, 0),
 }
 
 
-def build_double_model() -> Tuple[SymplecticSpace, Dict[str, CurveClass]]:
-    space = SymplecticSpace(RANK, PAIRING)
-    curves = {name: CurveClass(name, vec) for name, vec in CURVE_VECTORS.items()}
-    return space, curves
+def transvection(c: Sequence[int]) -> IntMatrix:
+    """Homology action of the left Dehn twist about a curve of class c:
+    v -> v + <v,c> c, the matrix I + c (Jc)^T."""
+    jc = PAIRING.apply(tuple(c))
+    t = IntMatrix(RANK, RANK, tuple(
+        tuple((1 if i == j else 0) + ci * jcj for j, jcj in enumerate(jc))
+        for i, ci in enumerate(c)))
+    form_sign(t)
+    return t
 
 
-def transvection(c: CurveClass) -> MappingClass:
-    """Homology action of the left Dehn twist about c: v -> v + <v,c> c."""
-    cols = []
-    for j in range(RANK):
-        e = tuple(1 if i == j else 0 for i in range(RANK))
-        coeff = pairing(e, c.vector)
-        cols.append(tuple(ei + coeff * ci for ei, ci in zip(e, c.vector)))
-    return MappingClass(IntMatrix.from_columns(cols, rows=RANK))
+#: The hyperelliptic involution swapping the two sides: -1 on H_1.
+HYPERELLIPTIC = -IntMatrix.identity(RANK)
+#: Reflection across the gluing circles: fixes the b_i, negates the a_i.
+REFLECTION = IntMatrix.from_rows(
+    [[(1 if i < 3 else -1) if i == j else 0 for j in range(RANK)] for i in range(RANK)])
+if (form_sign(HYPERELLIPTIC), form_sign(REFLECTION)) != (1, -1):
+    raise ValueError("the involutions must preserve and reverse the form")
 
 
-def hyperelliptic() -> MappingClass:
-    """The hyperelliptic involution swapping the two sides: -1 on H_1."""
-    return MappingClass(IntMatrix.from_rows(
-        [[-1 if i == j else 0 for j in range(RANK)] for i in range(RANK)]
-    ))
+#: t_x0, t_y0, t_z0: the twists about the lantern curves on the 0-side, which
+#: enter every monodromy below.
+LANTERN_TWISTS = tuple(transvection(CURVE_VECTORS[name]) for name in ("x0", "y0", "z0"))
 
 
-def reflection() -> MappingClass:
-    """Reflection across the gluing circles: fixes the b_i, negates the a_i."""
-    diag = [1, 1, 1, -1, -1, -1]
-    return MappingClass(IntMatrix.from_rows(
-        [[diag[i] if i == j else 0 for j in range(RANK)] for i in range(RANK)]
-    ))
+def _product(mats: Iterable[IntMatrix]) -> IntMatrix:
+    return reduce(matmul, mats)
 
 
-def lantern_check(curves: Mapping[str, CurveClass] = None) -> bool:
+def lantern_check(curves: Mapping[str, Sequence[int]] = CURVE_VECTORS) -> bool:
     """The lantern relation on homology:
     t_x0 t_y0 t_z0 = t_d10 t_d20 t_d30 t_d40 as automorphisms of H_1."""
-    if curves is None:
-        curves = build_double_model()[1]
-    lhs = MappingClass.identity()
-    for name in ("x0", "y0", "z0"):
-        lhs = lhs @ transvection(curves[name])
-    rhs = MappingClass.identity()
-    for name in ("d10", "d20", "d30", "d40"):
-        rhs = rhs @ transvection(curves[name])
-    return lhs.matrix == rhs.matrix
+    def twist_product(names: Sequence[str]) -> IntMatrix:
+        return _product(transvection(curves[name]) for name in names)
+
+    return twist_product(("x0", "y0", "z0")) == twist_product(("d10", "d20", "d30", "d40"))
 
 
-@dataclass(frozen=True)
-class EndoData:
-    """Monodromy of the genus-3 example: images of the six standard base
-    generators, and the obstruction class g = [b1]."""
-
-    matrices: Tuple[MappingClass, ...]
-    g_class: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.matrices) != 6:
-            raise ValueError("expected six monodromy matrices")
-
-
-def endo_monodromy() -> EndoData:
+def endo_monodromy() -> Tuple[IntMatrix, ...]:
     """The six generator images: t_x0, t_y0 t_z0 f, t_y0, t_z0 f, t_z0, f t_y0."""
-    _, curves = build_double_model()
-    tx = transvection(curves["x0"])
-    ty = transvection(curves["y0"])
-    tz = transvection(curves["z0"])
-    f = hyperelliptic()
-    mats = (tx, ty @ tz @ f, ty, tz @ f, tz, f @ ty)
-    return EndoData(mats, curves["b1"].vector)
+    tx, ty, tz = LANTERN_TWISTS
+    f = HYPERELLIPTIC
+    return (tx, ty @ tz @ f, ty, tz @ f, tz, f @ ty)
 
 
-def endo_relation_check(data: EndoData) -> bool:
+def endo_relation_check(mats: Sequence[IntMatrix]) -> bool:
     """The product [m1,m2][m3,m4][m5,m6] must be the identity on H_1:
     it represents an inner automorphism of the fibre group."""
-    total = MappingClass.identity()
-    for i in range(0, 6, 2):
-        total = total @ commutator_class(data.matrices[i], data.matrices[i + 1])
-    return total.is_identity()
+    if len(mats) != 6:
+        raise ValueError("expected six monodromy matrices")
+    return _product(
+        p @ q @ p.inverse_unimodular() @ q.inverse_unimodular()
+        for p, q in zip(mats[::2], mats[1::2])
+    ).is_identity()
 
 
 def jacobian_obstruction(
-    monodromy: Iterable[MappingClass], g_class: Sequence[int]
+    monodromy: Iterable[IntMatrix], g_class: Sequence[int]
 ) -> Tuple[AbelianGroup, Tuple[int, ...]]:
     """Coinvariants of H_1 under the monodromy group, and the class of g.
 
@@ -233,38 +149,26 @@ def jacobian_obstruction(
     class of g vanishes here; a nonzero class rules out a section of the
     surface bundle itself.
     """
-    group = coinvariants(RANK, [m.matrix for m in monodromy])
+    group = coinvariants(RANK, list(monodromy))
     return group, group.project(tuple(g_class))
+
+
+def _b1_verdict(monodromy: Iterable[IntMatrix]) -> Tuple[AbelianGroup, Tuple[int, ...], str]:
+    group, coords = jacobian_obstruction(monodromy, CURVE_VECTORS["b1"])
+    return group, coords, "SPLITS" if all(c == 0 for c in coords) else "NO_SECTION"
 
 
 def endo_verdict() -> Tuple[AbelianGroup, Tuple[int, ...], str]:
     """Run the full genus-3 example: the monodromy image is generated by
     t_x0, t_y0, t_z0 and the hyperelliptic involution."""
-    _, curves = build_double_model()
-    gens = [
-        transvection(curves["x0"]),
-        transvection(curves["y0"]),
-        transvection(curves["z0"]),
-        hyperelliptic(),
-    ]
-    group, coords = jacobian_obstruction(gens, curves["b1"].vector)
-    verdict = "SPLITS" if all(c == 0 for c in coords) else "NO_SECTION"
-    return group, coords, verdict
+    return _b1_verdict(LANTERN_TWISTS + (HYPERELLIPTIC,))
 
 
 def kb_base_variant() -> Tuple[AbelianGroup, Tuple[int, ...], str]:
     """The variant over the Klein bottle: monodromy generated by
     t_x0 t_y0 t_z0 and the reflection across the gluing circles."""
-    _, curves = build_double_model()
-    product = (
-        transvection(curves["x0"])
-        @ transvection(curves["y0"])
-        @ transvection(curves["z0"])
-    )
-    gens = [product, reflection()]
-    group, coords = jacobian_obstruction(gens, curves["b1"].vector)
-    verdict = "SPLITS" if all(c == 0 for c in coords) else "NO_SECTION"
-    return group, coords, verdict
+    product = _product(LANTERN_TWISTS)
+    return _b1_verdict([product, REFLECTION])
 
 
 def torus_pullback_info() -> Tuple[AbelianGroup, Tuple[int, ...]]:
@@ -273,12 +177,6 @@ def torus_pullback_info() -> Tuple[AbelianGroup, Tuple[int, ...]]:
     homology criterion sees no obstruction; this is informational only — a
     zero class here does not by itself produce a section.
     """
-    _, curves = build_double_model()
-    product = (
-        transvection(curves["x0"])
-        @ transvection(curves["y0"])
-        @ transvection(curves["z0"])
-    )
-    rho = reflection()
-    generator = product @ rho @ product @ rho.inverse()
-    return jacobian_obstruction([generator], curves["b1"].vector)
+    product = _product(LANTERN_TWISTS)
+    generator = product @ REFLECTION @ product @ REFLECTION.inverse_unimodular()
+    return jacobian_obstruction([generator], CURVE_VECTORS["b1"])

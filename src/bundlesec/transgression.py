@@ -19,7 +19,7 @@ the k = 1 extension yields +1 on both routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .groupring import fox_jacobian
 from .words import Word, commutator
@@ -289,11 +289,3 @@ def xi_star(spec: CentralExtensionSpec, cycle_multiplicity: int = 1) -> int:
     if value[1] != 0 or value[2] != 0:
         raise AssertionError("relator word did not die in the base")
     return value[0]
-
-
-def verify_transgression_identity(k_values: Iterable[int]) -> bool:
-    """transgress == xi_star on the fundamental cycle, for every k given."""
-    return all(
-        transgress(CentralExtensionSpec(k)) == xi_star(CentralExtensionSpec(k), 1)
-        for k in k_values
-    )

@@ -9,7 +9,7 @@ deterministic, which keeps canonical coordinates stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 
@@ -373,15 +373,9 @@ class AbelianGroup:
     def torsion(self) -> Tuple[int, ...]:
         return tuple(f for f in self.invariant_factors if f != 0)
 
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
     def project(self, v: Sequence[int]) -> Vector:
         raw = self.projection.apply(v)
         return tuple(x % f if f else x for x, f in zip(raw, self.invariant_factors))
-
-    def is_zero_class(self, v: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.project(v))
 
     def __str__(self) -> str:
         parts = []
@@ -406,27 +400,6 @@ def kernel_basis(m: IntMatrix) -> Tuple[Vector, ...]:
 def solve(m: IntMatrix, v: Sequence[int]) -> Optional[Vector]:
     """One integer solution x of m @ x == v, or None if there is none."""
     return smith_normal_form(m).solve(v)
-
-
-def submodule_membership(gens: Sequence[Sequence[int]], v: Sequence[int]):
-    """Is v in the integer span of gens?  Returns (bool, witness-or-None)."""
-    gens = [tuple(g) for g in gens]
-    for g in gens:
-        if len(g) != len(v):
-            raise ValueError("dimension mismatch")
-    m = IntMatrix.from_columns(gens, rows=len(v))
-    x = solve(m, v)
-    return (x is not None), x
-
-
-def quotient_class(v: Sequence[int], gens: Sequence[Sequence[int]]) -> Vector:
-    """Canonical coordinates of v in Z^n / span(gens)."""
-    gens = [tuple(g) for g in gens]
-    for g in gens:
-        if len(g) != len(v):
-            raise ValueError("dimension mismatch")
-    m = IntMatrix.from_columns(gens, rows=len(v))
-    return cokernel(m).project(v)
 
 
 def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:

@@ -182,3 +182,70 @@ def test_relator_over_the_letter_cap_exits_3_fast(tmp_path, name, text, command,
     with redirect_stderr(io.StringIO()):
         assert cli.main([command, str(path)]) == 3
     assert time.perf_counter() - start < 0.5
+
+
+def _exits_4_fast(argv, needle):
+    import io
+    import time
+    from contextlib import redirect_stderr
+
+    from bundlesec import cli
+
+    # a request that slips past a cap would run for minutes: fail it instead
+    out = subprocess.run([sys.executable, "-m", "bundlesec.cli", *argv],
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert needle in out.stderr
+    assert "Traceback" not in out.stderr
+    # in process, so that interpreter start-up is not timed
+    start = time.perf_counter()
+    with redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 4
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("action, cocycle", [
+    # the offset is the fibre word
+    ("u = 1\nv = 1\n", "u = 0\nv = 0\noffset 1 = 300000\n"),
+    # s(r) = -600000 is the fibre word
+    ("u = -1\nv = 1\n", "u = 0\nv = 300000\n"),
+])
+def test_fibre_word_over_the_letter_cap_exits_4_fast(tmp_path, action, cocycle):
+    path = tmp_path / "huge_offset.bundle"
+    path.write_text("[base]\n< u, v | [u,v] >\n[fibre]\ntorus 1\n"
+                    f"[action]\n{action}[cocycle]\n{cocycle}")
+    _exits_4_fast(["split-check", str(path)], "fibre word longer than 10000 letters")
+
+
+@pytest.mark.parametrize("request_args", [
+    ["--k", "100000"],
+    ["--k", "-9997"],
+    ["--range=-1000..1000"],
+    ["--range=-10000000000000000000000..10000000000000000000000"],
+])
+def test_transgress_over_the_letter_cap_exits_4_fast(request_args):
+    _exits_4_fast(["transgress", *request_args], "more than 10000 relator letters")
+
+
+def test_transgress_at_the_letter_cap_runs():
+    out = run_cli("--json", "transgress", "--k", "9996")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["verdict"] == "AGREE"
+
+
+def test_endo_makes_at_most_80_matrix_products(monkeypatch, capsys):
+    from bundlesec import cli
+    from bundlesec.zlinalg import IntMatrix
+
+    calls = []
+    product = IntMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted)
+    assert cli.main(["--json", "endo"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "NO_SECTION"
+    assert 0 < len(calls) <= 80

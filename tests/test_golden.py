@@ -34,7 +34,9 @@ def _cases():
     for name in PRESENTATIONS:
         yield f"abelianize.{name[:-len('.pres')]}.json", ["--json", "abelianize", f"specs/{name}"]
     yield "transgress.json", ["--json", "transgress", "--range", "-5..5"]
+    yield "transgress.txt", ["transgress", "--range", "-5..5"]
     yield "endo.json", ["--json", "endo"]
+    yield "endo.txt", ["endo"]
 
 
 CASES = list(_cases())

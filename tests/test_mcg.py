@@ -1,23 +1,21 @@
 """Mapping-class computations, validated against the cellular oracle."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundlesec.mcg import (
     CURVE_VECTORS,
+    HYPERELLIPTIC,
     PAIRING,
     RANK,
-    CurveClass,
-    MappingClass,
-    build_double_model,
+    REFLECTION,
     endo_monodromy,
     endo_relation_check,
     endo_verdict,
-    hyperelliptic,
+    form_sign,
     jacobian_obstruction,
     kb_base_variant,
     lantern_check,
-    pairing,
-    reflection,
     torus_pullback_info,
     transvection,
 )
@@ -30,6 +28,11 @@ from cellular_oracle import build_model, curve_classes
 def oracle():
     model = build_model()
     return model, curve_classes(model)
+
+
+def pairing(v, w):
+    """Algebraic intersection number <v, w> = v^T J w."""
+    return sum(vi * ji for vi, ji in zip(v, PAIRING.apply(tuple(w))))
 
 
 # --- the oracle itself --------------------------------------------------------
@@ -95,62 +98,102 @@ def test_shipped_pairing_matches_oracle(oracle):
     model, curves = oracle
     basis = _change_of_basis(curves)
     pulled = basis.transpose() @ model.pairing @ basis
-    minus = IntMatrix.from_rows([[-e for e in row] for row in PAIRING.data])
-    assert pulled in (PAIRING, minus)
+    assert pulled in (PAIRING, -PAIRING)
 
 
 # --- module under test ----------------------------------------------------------
 
 
 def test_model_invariants():
-    space, curves = build_double_model()
-    assert space.form.determinant() in (1, -1)
-    for c in curves.values():
-        assert pairing(c.vector, c.vector) == 0
-    total = tuple(sum(col) for col in zip(*(curves[f"b{i}"].vector for i in range(1, 5))))
+    assert PAIRING.determinant() in (1, -1)
+    assert PAIRING.transpose() == -PAIRING
+    for v in CURVE_VECTORS.values():
+        assert len(v) == RANK
+        assert pairing(v, v) == 0
+    total = tuple(sum(col) for col in zip(*(CURVE_VECTORS[f"b{i}"] for i in range(1, 5))))
     assert total == (0,) * 6
-    assert pairing(curves["x0"].vector, curves["b1"].vector) == 0
+    assert pairing(CURVE_VECTORS["x0"], CURVE_VECTORS["b1"]) == 0
 
 
 def test_transvection_properties():
-    _, curves = build_double_model()
-    t = transvection(curves["x0"])
-    assert t.sign == 1
+    x0, b1 = CURVE_VECTORS["x0"], CURVE_VECTORS["b1"]
+    t = transvection(x0)
+    assert form_sign(t) == 1
     # vectors orthogonal to the curve are fixed
-    assert t.apply(curves["b1"].vector) == curves["b1"].vector
+    assert t.apply(b1) == b1
     # a dual vector moves by the curve class
     dual = (0, 0, 0, 1, 0, 0)
-    assert pairing(dual, curves["x0"].vector) == 1
-    moved = t.apply(dual)
-    assert moved == tuple(d + c for d, c in zip(dual, curves["x0"].vector))
-    assert (t @ t.inverse()).is_identity()
+    assert pairing(dual, x0) == 1
+    assert t.apply(dual) == tuple(d + c for d, c in zip(dual, x0))
+    assert (t @ t.inverse_unimodular()).is_identity()
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_VECTORS))
+def test_transvection_is_v_plus_pairing_times_c(name):
+    c = CURVE_VECTORS[name]
+    eye = IntMatrix.identity(RANK)
+    cols = [tuple(e + pairing(eye.column(j), c) * ci for e, ci in zip(eye.column(j), c))
+            for j in range(RANK)]
+    assert transvection(c) == IntMatrix.from_columns(cols, rows=RANK)
 
 
 def test_disjoint_twists_commute():
-    _, curves = build_double_model()
     for n1, n2 in (("x0", "b1"), ("d10", "d30"), ("x0", "y0")):
-        a, b = transvection(curves[n1]), transvection(curves[n2])
-        if pairing(curves[n1].vector, curves[n2].vector) == 0:
-            assert (a @ b).matrix == (b @ a).matrix
+        a, b = transvection(CURVE_VECTORS[n1]), transvection(CURVE_VECTORS[n2])
+        if pairing(CURVE_VECTORS[n1], CURVE_VECTORS[n2]) == 0:
+            assert a @ b == b @ a
 
 
 def test_twist_along_negated_curve_is_the_same():
-    _, curves = build_double_model()
-    pos = transvection(curves["x0"])
-    neg = transvection(curves["x1"])  # x1 = -x0
-    assert pos.matrix == neg.matrix
+    # x1 = -x0
+    assert transvection(CURVE_VECTORS["x0"]) == transvection(CURVE_VECTORS["x1"])
 
 
 def test_involutions():
-    f = hyperelliptic()
-    rho = reflection()
+    f, rho = HYPERELLIPTIC, REFLECTION
     assert (f @ f).is_identity()
     assert (rho @ rho).is_identity()
-    assert f.sign == 1
-    assert rho.sign == -1
-    _, curves = build_double_model()
-    assert f.apply(curves["x0"].vector) == curves["x1"].vector
-    assert f.apply(curves["y0"].vector) == curves["y1"].vector
+    assert form_sign(f) == 1
+    assert form_sign(rho) == -1
+    assert f.apply(CURVE_VECTORS["x0"]) == CURVE_VECTORS["x1"]
+    assert f.apply(CURVE_VECTORS["y0"]) == CURVE_VECTORS["y1"]
+
+
+@pytest.mark.parametrize("rows", [
+    # an elementary shear a1 -> a1 + a2 that is no transvection
+    [[1 if i == j or (i, j) == (4, 3) else 0 for j in range(6)] for i in range(6)],
+    # scales the form by 4
+    [[2 if i == j else 0 for j in range(6)] for i in range(6)],
+    # swaps b1 and a1 without a sign
+    [[1 if {i, j} == {0, 3} or (i == j and i not in (0, 3)) else 0 for j in range(6)]
+     for i in range(6)],
+    [[0] * 6 for _ in range(6)],
+])
+def test_form_sign_raises_off_the_form(rows):
+    with pytest.raises(ValueError, match="intersection form"):
+        form_sign(IntMatrix.from_rows(rows))
+
+
+def test_form_sign_rejects_the_wrong_size():
+    with pytest.raises(ValueError):
+        form_sign(IntMatrix.identity(4))
+
+
+_GENERATORS = endo_monodromy() + (REFLECTION,)
+_LETTERS = [(m, form_sign(m)) for m in _GENERATORS] + [
+    (m.inverse_unimodular(), form_sign(m)) for m in _GENERATORS]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=len(_LETTERS) - 1), max_size=12))
+def test_words_in_the_generators_scale_the_form_by_their_sign(word):
+    # form_sign runs on the generators only; products and inverses are
+    # checked here, never by the program
+    product, sign = IntMatrix.identity(RANK), 1
+    for i in word:
+        m, s = _LETTERS[i]
+        product, sign = product @ m, sign * s
+    assert form_sign(product) == sign
 
 
 def test_lantern_relation_holds():
@@ -158,26 +201,24 @@ def test_lantern_relation_holds():
 
 
 def test_lantern_negative_control():
-    _, curves = build_double_model()
-    wrong = dict(curves)
-    wrong["z0"] = CurveClass("z0", (0, 0, 0, 1, 1, 0))  # a valid class, wrong curve
+    wrong = dict(CURVE_VECTORS)
+    wrong["z0"] = (0, 0, 0, 1, 1, 0)  # a valid class, wrong curve
     assert not lantern_check(wrong)
 
 
 def test_endo_relation():
-    data = endo_monodromy()
-    assert endo_relation_check(data)
-    for m in data.matrices:
-        assert m.sign == 1
+    mats = endo_monodromy()
+    assert len(mats) == 6
+    assert endo_relation_check(mats)
+    for m in mats:
+        assert form_sign(m) == 1
 
 
 def test_endo_relation_negative_control():
-    from dataclasses import replace
-    data = endo_monodromy()
-    mats = list(data.matrices)
+    mats = list(endo_monodromy())
     # a twist along a curve meeting x0 does not commute with t_x0
-    mats[1] = transvection(CurveClass("probe", (0, 0, 0, 1, 0, 0)))
-    assert not endo_relation_check(replace(data, matrices=tuple(mats)))
+    mats[1] = transvection((0, 0, 0, 1, 0, 0))
+    assert not endo_relation_check(mats)
 
 
 def test_endo_verdict():
@@ -188,24 +229,22 @@ def test_endo_verdict():
 
 
 def test_jacobian_obstruction_generating_set_independence():
-    data = endo_monodromy()
-    _, curves = build_double_model()
-    four = [transvection(curves["x0"]), transvection(curves["y0"]),
-            transvection(curves["z0"]), hyperelliptic()]
-    g1, c1 = jacobian_obstruction(four, data.g_class)
-    g2, c2 = jacobian_obstruction(list(data.matrices), data.g_class)
+    b1 = CURVE_VECTORS["b1"]
+    four = [transvection(CURVE_VECTORS[n]) for n in ("x0", "y0", "z0")] + [HYPERELLIPTIC]
+    g1, c1 = jacobian_obstruction(four, b1)
+    g2, c2 = jacobian_obstruction(endo_monodromy(), b1)
     assert g1.invariant_factors == g2.invariant_factors
     assert c1 == c2
 
 
 def test_jacobian_obstruction_trivial_monodromy():
-    group, coords = jacobian_obstruction([MappingClass.identity()], (1, 0, 0, 0, 0, 0))
+    group, coords = jacobian_obstruction([IntMatrix.identity(RANK)], (1, 0, 0, 0, 0, 0))
     assert group.invariant_factors == (0,) * RANK
     assert any(c != 0 for c in coords)
 
 
 def test_jacobian_obstruction_minus_identity():
-    group, coords = jacobian_obstruction([hyperelliptic()], (2, 0, 0, 0, 0, 0))
+    group, coords = jacobian_obstruction([HYPERELLIPTIC], (2, 0, 0, 0, 0, 0))
     assert group.invariant_factors == (2,) * RANK
     assert all(c == 0 for c in coords)
 
