@@ -3,7 +3,8 @@
 Subcommands: abelianize, split-check, cohomology, transgress, endo.
 Reports are deterministic; --json selects machine-readable output.
 Exit codes: 0 success (any mathematical verdict), 2 missing file,
-3 parse error, 4 malformed bundle data.
+3 parse error, 4 malformed bundle data (including data over a cap: relator
+letters, fibre-word letters, Fox-row entry bits), 5 usage error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_NO_FILE = 2
 EXIT_PARSE = 3
 EXIT_MALFORMED = 4
+EXIT_USAGE = 5
 
 
 def _digest(data: bytes) -> str:
@@ -280,7 +282,13 @@ def _fold_range_flag(argv: List[str]) -> List[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_fold_range_flag(list(argv)))
+    try:
+        args = build_parser().parse_args(_fold_range_flag(list(argv)))
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a missing file
+        if exc.code != 2:
+            raise
+        return EXIT_USAGE
     as_json = bool(args.json)
     try:
         if args.command == "abelianize":

@@ -12,6 +12,7 @@ coefficient module: it gives theta(r) and the blocks theta(d r / d x).  J_w
 is spanned by the block columns, the delta2 of ``h1_h2_base`` is built from
 them, and for a torus fibre s(r) is sum_x theta(d r / d x) t_x plus
 theta(r) times the offset (the crossed-homomorphism form of Fox calculus).
+No entry of the walk's output may exceed MAX_ENTRY_BITS bits.
 """
 
 from __future__ import annotations
@@ -57,17 +58,27 @@ def _zero(n: int) -> Vector:
 
 FoxRow = Tuple[IntMatrix, List[IntMatrix]]
 
+# bit length allowed in theta(r) and its blocks; a hyperbolic action raised
+# to a long power passes it long before a Smith form of the blocks would end
+MAX_ENTRY_BITS = 1024
+
 
 def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
     """(theta(r), [theta(d r / d x) for each base generator x]) for every base
-    relator r, from one Fox pass each."""
+    relator r, from one Fox pass each, with every entry capped at
+    MAX_ENTRY_BITS."""
     eye = IntMatrix.identity(module.dim)
     zero = IntMatrix.zeros(module.dim, module.dim)
     rows = []
-    for r in base.relators:
+    for i, r in enumerate(base.relators, 1):
         value, jac = fox_jacobian(r, base.generators, module.matrix, IntMatrix.__matmul__,
                                   eye, zero)
-        rows.append((value, [jac[x] for x in base.generators]))
+        blocks = [jac[x] for x in base.generators]
+        if any(abs(e).bit_length() > MAX_ENTRY_BITS
+               for m in (value, *blocks) for row in m.data for e in row):
+            raise MalformedSpec(f"relator {i} evaluates to an entry of more than "
+                                f"{MAX_ENTRY_BITS} bits")
+        rows.append((value, blocks))
     return rows
 
 

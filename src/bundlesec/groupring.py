@@ -20,7 +20,6 @@ Also hosts the Klein-bottle group model: normal forms x^a y^b for the group
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Dict, Mapping, Sequence, Tuple, TypeVar
 
 from .words import Word
@@ -47,15 +46,16 @@ class LinearRep:
     dim: int
 
     def __post_init__(self) -> None:
+        # one elimination per matrix both checks it and inverts it
+        inverses: Dict[str, IntMatrix] = {}
         for g, m in self.assignment.items():
             if m.rows != self.dim or m.cols != self.dim:
                 raise ValueError(f"matrix for {g!r} has wrong size")
-            if not m.is_unimodular():
-                raise ValueError(f"matrix for {g!r} is not invertible over Z")
-
-    @cached_property
-    def _inverses(self) -> Dict[str, IntMatrix]:
-        return {g: m.inverse_unimodular() for g, m in self.assignment.items()}
+            try:
+                inverses[g] = m.inverse_unimodular()
+            except ValueError:
+                raise ValueError(f"matrix for {g!r} is not invertible over Z") from None
+        object.__setattr__(self, "_inverses", inverses)
 
     def matrix(self, gen: str, sign: int = 1) -> IntMatrix:
         if gen not in self.assignment:

@@ -4,10 +4,12 @@ extension over Z^2 is evaluation of the extension class.
 Two independent computations are compared for the family of central
 extensions pi_k = < u, x, y | u^-k [x,y], [u,x], [u,y] > of Z^2 by Z:
 
-* ``transgress`` runs the bicomplex zig-zag on the presentation resolution
-  tensored down to the Laurent ring Z[x^+-, y^+-], whose boundary blocks are
-  the Fox derivatives of the relators from the ring-generic Fox pass
-  ``groupring.fox_jacobian``;
+* ``transgress`` is one zig-zag in the double complex of the presentation
+  resolutions tensored down to the Laurent ring Z[x^+-, y^+-] (u -> 1).  It
+  reads four Fox rows, each relator walked once by the ring-generic Fox pass
+  ``groupring.fox_jacobian``: the row of [x,y] over (x, y) and the rows of
+  u^-k [x,y], [u,x], [u,y] over (u, x, y).  Each row is checked against
+  d1 = q(g) - 1 by ``check_composition``;
 * ``xi_star`` evaluates the base relator word through the section lifts in
   the group itself (via the nilpotent normal form u^m x^a y^b), with a loop
   of its own so that the two routes share no code.
@@ -76,19 +78,8 @@ class LaurentElement:
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentElement) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b), c in sorted(self.terms.items()):
-            mono = "".join(
-                (f"x^{a}" if a not in (0, 1) else ("x" if a == 1 else "")),
-            ) + ("" if b == 0 else (f"y^{b}" if b != 1 else "y"))
-            bits.append(f"{c}{('*' + mono) if mono else ''}")
-        return " + ".join(bits)
+        return " + ".join(f"{c}*x^{a}y^{b}" for (a, b), c in sorted(self.terms.items())) or "0"
 
 
 def laurent_divide(num: LaurentElement, den: LaurentElement) -> LaurentElement:
@@ -128,11 +119,18 @@ _Y = Word.gen("y")
 _U = Word.gen("u")
 _BASE_RELATOR = commutator(_X, _Y)
 _IMAGES: Dict[str, Monomial] = {"x": (1, 0), "y": (0, 1), "u": (0, 0)}
+_XY = ("x", "y")
+_UXY = ("u", "x", "y")
 
 
 def _laurent_image(gen: str, sign: int) -> LaurentElement:
     a, b = _IMAGES[gen]
     return LaurentElement.monomial(sign * a, sign * b)
+
+
+# d1 of both resolutions, tensored down: p1^g -> q(g) - 1 (zero for u)
+_D1: Dict[str, LaurentElement] = {g: _laurent_image(g, 1) - LaurentElement.one()
+                                  for g in _UXY}
 
 
 def _fox_row(w: Word, gens: Sequence[str]) -> Tuple[LaurentElement, ...]:
@@ -143,35 +141,16 @@ def _fox_row(w: Word, gens: Sequence[str]) -> Tuple[LaurentElement, ...]:
     return tuple(jac[g] for g in gens)
 
 
-@dataclass(frozen=True)
-class FLComplex:
-    """The presentation partial resolution of Z over Z[Z^2]:
-    rank 1 in degree 2 (relator [x,y]), rank 2 in degree 1, rank 1 in degree 0.
-    """
-
-    d1: Tuple[LaurentElement, LaurentElement]      # images of c1^x, c1^y
-    d2: Tuple[LaurentElement, LaurentElement]      # row of d(c2) over (c1^x, c1^y)
-
-    def composition_is_zero(self) -> bool:
-        total = self.d2[0] * self.d1[0] + self.d2[1] * self.d1[1]
-        return total.is_zero()
-
-
-def build_fl_complex(base=None) -> FLComplex:
-    """Only the base < x, y | [x,y] > is supported."""
-    if base is not None:
-        gens = tuple(base.generators)
-        rels = tuple(base.relators)
-        if gens != ("x", "y") or rels != (_BASE_RELATOR,):
-            raise ValueError("unsupported base; expected < x, y | [x,y] >")
-    x = LaurentElement.monomial(1, 0)
-    y = LaurentElement.monomial(0, 1)
-    one = LaurentElement.one()
-    d1 = (x - one, y - one)
-    complex_ = FLComplex(d1, _fox_row(_BASE_RELATOR, ("x", "y")))
-    if not complex_.composition_is_zero():
-        raise AssertionError("d2 . d1 != 0 in the presentation resolution")
-    return complex_
+def check_composition(row: Sequence[LaurentElement],
+                      gens: Sequence[str]) -> Tuple[LaurentElement, ...]:
+    """The row d2(p2) over gens, once d2 d1 = sum_g row_g (q(g) - 1) = 0 holds
+    on it, as it does on the Fox row of a relator."""
+    total = LaurentElement.zero()
+    for entry, g in zip(row, gens):
+        total = total + entry * _D1[g]
+    if not total.is_zero():
+        raise AssertionError("d2 . d1 != 0 on a Fox row")
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -187,80 +166,30 @@ class CentralExtensionSpec:
         return r, s, t
 
 
-@dataclass(frozen=True)
-class PartialResolution:
-    """Lambda (x) presentation resolution of the extension group: ranks 1, 3, 3
-    with basis p1^u, p1^x, p1^y in degree 1 and p2^r, p2^s, p2^t in degree 2.
-    """
-
-    d1: Tuple[LaurentElement, LaurentElement, LaurentElement]
-    d2: Tuple[Tuple[LaurentElement, ...], ...]  # rows p2^rho over (p1^u, p1^x, p1^y)
-
-    def composition_is_zero(self) -> bool:
-        for row in self.d2:
-            total = LaurentElement.zero()
-            for entry, d in zip(row, self.d1):
-                total = total + entry * d
-            if not total.is_zero():
-                return False
-        return True
-
-
-def build_partial_resolution(spec: CentralExtensionSpec) -> PartialResolution:
-    one = LaurentElement.one()
-    d1 = (
-        LaurentElement.zero(),                       # q(u) - 1 = 0
-        LaurentElement.monomial(1, 0) - one,
-        LaurentElement.monomial(0, 1) - one,
-    )
-    rows = tuple(_fox_row(rho, ("u", "x", "y")) for rho in spec.relators())
-    res = PartialResolution(d1, rows)
-    if not res.composition_is_zero():
-        raise AssertionError("d2 . d1 != 0 in the tensored-down resolution")
-    return res
-
-
-def transgression_cycle_components(spec: CentralExtensionSpec):
-    """Total-differential components of the canonical 2-cycle
-    z = c2 (x) 1 - c1^x (x) p1^y + c1^y (x) p1^x.
-
-    Returns (k10, k01): the bidegree (1,0) component over (c1^x, c1^y), which
-    must vanish, and the bidegree (0,1) component over (p1^u, p1^x, p1^y).
-    """
-    fl = build_fl_complex()
-    # K_{1,0}: boundary of c2 (x) 1 plus the (-1)^1 (x) d'' terms of the mixed part
-    k10_x = fl.d2[0]  # from d'(c2) (x) 1
-    k10_y = fl.d2[1]
-    # -c1^x (x) p1^y contributes +c1^x (x) d''(p1^y), i.e. +(y-1) on c1^x
-    res = build_partial_resolution(spec)
-    k10_x = k10_x + res.d1[2]           # (y - 1)
-    k10_y = k10_y - res.d1[1]           # -(x - 1)
-    # K_{0,1}: d'(c1) (x) p1 terms
-    k01_u = LaurentElement.zero()
-    k01_x = fl.d1[1]                    # from +c1^y (x) p1^x: (y - 1) p1^x
-    k01_y = -fl.d1[0]                   # from -c1^x (x) p1^y: -(x - 1) p1^y
-    return (k10_x, k10_y), (k01_u, k01_x, k01_y)
-
-
 def transgress(spec: CentralExtensionSpec) -> int:
     """Transgression of the fundamental class, as an integer in the fibre.
 
-    The (0,1) component of the total differential of z is reduced modulo the
-    boundary of p2^r to a multiple of p1^u, then augmented; the boundaries of
-    p2^s, p2^t only shift the coefficient by the augmentation ideal, so the
-    integer is well defined.
+    z = c2 (x) 1 - c1^x (x) p1^y + c1^y (x) p1^x, with c the base resolution
+    and p the extension's.  The (1,0) component of its total boundary must
+    vanish.  The (0,1) component is reduced modulo the boundary of p2^r to a
+    multiple of p1^u, then augmented; the boundaries of p2^s, p2^t only
+    shift the coefficient by the augmentation ideal, so the integer is well
+    defined.
     """
-    (k10_x, k10_y), (v_u, v_x, v_y) = transgression_cycle_components(spec)
-    if not (k10_x.is_zero() and k10_y.is_zero()):
+    c_x, c_y = check_composition(_fox_row(_BASE_RELATOR, _XY), _XY)
+    rows = [check_composition(_fox_row(rho, _UXY), _UXY) for rho in spec.relators()]
+    # (1,0): d'(c2) (x) 1 and, with the sign (-1)^1, -c1^x (x) d''(p1^y)
+    # and c1^y (x) d''(p1^x)
+    if not ((c_x + _D1["y"]).is_zero() and (c_y - _D1["x"]).is_zero()):
         raise AssertionError("the canonical element is not a cycle modulo filtration")
-    res = build_partial_resolution(spec)
-    r_u, r_x, r_y = res.d2[0]
+    # (0,1): d'(c1^y) (x) p1^x - d'(c1^x) (x) p1^y, with no p1^u term
+    v_x, v_y = _D1["y"], -_D1["x"]
+    r_u, r_x, r_y = rows[0]
     lam = laurent_divide(v_x, r_x)
     if v_y != lam * r_y:
         raise AssertionError("relator boundary cannot absorb the fibre-free part")
-    w_u = v_u - lam * r_u
-    # sign convention pinned by the k = 1 extension
-    return -w_u.augmentation()
+    # p1^u is left with -lam r_u; the sign convention negates its augmentation
+    return (lam * r_u).augmentation()
 
 
 def xi_star(spec: CentralExtensionSpec, cycle_multiplicity: int = 1) -> int:

@@ -228,10 +228,67 @@ def test_transgress_over_the_letter_cap_exits_4_fast(request_args):
     _exits_4_fast(["transgress", *request_args], "more than 10000 relator letters")
 
 
-def test_transgress_at_the_letter_cap_runs():
+def test_transgress_at_the_letter_cap_runs(capsys):
+    import time
+
+    from bundlesec import cli
+
     out = run_cli("--json", "transgress", "--k", "9996")
     assert out.returncode == 0
     assert json.loads(out.stdout)["verdict"] == "AGREE"
+    # in process: each relator is walked once, in time linear in its length
+    start = time.perf_counter()
+    assert cli.main(["--json", "transgress", "--k", "9996"]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert json.loads(capsys.readouterr().out)["verdict"] == "AGREE"
+
+
+def _hyperbolic_power(n):
+    # theta(u)^n has entries of about 3.45 n bits, and theta(d r / d v)
+    # holds theta(u)^n; n = 4500 is a 9,003-letter relator, under the
+    # letter cap
+    return (f"[base]\n< u, v | u^{n} v u^-{n} v^-2 >\n[fibre]\ntorus 2\n"
+            "[action]\nu = 10 1 ; 9 1\nv = 1 0 ; 0 1\n[cocycle]\nv = 1 0\n")
+
+
+@pytest.mark.parametrize("command", ["split-check", "cohomology"])
+@pytest.mark.parametrize("n, seconds", [(1000, 0.5), (4500, 2.0)])
+def test_fox_entries_over_the_bit_cap_exit_4_fast(tmp_path, command, n, seconds):
+    import io
+    import time
+    from contextlib import redirect_stderr
+
+    from bundlesec import cli
+
+    path = tmp_path / "hyperbolic.bundle"
+    path.write_text(_hyperbolic_power(n))
+    out = subprocess.run([sys.executable, "-m", "bundlesec.cli", command, str(path)],
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert "an entry of more than 1024 bits" in out.stderr
+    assert "Traceback" not in out.stderr
+    start = time.perf_counter()
+    with redirect_stderr(io.StringIO()):
+        assert cli.main([command, str(path)]) == 4
+    assert time.perf_counter() - start < seconds
+
+
+def test_fox_entries_under_the_bit_cap_still_run(tmp_path):
+    # n = 100: entries of 345 bits
+    path = tmp_path / "hyperbolic.bundle"
+    path.write_text(_hyperbolic_power(100))
+    out = run_cli("cohomology", str(path))
+    assert out.returncode == 0, out.stderr
+    assert "H^1 = Z/9" in out.stdout
+
+
+def test_usage_error_exits_5():
+    out = run_cli("transgress", "--k", "abc")
+    assert out.returncode == 5
+    assert out.stdout == ""
+    assert "invalid int value" in out.stderr
+    assert run_cli("--help").returncode == 0
 
 
 def test_endo_makes_at_most_80_matrix_products(monkeypatch, capsys):

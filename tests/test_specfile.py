@@ -100,3 +100,25 @@ def test_parse_error_names_the_line_and_column_in_the_file():
 def test_non_invertible_matrix_is_rejected():
     with pytest.raises(ValueError):
         parse_bundle_file(TORUS_TEXT.replace("u = 1 0 ; 0 1", "u = 2 0 ; 0 1")).to_spec()
+
+
+def test_building_a_torus_spec_runs_one_elimination_per_matrix(monkeypatch):
+    import pathlib
+
+    from bundlesec.zlinalg import IntMatrix
+
+    calls = {"determinant": 0, "inverse_unimodular": 0}
+    for name in calls:
+        method = getattr(IntMatrix, name)
+
+        def counted(self, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self)
+
+        monkeypatch.setattr(IntMatrix, name, counted)
+    path = pathlib.Path(__file__).resolve().parent.parent / "specs" / "heisenberg_torus.bundle"
+    spec = parse_bundle_file(path.read_text()).to_spec()
+    # the inverse of each action matrix is its unimodularity check
+    assert calls == {"determinant": 0, "inverse_unimodular": 2}
+    assert spec.coefficients.matrix("u", -1).is_identity()
+    assert calls["inverse_unimodular"] == 2

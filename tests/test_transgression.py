@@ -3,19 +3,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bundlesec import transgression
 from bundlesec.transgression import (
+    _BASE_RELATOR,
+    _D1,
     _IMAGES,
     CentralExtensionSpec,
     LaurentElement,
-    build_fl_complex,
-    build_partial_resolution,
+    check_composition,
     laurent_divide,
     transgress,
-    transgression_cycle_components,
     _fox_row,
     xi_star,
 )
-from bundlesec.words import Word, parse_presentation
+from bundlesec.words import Word
 from fox_reference import fox_derivative, laurent_of_ring_element
 
 
@@ -95,38 +96,65 @@ def test_laurent_fox_pass_matches_the_formal_route(w):
                         for g in ("u", "x", "y"))
 
 
-
 def test_fl_complex_shape():
-    fl = build_fl_complex()
+    # the base resolution: d1 over (c1^x, c1^y) and the row of [x,y]
     one = LaurentElement.one()
     x = LaurentElement.monomial(1, 0)
     y = LaurentElement.monomial(0, 1)
-    assert fl.d1 == (x - one, y - one)
-    assert fl.d2 == (one - y, x - one)
-    assert fl.composition_is_zero()
-
-
-def test_fl_complex_accepts_the_torus_presentation():
-    build_fl_complex(parse_presentation("< x, y | [x,y] >"))
-
-
-def test_fl_complex_rejects_other_bases():
-    with pytest.raises(ValueError):
-        build_fl_complex(parse_presentation("< x, y | x y x^-1 y >"))
-    with pytest.raises(ValueError):
-        build_fl_complex(parse_presentation("< a, b | [a,b] >"))
+    assert _D1 == {"u": LaurentElement.zero(), "x": x - one, "y": y - one}
+    row = _fox_row(_BASE_RELATOR, ("x", "y"))
+    assert row == (one - y, x - one)
+    assert check_composition(row, ("x", "y")) == row
 
 
 @pytest.mark.parametrize("k", [-4, -1, 0, 1, 2, 7])
 def test_partial_resolution_composes_to_zero(k):
-    res = build_partial_resolution(CentralExtensionSpec(k))
-    assert res.composition_is_zero()
+    for rho in CentralExtensionSpec(k).relators():
+        row = _fox_row(rho, ("u", "x", "y"))
+        assert check_composition(row, ("u", "x", "y")) == row
 
 
 @pytest.mark.parametrize("k", [-2, 0, 1, 3])
 def test_cycle_component_vanishes(k):
-    (k10_x, k10_y), _ = transgression_cycle_components(CentralExtensionSpec(k))
-    assert k10_x.is_zero() and k10_y.is_zero()
+    # the (1,0) component of the boundary of the canonical element:
+    # d'(c2) (x) 1 + (y - 1) c1^x - (x - 1) c1^y
+    c_x, c_y = check_composition(_fox_row(_BASE_RELATOR, ("x", "y")), ("x", "y"))
+    assert (c_x + _D1["y"]).is_zero() and (c_y - _D1["x"]).is_zero()
+    # the relator row of the extension has the same (x, y) part
+    _, r_x, r_y = _fox_row(CentralExtensionSpec(k).relators()[0], ("u", "x", "y"))
+    assert (r_x, r_y) == (c_x, c_y)
+
+
+@pytest.mark.parametrize("row, gens", [
+    # the row of a word that is not a relator: (1, x) for x y
+    (_fox_row(Word.gen("x") * Word.gen("y"), ("x", "y")), ("x", "y")),
+    # the base row placed over the wrong generators
+    (_fox_row(_BASE_RELATOR, ("x", "y")), ("y", "x")),
+    # the relator row with a unit added on p1^x
+    (tuple(e + LaurentElement.one() if i == 1 else e
+           for i, e in enumerate(_fox_row(CentralExtensionSpec(2).relators()[0],
+                                          ("u", "x", "y")))), ("u", "x", "y")),
+])
+def test_composition_check_raises_off_a_relator_row(row, gens):
+    with pytest.raises(AssertionError):
+        check_composition(row, gens)
+
+
+@pytest.mark.parametrize("k", [-3, 0, 1, 5])
+def test_transgress_makes_four_fox_passes(k, monkeypatch):
+    calls = []
+    walk = transgression.fox_jacobian
+
+    def counted(w, *args):
+        calls.append(w)
+        return walk(w, *args)
+
+    monkeypatch.setattr(transgression, "fox_jacobian", counted)
+    spec = CentralExtensionSpec(k)
+    assert transgress(spec) == k
+    assert len(calls) == 4
+    # each relator walked once: [x,y], u^-k [x,y], [u,x], [u,y]
+    assert sorted(map(str, calls)) == sorted(map(str, (_BASE_RELATOR, *spec.relators())))
 
 
 # --- the identity ----------------------------------------------------------------
