@@ -4,7 +4,9 @@ Subcommands: abelianize, split-check, cohomology, transgress, endo.
 Reports are deterministic; --json selects machine-readable output.
 Exit codes: 0 success (any mathematical verdict), 2 missing file,
 3 parse error, 4 malformed bundle data (including data over a cap: relator
-letters, fibre-word letters, Fox-row entry bits), 5 usage error.
+letters, fibre-word letters, Fox-row entry bits, checked on the running
+prefix of each relator's Fox pass), 5 usage error, 6 failed internal check
+(a bug, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .mcg import (
 from .specfile import parse_bundle_file
 from .transgression import CentralExtensionSpec, transgress, xi_star
 from .words import MAX_RELATOR_LETTERS, ParseError, abelianization, parse_presentation
+from .zlinalg import InvariantError
 
 SCHEMA_VERSION = 1
 
@@ -36,6 +39,7 @@ EXIT_NO_FILE = 2
 EXIT_PARSE = 3
 EXIT_MALFORMED = 4
 EXIT_USAGE = 5
+EXIT_INTERNAL = 6
 
 
 def _digest(data: bytes) -> str:
@@ -301,7 +305,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_transgress(args.k, args.range_text, as_json)
         if args.command == "endo":
             return cmd_endo(as_json)
-        raise AssertionError(f"unhandled command {args.command}")
+        raise InvariantError(f"unhandled command {args.command}")
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_NO_FILE
@@ -311,6 +315,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MalformedSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except InvariantError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,13 +12,15 @@ coefficient module: it gives theta(r) and the blocks theta(d r / d x).  J_w
 is spanned by the block columns, the delta2 of ``h1_h2_base`` is built from
 them, and for a torus fibre s(r) is sum_x theta(d r / d x) t_x plus
 theta(r) times the offset (the crossed-homomorphism form of Fox calculus).
-No entry of the walk's output may exceed MAX_ENTRY_BITS bits.
+No entry of the walk's running prefix or of its output may exceed
+MAX_ENTRY_BITS bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .groupring import (
@@ -36,8 +38,10 @@ from .words import MAX_RELATOR_LETTERS, Presentation, Word, abelianization, expo
 from .zlinalg import (
     AbelianGroup,
     IntMatrix,
+    InvariantError,
     Vector,
     cokernel,
+    cyclic_sum,
     direct_sum,
     smith_normal_form,
 )
@@ -63,21 +67,32 @@ FoxRow = Tuple[IntMatrix, List[IntMatrix]]
 MAX_ENTRY_BITS = 1024
 
 
+def _entry_bits(*matrices: IntMatrix) -> int:
+    return max(map(abs, chain.from_iterable(row for m in matrices for row in m.data)),
+               default=0).bit_length()
+
+
 def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
     """(theta(r), [theta(d r / d x) for each base generator x]) for every base
     relator r, from one Fox pass each, with every entry capped at
-    MAX_ENTRY_BITS."""
+    MAX_ENTRY_BITS: on the running prefix at each letter, so that large
+    entries stop the pass early, and on the pass's output."""
     eye = IntMatrix.identity(module.dim)
     zero = IntMatrix.zeros(module.dim, module.dim)
     rows = []
     for i, r in enumerate(base.relators, 1):
-        value, jac = fox_jacobian(r, base.generators, module.matrix, IntMatrix.__matmul__,
-                                  eye, zero)
+        too_big = f"relator {i} evaluates to an entry of more than {MAX_ENTRY_BITS} bits"
+
+        def capped_mul(p: IntMatrix, q: IntMatrix) -> IntMatrix:
+            out = p @ q
+            if _entry_bits(out) > MAX_ENTRY_BITS:
+                raise MalformedSpec(too_big)
+            return out
+
+        value, jac = fox_jacobian(r, base.generators, module.matrix, capped_mul, eye, zero)
         blocks = [jac[x] for x in base.generators]
-        if any(abs(e).bit_length() > MAX_ENTRY_BITS
-               for m in (value, *blocks) for row in m.data for e in row):
-            raise MalformedSpec(f"relator {i} evaluates to an entry of more than "
-                                f"{MAX_ENTRY_BITS} bits")
+        if _entry_bits(value, *blocks) > MAX_ENTRY_BITS:
+            raise MalformedSpec(too_big)
         rows.append((value, blocks))
     return rows
 
@@ -319,6 +334,12 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
 
     delta1 : A -> A^X,  a |-> ((theta(x) - I) a)_x
     delta2 : A^X -> A^R, (a_x) |-> (sum_x theta(d r / d x) a_x)_r
+
+    H^2 is the cokernel of delta2.  H^1 is read from two diagonals: ker delta2
+    is a saturated sublattice of C^1 = A^X, so C^1 / im delta1 is
+    H^1 + C^1 / ker delta2 with the second summand free.  H^1 therefore has
+    the torsion of coker delta1 (the pivots >= 2 of delta1) and rank
+    m|X| - rank delta1 - rank delta2.
     """
     m = module.dim
     gens = base.generators
@@ -328,29 +349,23 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
         if not value.is_identity():
             raise MalformedSpec(f"module matrices do not kill the relator {r}")
 
-    # delta1 columns: one per fibre basis vector
+    # delta1 (m|X| x m): the blocks theta(x) - I stacked
     eye = IntMatrix.identity(m)
-    diffs = [module.matrix(x) - eye for x in gens]
-    d1_cols = [tuple(c for d in diffs for c in d.column(j)) for j in range(m)]
+    d1_rows = [row for x in gens for row in (module.matrix(x) - eye).data]
+    d1 = IntMatrix(m * len(gens), m, tuple(d1_rows))
 
     # delta2 as a block matrix (m|R| x m|X|)
     d2_rows = [tuple(c for blk in blocks for c in blk.data[i])
                for _, blocks in rows for i in range(m)]
     d2 = IntMatrix(m * len(rels), m * len(gens), tuple(d2_rows))
+    if any(any(row) for row in (d2 @ d1).data):
+        raise InvariantError("delta2 . delta1 != 0")
 
-    # one decomposition U d2 V = D: ker d2 is spanned by the V columns over
-    # the zero pivots, H^2 is read from U and D, and the coordinates of a
-    # delta1 column c in that kernel basis are the free rows of V^-1 c
-    dec = smith_normal_form(d2)
-    coeff_cols: List[Vector] = []
-    for col in d1_cols:
-        x = dec.kernel_coordinates(col)
-        if x is None:
-            raise AssertionError("image of delta1 fell outside the kernel of delta2")
-        coeff_cols.append(x)
-    h1 = cokernel(IntMatrix.from_columns(coeff_cols, rows=len(dec.free_columns())))
-    h2 = dec.cokernel()
-    return h1, h2
+    dec1 = smith_normal_form(d1)
+    dec2 = smith_normal_form(d2)
+    torsion = tuple(d for d in dec1.diagonal() if d >= 2)
+    h1 = cyclic_sum(torsion + (0,) * (d2.cols - dec1.rank - dec2.rank))
+    return h1, dec2.cokernel()
 
 
 def semidirect_presentation(

@@ -25,6 +25,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .groupring import fox_jacobian
 from .words import Word, commutator
+from .zlinalg import InvariantError
 
 Monomial = Tuple[int, int]
 
@@ -149,7 +150,7 @@ def check_composition(row: Sequence[LaurentElement],
     for entry, g in zip(row, gens):
         total = total + entry * _D1[g]
     if not total.is_zero():
-        raise AssertionError("d2 . d1 != 0 on a Fox row")
+        raise InvariantError("d2 . d1 != 0 on a Fox row")
     return tuple(row)
 
 
@@ -181,13 +182,13 @@ def transgress(spec: CentralExtensionSpec) -> int:
     # (1,0): d'(c2) (x) 1 and, with the sign (-1)^1, -c1^x (x) d''(p1^y)
     # and c1^y (x) d''(p1^x)
     if not ((c_x + _D1["y"]).is_zero() and (c_y - _D1["x"]).is_zero()):
-        raise AssertionError("the canonical element is not a cycle modulo filtration")
+        raise InvariantError("the canonical element is not a cycle modulo filtration")
     # (0,1): d'(c1^y) (x) p1^x - d'(c1^x) (x) p1^y, with no p1^u term
     v_x, v_y = _D1["y"], -_D1["x"]
     r_u, r_x, r_y = rows[0]
     lam = laurent_divide(v_x, r_x)
     if v_y != lam * r_y:
-        raise AssertionError("relator boundary cannot absorb the fibre-free part")
+        raise InvariantError("relator boundary cannot absorb the fibre-free part")
     # p1^u is left with -lam r_u; the sign convention negates its augmentation
     return (lam * r_u).augmentation()
 
@@ -216,5 +217,5 @@ def xi_star(spec: CentralExtensionSpec, cycle_multiplicity: int = 1) -> int:
         p = lifts[g]
         value = mul(value, p if s == 1 else inv(p))
     if value[1] != 0 or value[2] != 0:
-        raise AssertionError("relator word did not die in the base")
+        raise InvariantError("relator word did not die in the base")
     return value[0]

@@ -3,15 +3,23 @@
 Everything here works over plain Python ints (arbitrary precision), since
 intermediate entries in a Smith reduction can grow well past 64 bits.  The
 pivoting strategy (always move the minimal nonzero entry to the pivot) is
-deterministic, which keeps canonical coordinates stable across runs.
+deterministic, which keeps canonical coordinates stable across runs.  The
+reduction updates only the matrix and logs its operations; the transforms U
+and V are replayed from the logs when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from operator import mul
+from typing import List, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
+
+
+class InvariantError(AssertionError):
+    """An internal consistency check failed: a bug, never a property of the input."""
 
 
 @dataclass(frozen=True)
@@ -56,14 +64,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        odata = other.data
-        out = []
-        for row in self.data:
-            out.append(tuple(
-                sum(row[k] * odata[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        cols = tuple(zip(*other.data)) if other.rows else ((),) * other.cols
+        return IntMatrix(self.rows, other.cols, tuple(
+            tuple(sum(map(mul, row, col)) for col in cols) for row in self.data))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -92,7 +95,7 @@ class IntMatrix:
     def apply(self, v: Sequence[int]) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(row[j] * v[j] for j in range(self.cols)) for row in self.data)
+        return tuple(sum(map(mul, row, v)) for row in self.data)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == IntMatrix.identity(self.rows)
@@ -170,18 +173,48 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.data)
 
 
+# Logged operations: (i, j) swaps rows (columns) i and j, (dst, src, q) adds q
+# times src to dst, and (i,) negates row i.
+Op = Tuple[int, ...]
+
+
+def _replay(n: int, ops: Sequence[Op]) -> IntMatrix:
+    """The n x n identity with the logged row operations applied in order."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for op in ops:
+        if len(op) == 2:
+            i, j = op
+            rows[i], rows[j] = rows[j], rows[i]
+        elif len(op) == 3:
+            dst, src, q = op
+            rows[dst] = [x + q * y for x, y in zip(rows[dst], rows[src])]
+        else:
+            rows[op[0]] = [-x for x in rows[op[0]]]
+    return IntMatrix(n, n, tuple(tuple(row) for row in rows))
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ M @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    Vinv is the inverse of V.  Kernel, cokernel and solutions of M are all
-    read from one decomposition.
+    The elimination reduces M alone and logs its row and column operations.
+    U and V are replayed from the logs on an identity the first time each is
+    read: the cokernel reads U, the kernel and solutions of M read U and V,
+    and the diagonal reads neither.
     """
 
-    U: IntMatrix
     D: IntMatrix
-    V: IntMatrix
-    Vinv: IntMatrix
+    row_ops: Tuple[Op, ...]
+    col_ops: Tuple[Op, ...]
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return _replay(self.D.rows, self.row_ops)
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        # a column operation on V is the same row operation on V^T
+        return _replay(self.D.cols, self.col_ops).transpose()
 
     def diagonal(self) -> Tuple[int, ...]:
         n = min(self.D.rows, self.D.cols)
@@ -191,27 +224,9 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
-    def free_columns(self) -> Tuple[int, ...]:
-        """The j with D e_j == 0; the columns of V there span the kernel of M."""
-        diag = self.diagonal()
-        return (tuple(j for j, d in enumerate(diag) if d == 0)
-                + tuple(range(len(diag), self.D.cols)))
-
     def kernel_basis(self) -> Tuple[Vector, ...]:
-        """A lattice basis of { v : M @ v == 0 }."""
-        return tuple(self.V.column(j) for j in self.free_columns())
-
-    def kernel_coordinates(self, v: Sequence[int]) -> Optional[Vector]:
-        """Coordinates of v in ``kernel_basis()``, or None if M @ v != 0.
-
-        y = Vinv @ v satisfies D @ y == U @ M @ v, so M @ v == 0 exactly when
-        y vanishes at every nonzero pivot; then v is the sum of y_j V e_j over
-        the free columns j.
-        """
-        y = self.Vinv.apply(v)
-        if any(y[j] != 0 for j, d in enumerate(self.diagonal()) if d != 0):
-            return None
-        return tuple(y[j] for j in self.free_columns())
+        """A lattice basis of { v : M @ v == 0 }: the columns of V where D e_j == 0."""
+        return tuple(self.V.column(j) for j in range(self.rank, self.D.cols))
 
     def cokernel(self) -> "AbelianGroup":
         """The quotient Z^rows / im(M), with its canonical projection."""
@@ -242,101 +257,64 @@ class SmithDecomposition:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Diagonalize by row/column operations, pivoting on the minimal nonzero entry."""
+    """Diagonalize by row/column operations, pivoting on the minimal nonzero
+    entry; only the working matrix is updated, each operation is logged."""
     r, c = m.rows, m.cols
     a = [list(row) for row in m.data]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    # V's inverse: each column operation on v is undone by a row operation here
-    vinv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+    row_ops: List[Op] = []
+    col_ops: List[Op] = []
 
     def addmul_row(dst, src, q):
         # row[dst] += q * row[src]
-        arow, srow = a[dst], a[src]
-        for k in range(c):
-            arow[k] += q * srow[k]
-        urow, usrc = u[dst], u[src]
-        for k in range(r):
-            urow[k] += q * usrc[k]
-
-    def addmul_col(dst, src, q):
-        # col[dst] += q * col[src]; its inverse is row[src] -= q * row[dst]
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        isrc, idst = vinv[src], vinv[dst]
-        for k in range(c):
-            isrc[k] -= q * idst[k]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        row_ops.append((dst, src, q))
 
     t = 0
     limit = min(r, c)
     while t < limit:
-        # locate the minimal nonzero entry in the trailing submatrix
-        pivot = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
+        # the minimal nonzero entry of the trailing submatrix, first in row-major order
+        found = min(((abs(x), i, j) for i in range(t, r) for j, x in enumerate(a[i][t:], t) if x),
+                    default=None)
+        if found is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        _, pi, pj = found
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            row_ops.append((t, pi))
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+            col_ops.append((t, pj))
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            row_ops.append((t,))
+        p = a[t][t]
 
         dirty = False
         for i in range(t + 1, r):
             if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                addmul_row(i, t, -q)
-                if a[i][t] != 0:
-                    dirty = True
+                addmul_row(i, t, -(a[i][t] // p))
+                dirty = dirty or a[i][t] != 0
         for j in range(t + 1, c):
             if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                addmul_col(j, t, -q)
-                if a[t][j] != 0:
-                    dirty = True
+                # col[j] -= q * col[t]
+                q = a[t][j] // p
+                for row in a:
+                    row[j] -= q * row[t]
+                col_ops.append((j, t, -q))
+                dirty = dirty or a[t][j] != 0
         if dirty:
             continue  # pivot strictly shrank; re-select
 
         # pivot must divide the whole trailing block for the chain to hold
-        offender = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, r) if any(x % p for x in a[i][t + 1:])), None)
         if offender is not None:
             addmul_row(t, offender, 1)
             continue
         t += 1
 
-    def frozen(rows, ncols):
-        return IntMatrix(len(rows), ncols, tuple(tuple(row) for row in rows))
-
-    return SmithDecomposition(frozen(u, r), frozen(a, c), frozen(v, c), frozen(vinv, c))
+    return SmithDecomposition(IntMatrix(r, c, tuple(tuple(row) for row in a)),
+                              tuple(row_ops), tuple(col_ops))
 
 
 @dataclass(frozen=True)
@@ -402,12 +380,17 @@ def solve(m: IntMatrix, v: Sequence[int]) -> Optional[Vector]:
     return smith_normal_form(m).solve(v)
 
 
+def cyclic_sum(factors: Sequence[int]) -> AbelianGroup:
+    """The sum of the cyclic groups Z/f (Z for f == 0), in canonical form:
+    Z^n modulo the vectors f e_i, one for each nonzero factor."""
+    n = len(factors)
+    cols = [tuple(f if i == j else 0 for i in range(n)) for j, f in enumerate(factors) if f]
+    return cokernel(IntMatrix.from_columns(cols, rows=n))
+
+
 def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
     """Canonical invariant factors of a (+) b."""
-    fs = list(a.invariant_factors) + list(b.invariant_factors)
-    n = len(fs)
-    diag = IntMatrix(n, n, tuple(tuple(fs[i] if i == j else 0 for j in range(n)) for i in range(n)))
-    return cokernel(diag)
+    return cyclic_sum(a.invariant_factors + b.invariant_factors)
 
 
 def invariant_factors_by_minors(m: IntMatrix) -> Tuple[int, ...]:

@@ -283,6 +283,131 @@ def test_fox_entries_under_the_bit_cap_still_run(tmp_path):
     assert "H^1 = Z/9" in out.stdout
 
 
+def _huge_entry_power(n):
+    # theta(u) has entries of 1,001 bits, under the cap, and theta(u)^2
+    # already passes it
+    big = 2 ** 1000
+    return (f"[base]\n< u, v | u^{n} v u^-{n} v^-2 >\n[fibre]\ntorus 2\n"
+            f"[action]\nu = {big + 1} {big} ; 1 1\nv = 1 0 ; 0 1\n[cocycle]\nv = 1 0\n")
+
+
+@pytest.mark.parametrize("command", ["split-check", "cohomology"])
+def test_huge_action_entries_stop_the_fox_pass_early(tmp_path, command):
+    import io
+    import time
+    from contextlib import redirect_stderr
+
+    from bundlesec import cli
+
+    path = tmp_path / "huge.bundle"
+    path.write_text(_huge_entry_power(2000))
+    out = subprocess.run([sys.executable, "-m", "bundlesec.cli", command, str(path)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert "an entry of more than 1024 bits" in out.stderr
+    assert "Traceback" not in out.stderr
+    start = time.perf_counter()
+    with redirect_stderr(io.StringIO()):
+        assert cli.main([command, str(path)]) == 4
+    assert time.perf_counter() - start < 0.5
+
+
+def _wide_spec(genus, rank):
+    """A genus-g surface base with a fibre of rank m >= 6: every generator
+    acts by a power of one matrix (an Anosov block, a unipotent block and an
+    order-4 block, padded with the identity), so the relator is killed."""
+    from bundlesec.zlinalg import IntMatrix
+
+    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    rows[0][:2], rows[1][:2] = [2, 1], [1, 1]
+    rows[2][3] = 1
+    rows[4][4:6], rows[5][4:6] = [0, -1], [1, 0]
+    step = IntMatrix.from_rows(rows)
+    powers = [IntMatrix.identity(rank), step, step @ step]
+    gens = [f"{c}{k}" for k in range(1, genus + 1) for c in "ab"]
+    relator = "".join(f"[a{k},b{k}]" for k in range(1, genus + 1))
+    lines = ["[base]", f"< {', '.join(gens)} | {relator} >", "[fibre]", f"torus {rank}",
+             "[action]"]
+    for i, g in enumerate(gens):
+        mat = powers[(i * 7) % 3]
+        lines.append(f"{g} = " + " ; ".join(" ".join(map(str, row)) for row in mat.data))
+    lines.append("[cocycle]")
+    for i, g in enumerate(gens):
+        lines.append(f"{g} = " + " ".join(str((i + j) % 3 - 1) for j in range(rank)))
+    lines.append("offset 1 = " + " ".join("1" for _ in range(rank)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["split-check", "cohomology"])
+def test_split_check_and_cohomology_never_build_the_column_transform(
+        tmp_path, monkeypatch, capsys, command):
+    from bundlesec import cli
+    from bundlesec.zlinalg import SmithDecomposition
+
+    made = []
+    init = SmithDecomposition.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(SmithDecomposition, "__init__", recording)
+    path = tmp_path / "wide.bundle"
+    path.write_text(_wide_spec(5, 8))
+    assert cli.main(["--json", command, str(path)]) == 0
+    capsys.readouterr()
+    assert len(made) >= 2
+    # cokernels replay U, so the cache is in use; nothing reads V
+    assert any("U" in vars(dec) for dec in made)
+    assert all("V" not in vars(dec) for dec in made)
+
+
+def _perturbed_fox_rows(monkeypatch):
+    from bundlesec import extensions
+    from bundlesec.zlinalg import IntMatrix
+
+    fox_rows = extensions._fox_rows
+
+    def perturbed(base, module):
+        eye = IntMatrix.identity(module.dim)
+        return [(value, [blk + eye for blk in blocks]) for value, blocks in fox_rows(base, module)]
+
+    monkeypatch.setattr(extensions, "_fox_rows", perturbed)
+
+
+def _perturbed_laurent_row(monkeypatch):
+    from bundlesec import transgression
+
+    fox_row = transgression._fox_row
+
+    def perturbed(w, gens):
+        row = fox_row(w, gens)
+        return (row[0] + transgression.LaurentElement.one(),) + row[1:]
+
+    monkeypatch.setattr(transgression, "_fox_row", perturbed)
+
+
+@pytest.mark.parametrize("perturb, command", [
+    (_perturbed_fox_rows, "cohomology"),
+    (_perturbed_laurent_row, "transgress"),
+])
+def test_failed_internal_check_exits_6_in_one_line(tmp_path, monkeypatch, capsys,
+                                                   perturb, command):
+    from bundlesec import cli
+
+    path = tmp_path / "wide.bundle"
+    path.write_text(_wide_spec(2, 6))
+    perturb(monkeypatch)
+    args = [str(path)] if command == "cohomology" else ["--k", "1"]
+    assert cli.main([command, *args]) == 6
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal check failed: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_5():
     out = run_cli("transgress", "--k", "abc")
     assert out.returncode == 5

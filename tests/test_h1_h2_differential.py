@@ -1,7 +1,7 @@
-"""Differential check of base cohomology: ``h1_h2_base`` reads the kernel of
-delta2, H^1 and H^2 from one Smith decomposition; the reference below takes
-the kernel basis of delta2 and then solves for each delta1 column
-separately, with delta2 built from the reference Fox derivatives."""
+"""Differential check of base cohomology: ``h1_h2_base`` reads H^1 from the
+diagonals of delta1 and delta2 and H^2 from the cokernel of delta2; the
+reference below takes the kernel basis of delta2 and then solves for each
+delta1 column in it, with delta2 built from the reference Fox derivatives."""
 
 import random
 
@@ -84,6 +84,27 @@ def _action(rng, kind, n):
     return _block(IntMatrix.from_rows([[2, 1], [1, 1]]), n)
 
 
+def _random_module(rng, base, genus, rank, kind):
+    p = _elementary_product(rng, rank, 2 * rank)
+    pinv = p.inverse_unimodular()
+    mats = {}
+    for i in range(genus):
+        # a and b of one handle commute, so the relator is killed
+        mat = p @ _action(rng, rng.choice((kind, "finite")), rank) @ pinv
+        mats[base.generators[2 * i]] = _power(mat, rng.randint(-2, 2))
+        mats[base.generators[2 * i + 1]] = _power(mat, rng.randint(-2, 2))
+    return LinearRep(mats, rank)
+
+
+def _assert_matches_reference(base, module):
+    h1, h2 = h1_h2_base(base, module)
+    ref_h1, ref_h2 = _h1_h2_reference(base, module)
+    assert (str(h1), str(h2)) == (str(ref_h1), str(ref_h2))
+    assert h1.invariant_factors == ref_h1.invariant_factors
+    assert h2.invariant_factors == ref_h2.invariant_factors
+    return h1
+
+
 def test_h1_h2_base_matches_kernel_basis_then_solve():
     rng = random.Random(2013)
     cases = 0
@@ -92,19 +113,26 @@ def test_h1_h2_base_matches_kernel_basis_then_solve():
         for rank in (1, 2, 3, 4):
             for kind in ("finite", "unipotent", "hyperbolic"):
                 for _ in range(3):
-                    p = _elementary_product(rng, rank, 2 * rank)
-                    pinv = p.inverse_unimodular()
-                    mats = {}
-                    for i in range(genus):
-                        # a and b of one handle commute, so the relator is killed
-                        mat = p @ _action(rng, rng.choice((kind, "finite")), rank) @ pinv
-                        mats[base.generators[2 * i]] = _power(mat, rng.randint(-2, 2))
-                        mats[base.generators[2 * i + 1]] = _power(mat, rng.randint(-2, 2))
-                    module = LinearRep(mats, rank)
-                    h1, h2 = h1_h2_base(base, module)
-                    ref_h1, ref_h2 = _h1_h2_reference(base, module)
-                    assert (str(h1), str(h2)) == (str(ref_h1), str(ref_h2))
-                    assert h1.invariant_factors == ref_h1.invariant_factors
-                    assert h2.invariant_factors == ref_h2.invariant_factors
+                    _assert_matches_reference(base, _random_module(rng, base, genus, rank, kind))
                     cases += 1
     assert cases == 108
+
+
+def test_h1_h2_base_matches_the_reference_on_large_bases_and_fibres():
+    # genus 4-5 with fibre rank 4-8: delta2 is up to 8 x 80, as on the
+    # benchmark's `wide` grid
+    rng = random.Random(1309)
+    torsion = 0
+    cases = 0
+    for genus in (4, 5):
+        base = _surface(genus)
+        for rank in (4, 6, 8):
+            for kind in ("finite", "unipotent", "hyperbolic"):
+                for _ in range(2):
+                    h1 = _assert_matches_reference(
+                        base, _random_module(rng, base, genus, rank, kind))
+                    torsion += bool(h1.torsion)
+                    cases += 1
+    assert cases == 36
+    # the torsion of H^1 is read from the diagonal of delta1
+    assert torsion >= 1

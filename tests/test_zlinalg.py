@@ -171,7 +171,7 @@ def _random_matrix(rng, r, c, bound=9):
                                  for _ in range(r)))
 
 
-def test_smith_decomposition_carries_v_inverse_on_every_shape():
+def test_smith_decomposition_replays_u_and_v_on_every_shape():
     import random
     rng = random.Random(11)
     shapes = [(r, c) for r in range(10) for c in range(10)]
@@ -189,27 +189,7 @@ def test_smith_decomposition_carries_v_inverse_on_every_shape():
         dec = smith_normal_form(m)
         assert (dec.D.rows, dec.D.cols) == (r, c)
         assert dec.U @ m @ dec.V == dec.D
-        assert (dec.Vinv @ dec.V).is_identity()
-        assert (dec.V @ dec.Vinv).is_identity()
-
-
-def test_kernel_coordinates_invert_the_kernel_basis():
-    import random
-    rng = random.Random(12)
-    for _ in range(200):
-        r, c = rng.randint(0, 6), rng.randint(0, 6)
-        m = _random_matrix(rng, r, c, bound=3)
-        dec = smith_normal_form(m)
-        basis = dec.kernel_basis()
-        coords = tuple(rng.randint(-5, 5) for _ in basis)
-        v = tuple(sum(x * b[i] for x, b in zip(coords, basis)) for i in range(c))
-        assert dec.kernel_coordinates(v) == coords
-        w = tuple(rng.randint(-5, 5) for _ in range(c))
-        got = dec.kernel_coordinates(w)
-        if m.apply(w) == tuple(0 for _ in range(r)):
-            assert got is not None
-        else:
-            assert got is None
+        assert dec.U.is_unimodular() and dec.V.is_unimodular()
 
 
 def _elementary_product(rng, n, steps):
