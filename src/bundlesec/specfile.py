@@ -110,12 +110,15 @@ def _parse_vector(text: str, rank: int) -> Tuple[int, ...]:
 
 
 def _parse_matrix(text: str, rank: int) -> IntMatrix:
-    rows = []
-    for part in text.split(";"):
-        rows.append(_parse_vector(part, rank))
-    if len(rows) != rank:
+    # an empty row would read as `rank` zeros: refuse it before any row is
+    # built, so that a matrix costs no more than the entries its text spells
+    # out (a zero row is never unimodular, so no valid spec is refused)
+    parts = text.split(";")
+    if not all(part.strip() for part in parts):
+        raise MalformedSpec(f"matrix {text!r} has an empty row")
+    if len(parts) != rank:
         raise MalformedSpec(f"matrix {text!r} does not have {rank} rows")
-    return IntMatrix.from_rows(rows)
+    return IntMatrix.from_rows([_parse_vector(part, rank) for part in parts])
 
 
 def parse_bundle_file(text: str) -> BundleFile:

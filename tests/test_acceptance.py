@@ -17,9 +17,8 @@ from bundlesec.extensions import (
     TorusBundleSpec,
     lemma2_check,
     obstruction_class,
-    semidirect_presentation,
 )
-from bundlesec.groupring import AffineRep, LinearRep
+from bundlesec.groupring import AffineRep
 from bundlesec.words import Word, parse_presentation
 from bundlesec.zlinalg import IntMatrix, smith_normal_form
 from fox_reference import FreeRingElement, fox_derivative
@@ -189,10 +188,9 @@ def test_criterion_7_property_suites():
         vec = (rng.randint(-4, 4), rng.randint(-4, 4))
         spec = TorusBundleSpec(TORUS, 2, AffineRep(
             {"u": (a, vec), "v": (b, (0, 0))}, 2), ((0, 0),))
-        assert obstruction_class(spec).verdict == "SPLITS"
-        action = LinearRep({"u": a, "v": b}, 2)
-        pi = semidirect_presentation(TORUS, action)
-        assert lemma2_check(pi, ("f0", "f1"), TORUS, action).is_isomorphic
+        report = obstruction_class(spec)
+        assert report.verdict == "SPLITS"
+        assert lemma2_check(TORUS, spec.coefficients, report.s_of_r).is_isomorphic
 
     elapsed = time.monotonic() - start
     assert elapsed < 60.0

@@ -205,17 +205,41 @@ def _exits_4_fast(argv, needle):
     assert time.perf_counter() - start < 0.5
 
 
-@pytest.mark.parametrize("action, cocycle", [
-    # the offset is the fibre word
-    ("u = 1\nv = 1\n", "u = 0\nv = 0\noffset 1 = 300000\n"),
-    # s(r) = -600000 is the fibre word
-    ("u = -1\nv = 1\n", "u = 0\nv = 300000\n"),
-])
-def test_fibre_word_over_the_letter_cap_exits_4_fast(tmp_path, action, cocycle):
+@pytest.mark.parametrize("action, cocycle, group_ab, expected", [
+    # s(r) is the offset
+    ("u = 1\nv = 1\n", "u = 0\nv = 0\noffset 1 = 300000\n", "Z^2 + Z/300000", "Z^3"),
+    # s(r) = -600000, from v's translation
+    ("u = -1\nv = 1\n", "u = 0\nv = 300000\n", "Z^2 + Z/2", "Z^2 + Z/2"),
+], ids=["offset", "translation"])
+def test_large_fibre_offsets_run_fast(tmp_path, action, cocycle, group_ab, expected):
+    import io
+    import time
+    from contextlib import redirect_stdout
+
+    from bundlesec import cli
+
     path = tmp_path / "huge_offset.bundle"
     path.write_text("[base]\n< u, v | [u,v] >\n[fibre]\ntorus 1\n"
                     f"[action]\n{action}[cocycle]\n{cocycle}")
-    _exits_4_fast(["split-check", str(path)], "fibre word longer than 10000 letters")
+    # lemma 2 reads s(r) as one matrix entry; no fibre word is written out
+    buf = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(buf):
+        assert cli.main(["--json", "split-check", str(path)]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert json.loads(buf.getvalue())["result"]["lemma2"] == {
+        "applies": True, "group_ab": group_ab, "expected": expected,
+        "is_isomorphic": group_ab == expected}
+
+
+@pytest.mark.parametrize("command", ["split-check", "cohomology"])
+def test_empty_action_rows_exit_4_fast(tmp_path, command):
+    # 2,000 bytes of semicolons would read as a 2000 x 2000 zero matrix
+    rows = ";" * 1999
+    path = tmp_path / "empty_rows.bundle"
+    path.write_text("[base]\n< u, v | [u,v] >\n[fibre]\ntorus 2000\n"
+                    f"[action]\nu = {rows}\nv = {rows}\n")
+    _exits_4_fast([command, str(path)], "has an empty row")
 
 
 @pytest.mark.parametrize("request_args", [
