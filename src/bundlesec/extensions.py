@@ -8,12 +8,13 @@ relator: the presented extension is (fibre x| F(X)) / << r . offset^-1 >>.
 The obstruction s(r) is the fibre value of the relator word under the lifts.
 
 Each base relator r is walked once per spec, by the Fox pass over the
-coefficient module: it gives theta(r) and the blocks theta(d r / d x).  J_w
-is spanned by the block columns, the delta2 of ``h1_h2_base`` is built from
-them, and for a torus fibre s(r) is sum_x theta(d r / d x) t_x plus
-theta(r) times the offset (the crossed-homomorphism form of Fox calculus).
-No entry of the walk's running prefix or of its output may exceed
-MAX_ENTRY_BITS bits.
+coefficient module: it gives theta(r) and the blocks theta(d r / d x).  The
+pass runs on flat row-major tuples of m^2 ints, and only theta(r) and the
+blocks become ``IntMatrix``.  J_w is spanned by the block columns, the
+delta2 of ``h1_h2_base`` is built from them, and for a torus fibre s(r) is
+sum_x theta(d r / d x) t_x plus theta(r) times the offset (the
+crossed-homomorphism form of Fox calculus).  No entry of the walk's running
+prefix or of its output may exceed MAX_ENTRY_BITS bits.
 
 The abelianization test (lemma 2) writes no word: pi^ab is the cokernel of
 one integer matrix of exponent sums, action columns and offsets.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from operator import add, mul, sub
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .groupring import (
@@ -65,37 +66,59 @@ def _zero(n: int) -> Vector:
 
 FoxRow = Tuple[IntMatrix, List[IntMatrix]]
 
-# bit length allowed in theta(r) and its blocks; a hyperbolic action raised
-# to a long power passes it long before a Smith form of the blocks would end
+# bit length allowed in theta(r), its blocks and the running prefix of the
+# pass; a hyperbolic action raised to a long power passes it long before a
+# Smith form of the blocks would end
 MAX_ENTRY_BITS = 1024
+_ENTRY_CAP = (1 << MAX_ENTRY_BITS) - 1
 
 
-def _entry_bits(*matrices: IntMatrix) -> int:
-    return max(map(abs, chain.from_iterable(row for m in matrices for row in m.data)),
-               default=0).bit_length()
+def _over_cap(entries: Vector) -> bool:
+    """Whether some entry has more than MAX_ENTRY_BITS bits."""
+    return max(entries) > _ENTRY_CAP or min(entries) < -_ENTRY_CAP
+
+
+def _flat_add(a: Vector, b: Vector) -> Vector:
+    return tuple(map(add, a, b))
+
+
+def _flat_sub(a: Vector, b: Vector) -> Vector:
+    return tuple(map(sub, a, b))
 
 
 def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
     """(theta(r), [theta(d r / d x) for each base generator x]) for every base
-    relator r, from one Fox pass each, with every entry capped at
-    MAX_ENTRY_BITS: on the running prefix at each letter, so that large
-    entries stop the pass early, and on the pass's output."""
-    eye = IntMatrix.identity(module.dim)
-    zero = IntMatrix.zeros(module.dim, module.dim)
+    relator r, from one Fox pass each.
+
+    The pass runs on flat row-major tuples of m^2 ints.  Each generator's
+    image, for both signs, is kept once as the tuple of its columns, so a
+    letter costs one product of a flat prefix by those columns and builds no
+    IntMatrix; only theta(r) and the blocks become IntMatrix.  Every entry is
+    capped at MAX_ENTRY_BITS: on the running prefix at each letter, so that
+    large entries stop the pass early, and on the pass's output.
+    """
+    m = module.dim
+    starts = range(0, m * m, m)
+    images = {(g, s): tuple(zip(*module.matrix(g, s).data))
+              for g in base.generators for s in (1, -1)}
+    eye = tuple(int(i == j) for i in range(m) for j in range(m))
+    zero = (0,) * (m * m)
     rows = []
     for i, r in enumerate(base.relators, 1):
         too_big = f"relator {i} evaluates to an entry of more than {MAX_ENTRY_BITS} bits"
 
-        def capped_mul(p: IntMatrix, q: IntMatrix) -> IntMatrix:
-            out = p @ q
-            if _entry_bits(out) > MAX_ENTRY_BITS:
+        def capped_mul(p: Vector, cols: Tuple[Vector, ...]) -> Vector:
+            out = tuple(sum(map(mul, p[k:k + m], col)) for k in starts for col in cols)
+            if _over_cap(out):
                 raise MalformedSpec(too_big)
             return out
 
-        value, jac = fox_jacobian(r, base.generators, module.matrix, capped_mul, eye, zero)
-        blocks = [jac[x] for x in base.generators]
-        if _entry_bits(value, *blocks) > MAX_ENTRY_BITS:
+        value, jac = fox_jacobian(r, base.generators, lambda g, s: images[g, s], capped_mul,
+                                  eye, zero, _flat_add, _flat_sub)
+        flats = [value] + [jac[x] for x in base.generators]
+        if any(map(_over_cap, flats)):
             raise MalformedSpec(too_big)
+        value, *blocks = (IntMatrix(m, m, tuple(f[k:k + m] for k in starts)) for f in flats)
         rows.append((value, blocks))
     return rows
 

@@ -3,8 +3,10 @@ and Fox calculus.
 
 A word is evaluated in a group by one fold, ``evaluate_word``.  Its Fox
 derivatives are evaluated in a ring by one prefix pass, ``fox_jacobian``,
-which also returns the value of the word; matrix rings, the affine lifts of
-a torus bundle and the Laurent ring of ``transgression`` all read it.  The
+which also returns the value of the word.  The ring is given by the pass's
+arguments: image, mul, add, sub, one and zero.  The matrix ring of
+``extensions`` (on flat integer tuples), the affine lifts of a torus bundle
+and the Laurent ring of ``transgression`` all read the one pass.  The
 program never forms Fox derivatives as formal group-ring elements, so no
 word problem in the target group ever arises.
 
@@ -19,6 +21,7 @@ Also hosts the Klein-bottle group model: normal forms x^a y^b for the group
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Sequence, Tuple, TypeVar
 
@@ -26,6 +29,7 @@ from .words import Word
 from .zlinalg import IntMatrix, Vector
 
 T = TypeVar("T")
+U = TypeVar("U")
 
 
 def evaluate_word(w: Word, image: Callable[[str, int], T], mul: Callable[[T, T], T], one: T) -> T:
@@ -67,27 +71,31 @@ class LinearRep:
         return evaluate_word(w, self.matrix, IntMatrix.__matmul__, IntMatrix.identity(self.dim))
 
 
-def fox_jacobian(w: Word, gens: Sequence[str], image: Callable[[str, int], T],
-                 mul: Callable[[T, T], T], one: T, zero: T) -> Tuple[T, Dict[str, T]]:
+def fox_jacobian(w: Word, gens: Sequence[str], image: Callable[[str, int], U],
+                 mul: Callable[[T, U], T], one: T, zero: T,
+                 add: Callable[[T, T], T] = operator.add,
+                 sub: Callable[[T, T], T] = operator.sub) -> Tuple[T, Dict[str, T]]:
     """The value of w in a ring together with its Fox derivatives
     d w / d gen for every gen in gens, from one left-to-right pass.
 
-    Letters map to units by image(gen, sign), products are taken with mul
-    and derivatives are summed with the ring's own + and -.  With P the
-    running prefix value, a letter gen^+1 adds P to the entry of gen and then
-    moves P to P image(gen); a letter gen^-1 first moves P to P image(gen)^-1
-    and then subtracts it.  The final P is the value of w.  Generators absent
-    from w get zero.
+    The ring is given by image, mul, add, sub, one and zero.  Letters map to
+    units by image(gen, sign), which mul(P, image(gen, sign)) multiplies on
+    the right of a ring element P; the image may be any form of the unit that
+    mul reads.  Derivatives are summed with add and sub, by default the
+    ring's own + and -.  With P the running prefix value, a letter gen^+1
+    adds P to the entry of gen and then moves P to P image(gen); a letter
+    gen^-1 first moves P to P image(gen)^-1 and then subtracts it.  The
+    final P is the value of w.  Generators absent from w get zero.
     """
     jac = {g: zero for g in gens}
     prefix = one
     for g, s in w.letters:
         if s == 1:
-            jac[g] = jac[g] + prefix
+            jac[g] = add(jac[g], prefix)
             prefix = mul(prefix, image(g, s))
         else:
             prefix = mul(prefix, image(g, s))
-            jac[g] = jac[g] - prefix
+            jac[g] = sub(jac[g], prefix)
     return prefix, jac
 
 

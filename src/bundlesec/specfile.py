@@ -59,7 +59,7 @@ class BundleFile:
 
     def _action_line(self, g: str) -> str:
         if g not in self.action_lines:
-            raise MalformedSpec(f"[action] is missing generator {g!r}")
+            raise MalformedSpec(f"[action] is missing generator {_quote(g)}")
         return self.action_lines[g]
 
     def _torus_spec(self) -> TorusBundleSpec:
@@ -96,6 +96,18 @@ class BundleFile:
         return KbBundleSpec(self.base, pairs, tuple(offsets))
 
 
+# the most characters of a file's text that an error message quotes
+QUOTE_CHARS = 60
+
+
+def _quote(text: str) -> str:
+    """repr(text), clipped to its first QUOTE_CHARS characters and its length,
+    so that an error about a long line is still one short line."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
 def _parse_vector(text: str, rank: int) -> Tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -103,9 +115,9 @@ def _parse_vector(text: str, rank: int) -> Tuple[int, ...]:
     try:
         vec = tuple(int(tok) for tok in text.split())
     except ValueError as exc:
-        raise MalformedSpec(f"bad integer vector {text!r}") from exc
+        raise MalformedSpec(f"bad integer vector {_quote(text)}") from exc
     if len(vec) != rank:
-        raise MalformedSpec(f"vector {text!r} does not have length {rank}")
+        raise MalformedSpec(f"vector {_quote(text)} does not have length {rank}")
     return vec
 
 
@@ -115,9 +127,9 @@ def _parse_matrix(text: str, rank: int) -> IntMatrix:
     # out (a zero row is never unimodular, so no valid spec is refused)
     parts = text.split(";")
     if not all(part.strip() for part in parts):
-        raise MalformedSpec(f"matrix {text!r} has an empty row")
+        raise MalformedSpec(f"matrix {_quote(text)} has an empty row")
     if len(parts) != rank:
-        raise MalformedSpec(f"matrix {text!r} does not have {rank} rows")
+        raise MalformedSpec(f"matrix {_quote(text)} does not have {rank} rows")
     return IntMatrix.from_rows([_parse_vector(part, rank) for part in parts])
 
 
@@ -137,7 +149,7 @@ def parse_bundle_file(text: str) -> BundleFile:
             sections[current] = []
             continue
         if current is None:
-            raise MalformedSpec(f"content before any section: {line!r}")
+            raise MalformedSpec(f"content before any section: {_quote(line)}")
         sections[current].append(line)
         if current == "base":
             base_lines[-1] = raw
@@ -165,13 +177,13 @@ def parse_bundle_file(text: str) -> BundleFile:
     elif kind == "kb":
         rank = 1  # rank of the centre
     else:
-        raise MalformedSpec(f"unknown fibre kind {kind!r}")
+        raise MalformedSpec(f"unknown fibre kind {_quote(kind)}")
 
     action_lines: Dict[str, str] = {}
     for line in sections.get("action", []):
         key, value = _split_assignment(line)
         if key in action_lines:
-            raise MalformedSpec(f"duplicate [action] line for {key!r}")
+            raise MalformedSpec(f"duplicate [action] line for {_quote(key)}")
         action_lines[key] = value
 
     cocycle_lines: Dict[str, str] = {}
@@ -183,7 +195,7 @@ def parse_bundle_file(text: str) -> BundleFile:
             try:
                 idx = int(idx_text) if idx_text else 1
             except ValueError as exc:
-                raise MalformedSpec(f"bad relator index in {key!r}") from exc
+                raise MalformedSpec(f"bad relator index in {_quote(key)}") from exc
             if not 1 <= idx <= len(base.relators):
                 raise MalformedSpec(f"offset index {idx} out of range")
             if idx in offset_lines:
@@ -191,18 +203,18 @@ def parse_bundle_file(text: str) -> BundleFile:
             offset_lines[idx] = value
         else:
             if key in cocycle_lines:
-                raise MalformedSpec(f"duplicate [cocycle] line for {key!r}")
+                raise MalformedSpec(f"duplicate [cocycle] line for {_quote(key)}")
             cocycle_lines[key] = value
 
     for key in list(action_lines) + list(cocycle_lines):
         if key not in base.generators:
-            raise MalformedSpec(f"line for {key!r} does not name a base generator")
+            raise MalformedSpec(f"line for {_quote(key)} does not name a base generator")
 
     return BundleFile(base, kind, rank, action_lines, cocycle_lines, offset_lines)
 
 
 def _split_assignment(line: str) -> Tuple[str, str]:
     if "=" not in line:
-        raise MalformedSpec(f"expected 'name = value', found {line!r}")
+        raise MalformedSpec(f"expected 'name = value', found {_quote(line)}")
     key, value = line.split("=", 1)
     return key.strip(), value.strip()

@@ -318,7 +318,7 @@ class _Parser:
                 b = self.parse_name(known)
                 self.expect("]")
                 self.check_length(len(letters) + 4, tok)
-                letters.extend(commutator(Word.gen(a), Word.gen(b)).letters)
+                letters += ((a, 1), (b, 1), (a, -1), (b, -1))
                 parsed_any = True
             elif tok.kind == "NAME":
                 self.next()
@@ -337,7 +337,7 @@ class _Parser:
                     raise ParseError(f"unknown generator {tok.text!r} in relator",
                                      tok.line, tok.col)
                 self.check_length(len(letters) + abs(exponent), etok)
-                letters.extend(Word.gen(tok.text, exponent).letters)
+                letters += [(tok.text, 1 if exponent > 0 else -1)] * abs(exponent)
                 parsed_any = True
             else:
                 break
@@ -357,7 +357,7 @@ class _Parser:
         self.expect(";")
         right = self.parse_namelist(known, stop=")")
         self.expect(")")
-        return [commutator(Word.gen(a), Word.gen(b)) for a in left for b in right]
+        return [Word.make(((a, 1), (b, 1), (a, -1), (b, -1))) for a in left for b in right]
 
     def parse_namelist(self, known: set, stop: str) -> List[str]:
         names = []

@@ -337,6 +337,38 @@ def test_huge_action_entries_stop_the_fox_pass_early(tmp_path, command):
     assert time.perf_counter() - start < 0.5
 
 
+# theta(u) = 1 N ; 0 1 and theta(v) = 1, so a prefix u^k has the entry kN.
+# At N = 2^1023, kN passes 1,024 bits exactly when k >= 2.
+_CAP_N = 2 ** 1023
+_CAP_RELATORS = {
+    # the prefixes are 1 and u, but d r / d v = 2(u - 1) holds 2N: only the
+    # check on the pass's output can fire
+    "output": "u v^2 u^-1 v^-2",
+    # the prefix u^2 holds 2N, and every block is zero: only the check on
+    # the running prefix can fire
+    "prefix": "u^2 v u^-2 v^-1 u^2 v^-1 u^-2 v",
+}
+
+
+@pytest.mark.parametrize("command", ["split-check", "cohomology"])
+@pytest.mark.parametrize("where", sorted(_CAP_RELATORS))
+@pytest.mark.parametrize("n, code", [(_CAP_N, 4), (_CAP_N - 1, 0)], ids=["over", "at"])
+def test_fox_bit_cap_boundary(tmp_path, capsys, command, where, n, code):
+    from bundlesec import cli
+
+    path = tmp_path / "cap.bundle"
+    path.write_text(f"[base]\n< u, v | {_CAP_RELATORS[where]} >\n[fibre]\ntorus 2\n"
+                    f"[action]\nu = 1 {n} ; 0 1\nv = 1 0 ; 0 1\n")
+    assert cli.main(["--json", command, str(path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        assert err == "error: relator 1 evaluates to an entry of more than 1024 bits\n"
+    else:
+        assert err == ""
+        assert json.loads(out)["command"] == command
+
+
 def _wide_spec(genus, rank):
     """A genus-g surface base with a fibre of rank m >= 6: every generator
     acts by a power of one matrix (an Anosov block, a unipotent block and an

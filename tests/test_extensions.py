@@ -134,6 +134,36 @@ def test_split_check_walks_each_relator_once(monkeypatch, tmp_path):
     assert calls == {"evaluate_word": 0, "fox_jacobian": 2}
 
 
+def test_fox_pass_builds_no_int_matrix_per_letter(monkeypatch):
+    from bundlesec import extensions
+
+    shear = IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    swap = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    module = LinearRep({"u": shear, "v": swap, "w": shear @ swap}, 3)
+    post_init = IntMatrix.__post_init__
+
+    def made(*copies):
+        # 8 letters per copy, which stay reduced when repeated
+        base = parse_presentation("< u, v, w | " + ", ".join(
+            " ".join(["u^2 v w u^-2 v^-1 w^-1"] * c) for c in copies) + " >")
+        assert [len(r.letters) for r in base.relators] == [8 * c for c in copies]
+        built = []
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(IntMatrix, "__post_init__", counted)
+            extensions._fox_rows(base, module)
+        return len(built)
+
+    # theta(r) and one block per generator, for each relator: nothing per
+    # letter, and nothing for the images
+    assert made(6) == made(30) == 4
+    assert made(6, 30) == 8
+
+
 # --- worked Klein-bottle examples ---------------------------------------------
 
 

@@ -122,3 +122,49 @@ def test_building_a_torus_spec_runs_one_elimination_per_matrix(monkeypatch):
     assert calls == {"determinant": 0, "inverse_unimodular": 2}
     assert spec.coefficients.matrix("u", -1).is_identity()
     assert calls["inverse_unimodular"] == 2
+
+
+def test_short_text_is_quoted_whole():
+    from bundlesec.specfile import QUOTE_CHARS, _quote
+
+    text = "x" * QUOTE_CHARS
+    assert _quote(text) == repr(text)
+    assert _quote(text + "y") == f"{text!r}... ({QUOTE_CHARS + 1} characters)"
+
+
+@pytest.mark.parametrize("fibre, lines, needle", [
+    # 1,999 semicolons: the m = 2,000 matrix that reads as a zero matrix
+    ("torus 2000", "[action]\nu = " + ";" * 1999 + "\nv = " + ";" * 1999 + "\n",
+     "has an empty row"),
+    # a 5,000-entry vector for a rank-2 fibre
+    ("torus 2", "[action]\nu = 1 0 ; 0 1\nv = 1 0 ; 0 1\n[cocycle]\nu = "
+     + " ".join(["1"] * 5000) + "\n", "does not have length 2"),
+    ("torus 2", "[action]\n" + "u 1 " * 2000 + "\n", "expected 'name = value'"),
+], ids=["empty_rows", "long_vector", "no_assignment"])
+def test_long_offending_text_is_clipped_to_one_short_line(tmp_path, capsys, fibre, lines, needle):
+    from bundlesec import cli
+
+    path = tmp_path / "long_line.bundle"
+    path.write_text(f"[base]\n< u, v | [u,v] >\n[fibre]\n{fibre}\n{lines}")
+    assert cli.main(["split-check", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert needle in err
+    assert "characters)" in err
+
+
+def test_long_content_before_any_section_is_clipped():
+    with pytest.raises(MalformedSpec) as err:
+        parse_bundle_file("stray " * 2000 + "\n" + TORUS_TEXT)
+    assert str(err.value).startswith("content before any section: 'stray stray")
+    assert str(err.value).endswith("... (11999 characters)")
+
+
+def test_long_generator_name_is_clipped():
+    name = "g" * 5000
+    text = f"[base]\n< u, {name} | [u,{name}] >\n[fibre]\ntorus 1\n[action]\nu = 1\n"
+    with pytest.raises(MalformedSpec) as err:
+        parse_bundle_file(text).to_spec()
+    assert str(err.value) == f"[action] is missing generator {'g' * 60!r}... (5000 characters)"
