@@ -8,16 +8,19 @@ relator: the presented extension is (fibre x| F(X)) / << r . offset^-1 >>.
 The obstruction s(r) is the fibre value of the relator word under the lifts.
 
 Each base relator r is walked once per spec, by the Fox pass over the
-coefficient module: it gives theta(r) and the blocks theta(d r / d x).  The
-pass runs on flat row-major tuples of m^2 ints, and only theta(r) and the
-blocks become ``IntMatrix``.  J_w is spanned by the block columns, the
-delta2 of ``h1_h2_base`` is built from them, and for a torus fibre s(r) is
-sum_x theta(d r / d x) t_x plus theta(r) times the offset (the
+coefficient module: it gives theta(r) and the block row
+B_r = [theta(d r / d x)]_x, an m x m|X| matrix.  The pass runs on flat
+row-major tuples of m^2 ints, and only theta(r) and B_r become ``IntMatrix``.
+J_w is spanned by the columns of the B_r, the delta2 of ``h1_h2_base`` is
+the B_r stacked, and for a torus fibre s(r) is theta(r) times the offset
+plus B_r t, where t is the lifts' translations in generator order (the
 crossed-homomorphism form of Fox calculus).  No entry of the walk's running
 prefix or of its output may exceed MAX_ENTRY_BITS bits.
 
 The abelianization test (lemma 2) writes no word: pi^ab is the cokernel of
-one integer matrix of exponent sums, action columns and offsets.
+one integer matrix of exponent sums, action columns and offsets, and the
+group a split extension would have is the cokernel of the same matrix with
+the offsets set to zero.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .zlinalg import (
     Vector,
     cokernel,
     cyclic_sum,
-    direct_sum,
     smith_normal_form,
 )
 
@@ -64,7 +66,7 @@ def _zero(n: int) -> Vector:
     return tuple(0 for _ in range(n))
 
 
-FoxRow = Tuple[IntMatrix, List[IntMatrix]]
+FoxRow = Tuple[IntMatrix, IntMatrix]
 
 # bit length allowed in theta(r), its blocks and the running prefix of the
 # pass; a hyperbolic action raised to a long power passes it long before a
@@ -87,13 +89,13 @@ def _flat_sub(a: Vector, b: Vector) -> Vector:
 
 
 def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
-    """(theta(r), [theta(d r / d x) for each base generator x]) for every base
-    relator r, from one Fox pass each.
+    """(theta(r), B_r) for every base relator r, from one Fox pass each, where
+    B_r is the m x m|X| block row [theta(d r / d x)]_x in generator order.
 
     The pass runs on flat row-major tuples of m^2 ints.  Each generator's
     image, for both signs, is kept once as the tuple of its columns, so a
     letter costs one product of a flat prefix by those columns and builds no
-    IntMatrix; only theta(r) and the blocks become IntMatrix.  Every entry is
+    IntMatrix; only theta(r) and B_r become IntMatrix.  Every entry is
     capped at MAX_ENTRY_BITS: on the running prefix at each letter, so that
     large entries stop the pass early, and on the pass's output.
     """
@@ -115,11 +117,12 @@ def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
 
         value, jac = fox_jacobian(r, base.generators, lambda g, s: images[g, s], capped_mul,
                                   eye, zero, _flat_add, _flat_sub)
-        flats = [value] + [jac[x] for x in base.generators]
-        if any(map(_over_cap, flats)):
+        blocks = [jac[x] for x in base.generators]
+        if _over_cap(value) or any(map(_over_cap, blocks)):
             raise MalformedSpec(too_big)
-        value, *blocks = (IntMatrix(m, m, tuple(f[k:k + m] for k in starts)) for f in flats)
-        rows.append((value, blocks))
+        block_row = tuple(tuple(c for b in blocks for c in b[k:k + m]) for k in starts)
+        rows.append((IntMatrix(m, m, tuple(value[k:k + m] for k in starts)),
+                     IntMatrix(m, m * len(blocks), block_row)))
     return rows
 
 
@@ -257,22 +260,22 @@ class ObstructionReport:
 
 def s_of_r(spec: TorusBundleSpec, relator_index: int = 0) -> Tuple[IntMatrix, Vector]:
     """Full affine value of a base relator under the lifts, offset included:
-    (theta(r), sum_x theta(d r / d x) t_x + theta(r) offset).
+    (theta(r), theta(r) offset + B_r t), where B_r = [theta(d r / d x)]_x and
+    t is the lifts' translations concatenated in generator order.
 
     The matrix part must be the identity for the action to lift; the vector
     part is then the obstruction element in the fibre.
     """
-    value, blocks = spec.fox_rows[relator_index]
+    value, block_row = spec.fox_rows[relator_index]
     lifts = spec.action_cocycle.assignment
-    parts = [value.apply(spec.relator_offsets[relator_index])]
-    parts += [blk.apply(lifts[x][1]) for x, blk in zip(spec.base.generators, blocks)]
-    return value, tuple(map(sum, zip(*parts)))
+    t = tuple(c for x in spec.base.generators for c in lifts[x][1])
+    return value, _flat_add(value.apply(spec.relator_offsets[relator_index]), block_row.apply(t))
 
 
 def jw_submodule(spec: BundleSpec) -> Tuple[Vector, ...]:
-    """Generators of J_w . (coefficient module): the columns of every block
-    theta(d r / d x)."""
-    return tuple(col for _, blocks in spec.fox_rows for blk in blocks for col in blk.columns())
+    """Generators of J_w . (coefficient module): the columns of every block row
+    B_r = [theta(d r / d x)]_x."""
+    return tuple(col for _, block_row in spec.fox_rows for col in block_row.columns())
 
 
 def obstruction_class(spec: BundleSpec) -> ObstructionReport:
@@ -315,25 +318,33 @@ class Lemma2Report:
 def lemma2_check(base: Presentation, action: LinearRep,
                  offsets: Sequence[Vector]) -> Lemma2Report:
     """Abelianization splitting test (lemma 2): if the extension
-    pi = (Z^m x|_theta F(X)) / << r . offset_r^-1 >> splits, then pi^ab is
+    pi = (Z^m x|_theta F(X)) / << r . offset_r^-1 >> splits, then pi is the
+    semidirect product Z^m x|_theta B, whose abelianization is
     (fibre coinvariants) + B^ab.
 
     pi^ab is the cokernel of one integer matrix whose rows are the base
     generators, then the m fibre coordinates: a column (0, column j of
     theta(x) - I) for each x and j, and a column (exponent sums of r,
     -offset_r) for each relator r.  The fibre commutators contribute nothing.
-    B^ab is the cokernel of the same exponent sums.
+    The expected group is the cokernel of the same columns with the offsets
+    set to zero, the abelianization of the split twin: that matrix is
+    block-diagonal, diag(exponent sums, [theta(x) - I]_x), so its cokernel is
+    B^ab + (fibre coinvariants).
     """
     m = action.dim
-    thetas = [action.matrix(x) for x in base.generators]
-    exponents = base.exponent_matrix()
+    n = len(base.generators)
     eye = IntMatrix.identity(m)
-    pad = _zero(len(thetas))
-    cols = [pad + col for theta in thetas for col in (theta - eye).columns()]
-    cols += [sums + tuple(-c for c in off)
-             for sums, off in zip(exponents.columns(), offsets, strict=True)]
-    group_ab = cokernel(IntMatrix.from_columns(cols, rows=len(thetas) + m))
-    expected = direct_sum(coinvariants(m, thetas), cokernel(exponents))
+    pad = _zero(n)
+    action_cols = [pad + col for x in base.generators
+                   for col in (action.matrix(x) - eye).columns()]
+    sums = base.exponent_matrix().columns()
+
+    def pi_ab(offs: Sequence[Vector]) -> AbelianGroup:
+        offset_cols = [s + tuple(-c for c in off) for s, off in zip(sums, offs, strict=True)]
+        return cokernel(IntMatrix.from_columns(action_cols + offset_cols, rows=n + m))
+
+    group_ab = pi_ab(offsets)
+    expected = pi_ab([_zero(m)] * len(sums))
     return Lemma2Report(group_ab.invariant_factors == expected.invariant_factors,
                         group_ab, expected)
 
@@ -364,10 +375,9 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
     d1_rows = [row for x in gens for row in (module.matrix(x) - eye).data]
     d1 = IntMatrix(m * len(gens), m, tuple(d1_rows))
 
-    # delta2 as a block matrix (m|R| x m|X|)
-    d2_rows = [tuple(c for blk in blocks for c in blk.data[i])
-               for _, blocks in rows for i in range(m)]
-    d2 = IntMatrix(m * len(rels), m * len(gens), tuple(d2_rows))
+    # delta2 (m|R| x m|X|): the block rows stacked
+    d2 = IntMatrix(m * len(rels), m * len(gens),
+                   tuple(row for _, block_row in rows for row in block_row.data))
     if any(any(row) for row in (d2 @ d1).data):
         raise InvariantError("delta2 . delta1 != 0")
 

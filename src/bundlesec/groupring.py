@@ -301,41 +301,3 @@ KB_AUT_NAMES: Dict[str, KbAut] = {
     "cx": KB_CONJ_X,
     "cy": KB_CONJ_Y,
 }
-
-
-def kb_aut_from_word(text: str) -> KbAut:
-    """Compose named automorphisms, e.g. 'alpha gamma' or 'alpha^-1'."""
-    out = KbAut.identity()
-    for token in text.split():
-        name, _, exp = token.partition("^")
-        if name not in KB_AUT_NAMES:
-            raise ValueError(f"unknown Klein-bottle automorphism {name!r}")
-        a = KB_AUT_NAMES[name]
-        n = int(exp) if exp else 1
-        if n < 0:
-            a = a.inverse()
-            n = -n
-        # square and multiply: out o a^n in O(log n) compositions
-        while n:
-            if n & 1:
-                out = out.compose(a)
-            a = a.compose(a)
-            n >>= 1
-    return out
-
-
-def kb_element_from_word(text: str) -> KbElement:
-    """Parse a product of x/y powers, e.g. 'x^2 y^-1' or '1'."""
-    out = KbElement.identity()
-    for token in text.split():
-        if token == "1":
-            continue
-        name, _, exp = token.partition("^")
-        n = int(exp) if exp else 1
-        if name == "x":
-            out = kb_multiply(out, KbElement.x(n))
-        elif name == "y":
-            out = kb_multiply(out, KbElement.y(n))
-        else:
-            raise ValueError(f"unknown Klein-bottle generator {name!r}")
-    return out

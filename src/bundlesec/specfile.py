@@ -23,14 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .extensions import KbBundleSpec, MalformedSpec, TorusBundleSpec
-from .groupring import (
-    AffineRep,
-    KbAut,
-    KbElement,
-    LinearRep,
-    kb_aut_from_word,
-    kb_element_from_word,
-)
+from .groupring import KB_AUT_NAMES, AffineRep, KbAut, KbElement, LinearRep, kb_multiply
 from .words import ParseError, Presentation, parse_presentation
 from .zlinalg import IntMatrix
 
@@ -79,21 +72,13 @@ class BundleFile:
         return TorusBundleSpec(self.base, rank, cocycle, tuple(offsets))
 
     def _kb_spec(self) -> KbBundleSpec:
-        pairs: Dict[str, Tuple[KbAut, KbElement]] = {}
-        for g in self.base.generators:
-            try:
-                aut = kb_aut_from_word(self._action_line(g))
-                elem = kb_element_from_word(self.cocycle_lines.get(g, "1"))
-            except ValueError as exc:
-                raise MalformedSpec(str(exc)) from exc
-            pairs[g] = (aut, elem)
-        offsets = []
-        for i in range(1, len(self.base.relators) + 1):
-            try:
-                offsets.append(kb_element_from_word(self.offset_lines.get(i, "1")))
-            except ValueError as exc:
-                raise MalformedSpec(str(exc)) from exc
-        return KbBundleSpec(self.base, pairs, tuple(offsets))
+        pairs: Dict[str, Tuple[KbAut, KbElement]] = {
+            g: (kb_aut_from_word(self._action_line(g)),
+                kb_element_from_word(self.cocycle_lines.get(g, "1")))
+            for g in self.base.generators}
+        offsets = tuple(kb_element_from_word(self.offset_lines.get(i, "1"))
+                        for i in range(1, len(self.base.relators) + 1))
+        return KbBundleSpec(self.base, pairs, offsets)
 
 
 # the most characters of a file's text that an error message quotes
@@ -119,6 +104,52 @@ def _parse_vector(text: str, rank: int) -> Tuple[int, ...]:
     if len(vec) != rank:
         raise MalformedSpec(f"vector {_quote(text)} does not have length {rank}")
     return vec
+
+
+def _kb_exponent(token: str, exp: str) -> int:
+    """The n of a token 'name^n' (1 for a bare 'name')."""
+    try:
+        return int(exp) if exp else 1
+    except ValueError as exc:
+        raise MalformedSpec(f"bad exponent in Klein-bottle token {_quote(token)}") from exc
+
+
+def kb_aut_from_word(text: str) -> KbAut:
+    """Compose named automorphisms, e.g. 'alpha gamma' or 'alpha^-1'."""
+    out = KbAut.identity()
+    for token in text.split():
+        name, _, exp = token.partition("^")
+        if name not in KB_AUT_NAMES:
+            raise MalformedSpec(f"unknown Klein-bottle automorphism {_quote(name)}")
+        a = KB_AUT_NAMES[name]
+        n = _kb_exponent(token, exp)
+        if n < 0:
+            a = a.inverse()
+            n = -n
+        # square and multiply: out o a^n in O(log n) compositions
+        while n:
+            if n & 1:
+                out = out.compose(a)
+            a = a.compose(a)
+            n >>= 1
+    return out
+
+
+def kb_element_from_word(text: str) -> KbElement:
+    """Parse a product of x/y powers, e.g. 'x^2 y^-1' or '1'."""
+    out = KbElement.identity()
+    for token in text.split():
+        if token == "1":
+            continue
+        name, _, exp = token.partition("^")
+        n = _kb_exponent(token, exp)
+        if name == "x":
+            out = kb_multiply(out, KbElement.x(n))
+        elif name == "y":
+            out = kb_multiply(out, KbElement.y(n))
+        else:
+            raise MalformedSpec(f"unknown Klein-bottle generator {_quote(name)}")
+    return out
 
 
 def _parse_matrix(text: str, rank: int) -> IntMatrix:

@@ -81,13 +81,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def generators(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for g, _ in self.letters:
-            if g not in seen:
-                seen.append(g)
-        return tuple(seen)
-
     def __str__(self) -> str:
         if not self.letters:
             return "1"

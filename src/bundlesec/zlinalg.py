@@ -388,11 +388,6 @@ def cyclic_sum(factors: Sequence[int]) -> AbelianGroup:
     return cokernel(IntMatrix.from_columns(cols, rows=n))
 
 
-def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
-    """Canonical invariant factors of a (+) b."""
-    return cyclic_sum(a.invariant_factors + b.invariant_factors)
-
-
 def invariant_factors_by_minors(m: IntMatrix) -> Tuple[int, ...]:
     """Invariant factors via gcds of k x k minors; an independent cross-check.
 

@@ -426,8 +426,10 @@ def _perturbed_fox_rows(monkeypatch):
     fox_rows = extensions._fox_rows
 
     def perturbed(base, module):
-        eye = IntMatrix.identity(module.dim)
-        return [(value, [blk + eye for blk in blocks]) for value, blocks in fox_rows(base, module)]
+        # I added to every block of each block row
+        eyes = IntMatrix.from_rows([row * len(base.generators)
+                                    for row in IntMatrix.identity(module.dim).data])
+        return [(value, block_row + eyes) for value, block_row in fox_rows(base, module)]
 
     monkeypatch.setattr(extensions, "_fox_rows", perturbed)
 

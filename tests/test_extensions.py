@@ -101,13 +101,12 @@ def test_s_of_r_includes_the_offset():
     assert t == (1, 0)
 
 
-def _count_letter_walks(monkeypatch):
-    """Count calls of the word fold and the Fox pass, wherever they are bound."""
+def _count_calls(monkeypatch, module, *names):
+    """Count calls of the module's named functions, wherever they are bound."""
     import sys
-    from bundlesec import groupring
-    calls = {"evaluate_word": 0, "fox_jacobian": 0}
+    calls = dict.fromkeys(names, 0)
     for name in calls:
-        original = getattr(groupring, name)
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
@@ -127,7 +126,8 @@ def test_split_check_walks_each_relator_once(monkeypatch, tmp_path):
     path.write_text("[base]\n< u, v | [u,v], [u,v] u v u^-1 v^-1 >\n[fibre]\ntorus 2\n"
                     "[action]\nu = 1 1 ; 0 1\nv = 1 0 ; 0 1\n"
                     "[cocycle]\nu = 1 2\noffset 1 = 1 0\n")
-    calls = _count_letter_walks(monkeypatch)
+    from bundlesec import groupring
+    calls = _count_calls(monkeypatch, groupring, "evaluate_word", "fox_jacobian")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["--json", "split-check", str(path)]) == 0
     # s(r), J_w and theta(r) all come from one Fox pass per relator
@@ -139,12 +139,16 @@ def test_fox_pass_builds_no_int_matrix_per_letter(monkeypatch):
 
     shear = IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     swap = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
-    module = LinearRep({"u": shear, "v": swap, "w": shear @ swap}, 3)
+    extra = [f"e{i}" for i in range(5)]
+    module = LinearRep({"u": shear, "v": swap, "w": shear @ swap,
+                        **{e: shear for e in extra}}, 3)
     post_init = IntMatrix.__post_init__
 
-    def made(*copies):
-        # 8 letters per copy, which stay reduced when repeated
-        base = parse_presentation("< u, v, w | " + ", ".join(
+    def made(*copies, unused=0):
+        # 8 letters per copy, which stay reduced when repeated; the unused
+        # generators widen the block row
+        gens = ", ".join(["u", "v", "w", *extra[:unused]])
+        base = parse_presentation(f"< {gens} | " + ", ".join(
             " ".join(["u^2 v w u^-2 v^-1 w^-1"] * c) for c in copies) + " >")
         assert [len(r.letters) for r in base.relators] == [8 * c for c in copies]
         built = []
@@ -158,10 +162,10 @@ def test_fox_pass_builds_no_int_matrix_per_letter(monkeypatch):
             extensions._fox_rows(base, module)
         return len(built)
 
-    # theta(r) and one block per generator, for each relator: nothing per
-    # letter, and nothing for the images
-    assert made(6) == made(30) == 4
-    assert made(6, 30) == 8
+    # theta(r) and the block row, for each relator: nothing per letter or
+    # per generator, and nothing for the images
+    assert made(6) == made(30) == made(6, unused=5) == 2
+    assert made(6, 30) == made(6, 30, unused=2) == 4
 
 
 # --- worked Klein-bottle examples ---------------------------------------------
@@ -245,6 +249,25 @@ def test_lemma2_detects_heisenberg():
     assert not report.is_isomorphic
     assert str(report.group_ab) == "Z^3"
     assert str(report.expected) == "Z^4"
+
+
+def test_lemma2_makes_two_smith_forms_and_split_check_three(monkeypatch):
+    import io
+    import pathlib
+    from contextlib import redirect_stdout
+    from bundlesec import cli, zlinalg
+    calls = _count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    shear = IntMatrix.from_rows([[1, 1], [0, 1]])
+    lemma2_check(TORUS, LinearRep({"u": shear, "v": I2}, 2), [(1, 0)])
+    # pi^ab and its split twin
+    assert calls == {"smith_normal_form": 2}
+    calls["smith_normal_form"] = 0
+    path = pathlib.Path(__file__).resolve().parent.parent / "specs" / "heisenberg_torus.bundle"
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["--json", "split-check", str(path)]) == 0
+    assert '"lifted": true' in out.getvalue()
+    # the quotient by J_w, then lemma 2
+    assert calls == {"smith_normal_form": 3}
 
 
 def test_lemma2_keeps_a_trivial_relators_offset_out_of_the_coinvariants():

@@ -21,6 +21,9 @@ GOLDEN = ROOT / "tests" / "golden"
 BUNDLES = sorted(p.name for p in (ROOT / "specs").glob("*.bundle"))
 TORUS_BUNDLES = [name for name in BUNDLES if "kb" not in name]
 PRESENTATIONS = sorted(p.name for p in (ROOT / "specs").glob("*.pres"))
+# inputs beyond the one-relator torus base of the shipped specs: more than two
+# base generators, more than one relator, a rank-3 fibre and nonzero offsets
+TEST_BUNDLES = sorted(p.name for p in (ROOT / "tests" / "specs").glob("*.bundle"))
 
 
 def _cases():
@@ -31,6 +34,12 @@ def _cases():
         yield f"split-check.{stem}.txt", ["split-check", f"specs/{name}"]
     for name in TORUS_BUNDLES:
         yield f"cohomology.{name[:-len('.bundle')]}.json", ["--json", "cohomology", f"specs/{name}"]
+    for name in TEST_BUNDLES:
+        stem = name[:-len(".bundle")]
+        path = f"tests/specs/{name}"
+        yield f"split-check.{stem}.json", ["--json", "split-check", path]
+        yield f"split-check.{stem}.txt", ["split-check", path]
+        yield f"cohomology.{stem}.json", ["--json", "cohomology", path]
     for name in PRESENTATIONS:
         yield f"abelianize.{name[:-len('.pres')]}.json", ["--json", "abelianize", f"specs/{name}"]
     yield "transgress.json", ["--json", "transgress", "--range", "-5..5"]

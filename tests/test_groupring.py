@@ -11,7 +11,6 @@ from bundlesec import groupring
 from bundlesec.extensions import TorusBundleSpec, s_of_r
 from bundlesec.groupring import (
     KB_ALPHA,
-    KB_AUT_NAMES,
     KB_CONJ_Y,
     KB_GAMMA,
     AffineRep,
@@ -19,9 +18,7 @@ from bundlesec.groupring import (
     KbElement,
     LinearRep,
     fox_jacobian,
-    kb_aut_from_word,
     kb_conjugation,
-    kb_element_from_word,
     kb_inverse,
     kb_multiply,
     kb_power,
@@ -319,40 +316,3 @@ def test_kb_aut_rejects_invalid_images():
         KbAut(KbElement(2, 0), KbElement.y())
     with pytest.raises(ValueError):
         KbAut(KbElement.x(), KbElement(1, 1))
-
-
-def test_kb_word_parsers():
-    assert kb_element_from_word("x^2 y^-1") == KbElement(2, -1)
-    assert kb_element_from_word("1") == KbElement.identity()
-    assert kb_aut_from_word("alpha") == KB_ALPHA
-    assert kb_aut_from_word("gamma gamma") == KB_CONJ_Y
-    assert kb_aut_from_word("alpha^-1") == KB_ALPHA
-    with pytest.raises(ValueError):
-        kb_element_from_word("z")
-    with pytest.raises(ValueError):
-        kb_aut_from_word("beta")
-
-
-def _kb_aut_power_by_repeated_composition(name, n):
-    out = KbAut.identity()
-    a = KB_AUT_NAMES[name] if n >= 0 else KB_AUT_NAMES[name].inverse()
-    for _ in range(abs(n)):
-        out = out.compose(a)
-    return out
-
-
-def test_kb_aut_powers_match_repeated_composition():
-    for name in KB_AUT_NAMES:
-        for n in range(-7, 8):
-            expected = _kb_aut_power_by_repeated_composition(name, n)
-            assert kb_aut_from_word(f"{name}^{n}") == expected
-            # after a prefix, the power composes on the right
-            assert kb_aut_from_word(f"gamma {name}^{n}") == KB_GAMMA.compose(expected)
-
-
-def test_kb_aut_huge_exponent_is_fast():
-    import time
-    start = time.perf_counter()
-    aut = kb_aut_from_word("gamma^200000")
-    assert time.perf_counter() - start < 0.5
-    assert aut == KbAut(KbElement(1, 200000), KbElement.y())

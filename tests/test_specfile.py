@@ -3,7 +3,8 @@
 import pytest
 
 from bundlesec.extensions import KbBundleSpec, MalformedSpec, TorusBundleSpec
-from bundlesec.specfile import parse_bundle_file
+from bundlesec.groupring import KB_ALPHA, KB_AUT_NAMES, KB_CONJ_Y, KB_GAMMA, KbAut, KbElement
+from bundlesec.specfile import kb_aut_from_word, kb_element_from_word, parse_bundle_file
 from bundlesec.words import ParseError
 
 TORUS_TEXT = """
@@ -140,7 +141,13 @@ def test_short_text_is_quoted_whole():
     ("torus 2", "[action]\nu = 1 0 ; 0 1\nv = 1 0 ; 0 1\n[cocycle]\nu = "
      + " ".join(["1"] * 5000) + "\n", "does not have length 2"),
     ("torus 2", "[action]\n" + "u 1 " * 2000 + "\n", "expected 'name = value'"),
-], ids=["empty_rows", "long_vector", "no_assignment"])
+    # 5,000-letter Klein-bottle tokens
+    ("kb", "[action]\nu = " + "a" * 5000 + "\nv = id\n", "unknown Klein-bottle automorphism"),
+    ("kb", "[action]\nu = id\nv = id\n[cocycle]\nu = " + "a" * 5000 + "\n",
+     "unknown Klein-bottle generator"),
+    ("kb", "[action]\nu = id\nv = id\n[cocycle]\noffset 1 = x^" + "9" * 5000 + "\n",
+     "bad exponent in Klein-bottle token"),
+], ids=["empty_rows", "long_vector", "no_assignment", "kb_action", "kb_cocycle", "kb_exponent"])
 def test_long_offending_text_is_clipped_to_one_short_line(tmp_path, capsys, fibre, lines, needle):
     from bundlesec import cli
 
@@ -168,3 +175,45 @@ def test_long_generator_name_is_clipped():
     with pytest.raises(MalformedSpec) as err:
         parse_bundle_file(text).to_spec()
     assert str(err.value) == f"[action] is missing generator {'g' * 60!r}... (5000 characters)"
+
+
+# --- Klein-bottle values ------------------------------------------------------
+
+
+def test_kb_word_parsers():
+    assert kb_element_from_word("x^2 y^-1") == KbElement(2, -1)
+    assert kb_element_from_word("1") == KbElement.identity()
+    assert kb_aut_from_word("alpha") == KB_ALPHA
+    assert kb_aut_from_word("gamma gamma") == KB_CONJ_Y
+    assert kb_aut_from_word("alpha^-1") == KB_ALPHA
+    with pytest.raises(MalformedSpec, match="unknown Klein-bottle generator 'z'"):
+        kb_element_from_word("z")
+    with pytest.raises(MalformedSpec, match="unknown Klein-bottle automorphism 'beta'"):
+        kb_aut_from_word("beta")
+    with pytest.raises(MalformedSpec, match="bad exponent in Klein-bottle token 'x\\^a'"):
+        kb_element_from_word("x^a")
+
+
+def _kb_aut_power_by_repeated_composition(name, n):
+    out = KbAut.identity()
+    a = KB_AUT_NAMES[name] if n >= 0 else KB_AUT_NAMES[name].inverse()
+    for _ in range(abs(n)):
+        out = out.compose(a)
+    return out
+
+
+def test_kb_aut_powers_match_repeated_composition():
+    for name in KB_AUT_NAMES:
+        for n in range(-7, 8):
+            expected = _kb_aut_power_by_repeated_composition(name, n)
+            assert kb_aut_from_word(f"{name}^{n}") == expected
+            # after a prefix, the power composes on the right
+            assert kb_aut_from_word(f"gamma {name}^{n}") == KB_GAMMA.compose(expected)
+
+
+def test_kb_aut_huge_exponent_is_fast():
+    import time
+    start = time.perf_counter()
+    aut = kb_aut_from_word("gamma^200000")
+    assert time.perf_counter() - start < 0.5
+    assert aut == KbAut(KbElement(1, 200000), KbElement.y())
