@@ -8,14 +8,18 @@ relator: the presented extension is (fibre x| F(X)) / << r . offset^-1 >>.
 The obstruction s(r) is the fibre value of the relator word under the lifts.
 
 Each base relator r is walked once per spec, by the Fox pass over the
-coefficient module: it gives theta(r) and the block row
+coefficient module A: it gives theta(r) and the block row
 B_r = [theta(d r / d x)]_x, an m x m|X| matrix.  The pass runs on flat
 row-major tuples of m^2 ints, and only theta(r) and B_r become ``IntMatrix``.
-J_w is spanned by the columns of the B_r, the delta2 of ``h1_h2_base`` is
-the B_r stacked, and for a torus fibre s(r) is theta(r) times the offset
-plus B_r t, where t is the lifts' translations in generator order (the
-crossed-homomorphism form of Fox calculus).  No entry of the walk's running
-prefix or of its output may exceed MAX_ENTRY_BITS bits.
+The B_r stacked are delta2 : A^X -> A^R.  For a torus fibre s(r) is theta(r)
+times the offset plus B_r t, where t is the lifts' translations in generator
+order (the crossed-homomorphism form of Fox calculus), so changing the
+translations by a in A^X changes S = (s(r))_r by delta2 a.  Once the action
+lifts (every theta(r) = I), a section exists exactly when S lies in the image
+of delta2: the obstruction is the class of S in H^2 = A^R / delta2 A^X, the
+group ``h1_h2_base`` reports (K. S. Brown, Cohomology of Groups, IV.3).  No
+entry of the walk's running prefix or of its output may exceed
+MAX_ENTRY_BITS bits.
 
 The abelianization test (lemma 2) writes no word: pi^ab is the cokernel of
 one integer matrix of exponent sums, action columns and offsets, and the
@@ -158,15 +162,17 @@ class TorusBundleSpec:
 
     @cached_property
     def fox_rows(self) -> List[FoxRow]:
-        """The Fox row of each base relator, made once; s(r) and J_w read it."""
+        """The Fox row of each base relator, made once; s(r), J_w and delta2 read it."""
         return _fox_rows(self.base, self.coefficients)
 
-    def relator_values(self) -> Tuple[bool, Tuple[Vector, ...], Tuple[Vector, ...]]:
-        """(lifted, s(r) per relator, the vectors whose classes are taken)."""
+    def relator_values(self) -> Tuple[bool, Tuple[Vector, ...], Optional[Vector]]:
+        """(lifted, s(r) per relator, S: the s(r) joined in relator order).
+
+        S is projected even when the action does not lift.
+        """
         values = [s_of_r(self, i) for i in range(len(self.base.relators))]
         svecs = tuple(t for _, t in values)
-        # the vectors are projected even when the action does not lift
-        return all(m.is_identity() for m, _ in values), svecs, svecs
+        return all(m.is_identity() for m, _ in values), svecs, sum(svecs, ())
 
     @property
     def nonzero_verdict(self) -> str:
@@ -206,7 +212,7 @@ class KbBundleSpec:
 
     @cached_property
     def fox_rows(self) -> List[FoxRow]:
-        """The Fox row of each base relator, made once; J_w reads it."""
+        """The Fox row of each base relator, made once; J_w and delta2 read it."""
         return _fox_rows(self.base, self.coefficients)
 
     def evaluate(self, w: Word) -> Tuple[KbElement, KbAut]:
@@ -220,18 +226,18 @@ class KbBundleSpec:
 
         return evaluate_word(w, image, kb_pair_multiply, (KbElement.identity(), KbAut.identity()))
 
-    def relator_values(self) -> Tuple[bool, Tuple[Vector, ...], Tuple[Vector, ...]]:
-        """(lifted, s(r) per relator, the vectors whose classes are taken).
+    def relator_values(self) -> Tuple[bool, Tuple[Vector, ...], Optional[Vector]]:
+        """(lifted, s(r) per relator, S: the s(r) joined in relator order).
 
         Values that do not lift to the centre are reported as (a, b) for
-        x^a y^b, and no class is taken.
+        x^a y^b, and S is None: no class is taken.
         """
         totals = [kb_pair_multiply(self.evaluate(r), (off, KbAut.identity()))
                   for r, off in zip(self.base.relators, self.relator_offsets)]
         if not all(aut == KbAut.identity() and v.is_central() for v, aut in totals):
-            return False, tuple((v.a, v.b) for v, _ in totals), ()
+            return False, tuple((v.a, v.b) for v, _ in totals), None
         svecs = tuple((kb_center_component(v),) for v, _ in totals)
-        return True, svecs, svecs
+        return True, svecs, sum(svecs, ())
 
 
 BundleSpec = Union[TorusBundleSpec, KbBundleSpec]
@@ -245,7 +251,6 @@ class ObstructionReport:
     quotient: AbelianGroup
     class_coordinates: Tuple[Vector, ...]
     verdict: str
-    nonstandard_quotient: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -278,22 +283,33 @@ def jw_submodule(spec: BundleSpec) -> Tuple[Vector, ...]:
     return tuple(col for _, block_row in spec.fox_rows for col in block_row.columns())
 
 
+def _delta2(rows: Sequence[FoxRow], m: int, n_gens: int) -> IntMatrix:
+    """delta2 : A^X -> A^R, the block rows B_r stacked (m|R| x m|X|)."""
+    return IntMatrix(m * len(rows), m * n_gens,
+                     tuple(row for _, block_row in rows for row in block_row.data))
+
+
 def obstruction_class(spec: BundleSpec) -> ObstructionReport:
-    """The class of each s(r) in the coefficient module modulo J_w."""
+    """The class of S = (s(r))_r in H^2 = A^R / delta2 A^X, where A is the
+    coefficient module: one class for all the relators together.
+
+    ``class`` holds the one projection of S, or nothing when a Klein-bottle
+    value does not lift to the centre.  For one relator delta2 is B_r, whose
+    columns span J_w, so the quotient is A / J_w.
+    """
     if not isinstance(spec, (TorusBundleSpec, KbBundleSpec)):
         raise MalformedSpec(f"unsupported bundle spec {type(spec).__name__}")
-    lifted, svecs, vectors = spec.relator_values()
+    lifted, svecs, joined = spec.relator_values()
     jw = jw_submodule(spec)
-    quotient = cokernel(IntMatrix.from_columns(list(jw), rows=spec.coefficients.dim))
-    coords = tuple(quotient.project(v) for v in vectors)
+    quotient = cokernel(_delta2(spec.fox_rows, spec.coefficients.dim, len(spec.base.generators)))
+    coords = () if joined is None else (quotient.project(joined),)
     if not lifted:
         verdict = VERDICT_ACTION_DOES_NOT_LIFT
-    elif all(all(c == 0 for c in cs) for cs in coords):
+    elif not any(coords[0]):
         verdict = VERDICT_SPLITS
     else:
         verdict = spec.nonzero_verdict
-    return ObstructionReport(lifted, svecs, jw, quotient, coords, verdict,
-                             nonstandard_quotient=len(spec.base.relators) > 1)
+    return ObstructionReport(lifted, svecs, jw, quotient, coords, verdict)
 
 
 def coinvariants(fibre_rank: int, mats: Sequence[IntMatrix]) -> AbelianGroup:
@@ -375,9 +391,7 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
     d1_rows = [row for x in gens for row in (module.matrix(x) - eye).data]
     d1 = IntMatrix(m * len(gens), m, tuple(d1_rows))
 
-    # delta2 (m|R| x m|X|): the block rows stacked
-    d2 = IntMatrix(m * len(rels), m * len(gens),
-                   tuple(row for _, block_row in rows for row in block_row.data))
+    d2 = _delta2(rows, m, len(gens))
     if any(any(row) for row in (d2 @ d1).data):
         raise InvariantError("delta2 . delta1 != 0")
 

@@ -1,15 +1,12 @@
 """Free-group words, the presentation DSL, and abelianization.
 
 Words are stored as freely reduced tuples of (generator name, sign) letters.
-Presentations carry an optional orientation character, a map sending each
-generator to +-1; it must extend to a homomorphism of the presented group,
-i.e. every relator must have character value +1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 from .zlinalg import AbelianGroup, IntMatrix, cokernel
 
@@ -108,11 +105,10 @@ def exponent_sum(w: Word, gen: str) -> int:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite presentation with an optional orientation character."""
+    """A finite presentation: generator names and relator words."""
 
     generators: Tuple[str, ...]
     relators: Tuple[Word, ...]
-    orientation: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(set(self.generators)) != len(self.generators):
@@ -124,22 +120,6 @@ class Presentation:
             for g, _ in r.letters:
                 if g not in self.generators:
                     raise ValueError(f"relator uses unknown generator {g!r}")
-        for g, w in self.orientation.items():
-            if g not in self.generators:
-                raise ValueError(f"orientation assigned to unknown generator {g!r}")
-            if w not in (1, -1):
-                raise ValueError("orientation values must be +-1")
-        for r in self.relators:
-            if self.character(r) != 1:
-                raise ValueError(
-                    f"orientation character is not +1 on relator {r}; "
-                    "it does not define a homomorphism")
-
-    def character(self, w: Word) -> int:
-        value = 1
-        for g, _ in w.letters:
-            value *= self.orientation.get(g, 1)
-        return value
 
     def exponent_matrix(self) -> IntMatrix:
         """Rows indexed by generators, columns by relators."""
@@ -148,9 +128,7 @@ class Presentation:
         ])
 
     def __str__(self) -> str:
-        gens = ", ".join(
-            g + ("-" if self.orientation.get(g, 1) == -1 else "")
-            for g in self.generators)
+        gens = ", ".join(self.generators)
         rels = ", ".join(str(r) for r in self.relators)
         return f"< {gens} | {rels} >"
 
@@ -163,8 +141,7 @@ def abelianization(p: Presentation) -> AbelianGroup:
 # --- DSL parser ------------------------------------------------------------
 #
 #   presentation := "<" genlist "|" relatorlist ">"
-#   genlist      := gen ("," gen)*
-#   gen          := name "-"?              (trailing "-" flips the character)
+#   genlist      := name ("," name)*
 #   relatorlist  := (relator ("," relator)*)?
 #   relator      := factor+ | "comm(" namelist ";" namelist ")"
 #   factor       := name ("^" integer)? | "[" name "," name "]"
@@ -180,7 +157,7 @@ class _Token:
     col: int
 
 
-_PUNCT = {"<", ">", "|", ",", ";", "^", "[", "]", "(", ")", "-"}
+_PUNCT = {"<", ">", "|", ",", ";", "^", "[", "]", "(", ")"}
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -261,15 +238,11 @@ class _Parser:
     def parse(self) -> Presentation:
         self.expect("<")
         generators: List[str] = []
-        orientation: Dict[str, int] = {}
         while True:
             tok = self.next()
             if tok.kind != "NAME":
                 raise ParseError("expected a generator name", tok.line, tok.col)
             generators.append(tok.text)
-            if self.peek().text == "-":
-                self.next()
-                orientation[tok.text] = -1
             sep = self.next()
             if sep.text == ",":
                 continue
@@ -293,7 +266,7 @@ class _Parser:
         if tok.kind != "EOF":
             raise ParseError("trailing input after presentation", tok.line, tok.col)
         try:
-            return Presentation(tuple(generators), tuple(relators), orientation)
+            return Presentation(tuple(generators), tuple(relators))
         except ValueError as exc:
             raise ParseError(str(exc), 1, 1) from exc
 

@@ -103,10 +103,12 @@ def test_exit_code_file_not_found():
 
 def test_exit_code_parse_error(tmp_path):
     bad = tmp_path / "bad.pres"
-    bad.write_text("< x, | >")
-    out = run_cli("abelianize", str(bad))
-    assert out.returncode == 3
-    assert "line" in out.stderr
+    # a generator name takes no suffix
+    for text in ("< x, | >", "< x, y- | x y x^-1 y >"):
+        bad.write_text(text)
+        out = run_cli("abelianize", str(bad))
+        assert out.returncode == 3
+        assert "line" in out.stderr
 
 
 def test_exit_code_malformed_spec(tmp_path):

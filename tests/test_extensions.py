@@ -261,13 +261,15 @@ def test_lemma2_makes_two_smith_forms_and_split_check_three(monkeypatch):
     lemma2_check(TORUS, LinearRep({"u": shear, "v": I2}, 2), [(1, 0)])
     # pi^ab and its split twin
     assert calls == {"smith_normal_form": 2}
-    calls["smith_normal_form"] = 0
-    path = pathlib.Path(__file__).resolve().parent.parent / "specs" / "heisenberg_torus.bundle"
-    with redirect_stdout(io.StringIO()) as out:
-        assert cli.main(["--json", "split-check", str(path)]) == 0
-    assert '"lifted": true' in out.getvalue()
-    # the quotient by J_w, then lemma 2
-    assert calls == {"smith_normal_form": 3}
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for path in (root / "specs" / "heisenberg_torus.bundle",
+                 root / "tests" / "specs" / "two_relator_torus.bundle"):
+        calls["smith_normal_form"] = 0
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["--json", "split-check", str(path)]) == 0
+        assert '"lifted": true' in out.getvalue()
+        # the cokernel of delta2, one for any number of relators, then lemma 2
+        assert calls == {"smith_normal_form": 3}, path.name
 
 
 def test_lemma2_keeps_a_trivial_relators_offset_out_of_the_coinvariants():

@@ -85,13 +85,6 @@ def test_parse_basic_forms():
     assert p.relators[3] == commutator(Word.gen("b"), Word.gen("d"))
 
 
-def test_parse_orientation_suffix():
-    p = parse_presentation("< x, y- | >")
-    assert p.orientation.get("y") == -1
-    assert p.character(Word.gen("y")) == -1
-    assert p.character(Word.gen("y", 2)) == 1
-
-
 def test_parse_comments_and_whitespace():
     p = parse_presentation("# leading note\n< x , y |\n  [x,y] # trailing\n>")
     assert p.generators == ("x", "y")
@@ -101,14 +94,12 @@ def test_parse_round_trip():
     texts = [
         "< x, y | x y x^-1 y >",
         "< u, v, x, y | comm(u v ; x y), [u,v] x^-2, x y x^-1 y >",
-        "< a, b- | a^2 b^-2 >",
     ]
     for text in texts:
         p = parse_presentation(text)
         again = parse_presentation(str(p))
         assert again.generators == p.generators
         assert again.relators == p.relators
-        assert dict(again.orientation) == dict(p.orientation)
 
 
 def test_parse_errors_carry_location():
@@ -144,13 +135,6 @@ def test_relator_letter_cap():
         assert (err.value.line, err.value.col) == where, text
     # the cap is per relator
     parse_presentation(f"< u | u^{MAX_RELATOR_LETTERS}, u^-{MAX_RELATOR_LETTERS} >")
-
-
-def test_orientation_character_must_kill_relators():
-    with pytest.raises(ValueError):
-        Presentation(("x",), (Word.gen("x"),), {"x": -1})
-    # even exponents are fine
-    Presentation(("x",), (Word.gen("x", 2),), {"x": -1})
 
 
 def test_presentation_rejects_unknown_generators():
