@@ -2,10 +2,14 @@
 
 Everything here works over plain Python ints (arbitrary precision), since
 intermediate entries in a Smith reduction can grow well past 64 bits.  The
-pivoting strategy (always move the minimal nonzero entry to the pivot) is
-deterministic, which keeps canonical coordinates stable across runs.  The
-reduction updates only the matrix and logs its operations; the transforms U
-and V are replayed from the logs when first read.
+Smith reduction always moves the minimal nonzero |entry| of the trailing
+block to the pivot, and on a tie takes the first in row-major order.  That
+tie-break fixes the operation log, and with it the canonical coordinates of
+every cokernel, so it is part of the contract.  The reduction updates only
+the matrix and logs its operations; a column operation touches only the rows
+that are nonzero (live) in the pivot column, since it leaves the others
+unchanged.  The transforms U and V are replayed from the logs when first
+read.
 """
 
 from __future__ import annotations
@@ -257,8 +261,15 @@ class SmithDecomposition:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Diagonalize by row/column operations, pivoting on the minimal nonzero
-    entry; only the working matrix is updated, each operation is logged."""
+    """Diagonalize by row/column operations; only the working matrix is
+    updated, and each operation is logged.
+
+    The pivot is the minimal nonzero |entry| of the trailing block, the first
+    one in row-major order on a tie.  After the rows below the pivot are
+    reduced, each column operation col[j] -= q * col[t] updates only the rows
+    live in column t (nonzero there): the pivot row, and any row the
+    reduction left with a nonzero remainder.  The divisibility scan of the
+    trailing block is skipped when the pivot is 1."""
     r, c = m.rows, m.cols
     a = [list(row) for row in m.data]
     row_ops: List[Op] = []
@@ -272,45 +283,60 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     t = 0
     limit = min(r, c)
     while t < limit:
-        # the minimal nonzero entry of the trailing submatrix, first in row-major order
-        found = min(((abs(x), i, j) for i in range(t, r) for j, x in enumerate(a[i][t:], t) if x),
-                    default=None)
-        if found is None:
+        # The pivot is the minimal nonzero |entry| of the trailing block, first
+        # in row-major order: the first row holding the least row minimum, and
+        # in it the first column with that |entry|.  No row beats a minimum 1.
+        p, pi = 0, t
+        for i in range(t, r):
+            row_abs = [abs(x) for x in a[i][t:] if x]
+            if row_abs:
+                least = min(row_abs)
+                if not p or least < p:
+                    p, pi = least, i
+                    if p == 1:
+                        break
+        if not p:
             break
-        _, pi, pj = found
+        pj = t + [abs(x) for x in a[pi][t:]].index(p)
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
             row_ops.append((t, pi))
         if pj != t:
-            for row in a:
+            # rows above t are zero from column t on
+            for row in a[t:]:
                 row[t], row[pj] = row[pj], row[t]
             col_ops.append((t, pj))
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             row_ops.append((t,))
-        p = a[t][t]
 
         dirty = False
         for i in range(t + 1, r):
             if a[i][t] != 0:
                 addmul_row(i, t, -(a[i][t] // p))
                 dirty = dirty or a[i][t] != 0
+        # A column operation changes only the rows live in column t: the pivot
+        # row, and the rows a dirty elimination left nonzero there.
+        live = [row for row in a[t:] if row[t]]
+        pivot_row = a[t]
         for j in range(t + 1, c):
-            if a[t][j] != 0:
+            if pivot_row[j] != 0:
                 # col[j] -= q * col[t]
-                q = a[t][j] // p
-                for row in a:
+                q = pivot_row[j] // p
+                for row in live:
                     row[j] -= q * row[t]
                 col_ops.append((j, t, -q))
-                dirty = dirty or a[t][j] != 0
+                dirty = dirty or pivot_row[j] != 0
         if dirty:
             continue  # pivot strictly shrank; re-select
 
         # pivot must divide the whole trailing block for the chain to hold
-        offender = next((i for i in range(t + 1, r) if any(x % p for x in a[i][t + 1:])), None)
-        if offender is not None:
-            addmul_row(t, offender, 1)
-            continue
+        if p != 1:
+            offender = next((i for i in range(t + 1, r) if any(x % p for x in a[i][t + 1:])),
+                            None)
+            if offender is not None:
+                addmul_row(t, offender, 1)
+                continue
         t += 1
 
     return SmithDecomposition(IntMatrix(r, c, tuple(tuple(row) for row in a)),
