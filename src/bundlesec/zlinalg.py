@@ -283,9 +283,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     t = 0
     limit = min(r, c)
     while t < limit:
-        # The pivot is the minimal nonzero |entry| of the trailing block, first
-        # in row-major order: the first row holding the least row minimum, and
-        # in it the first column with that |entry|.  No row beats a minimum 1.
+        # the first row holding the least row minimum, then the first column
+        # in it with that |entry|; no later row beats a minimum of 1
         p, pi = 0, t
         for i in range(t, r):
             row_abs = [abs(x) for x in a[i][t:] if x]
@@ -315,8 +314,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             if a[i][t] != 0:
                 addmul_row(i, t, -(a[i][t] // p))
                 dirty = dirty or a[i][t] != 0
-        # A column operation changes only the rows live in column t: the pivot
-        # row, and the rows a dirty elimination left nonzero there.
+        # col[j] -= q * col[t] leaves the rows that are zero in column t unchanged
         live = [row for row in a[t:] if row[t]]
         pivot_row = a[t]
         for j in range(t + 1, c):

@@ -24,24 +24,12 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import List, Sequence
+from typing import Sequence
 
 SHOWN_DIFFERENCES = 10
 
 
-def _invocations(perfbench: Path, workload: str, seed: int, specs: Path,
-                 workdir: Path) -> List[List[str]]:
-    """The argv of every op, with --json and as text, after writing the inputs."""
-    sys.path.insert(0, str(perfbench))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(perfbench))
-    ops = workloads.build(workload, seed, workdir, specs)
-    return [argv for op in ops for argv in (op.argv, op.argv[1:])]
-
-
-def _run_worker(checkout: Path, workdir: Path, argvs: Sequence[List[str]]) -> list:
+def _run_worker(checkout: Path, workdir: Path, argvs: Sequence[Sequence[str]]) -> list:
     """Run every argv through the checkout's CLI in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-B", str(Path(__file__).resolve()), "--worker", str(checkout / "src")],
@@ -65,7 +53,7 @@ def _worker(src: str) -> None:
         except Exception as exc:  # a defect; both sides must show the same one
             code = f"raised {type(exc).__name__}: {exc}"
         results.append([code, out.getvalue(), err.getvalue()])
-    json.dump(results, sys.__stdout__)
+    json.dump(results, sys.stdout)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -75,16 +63,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
+    sys.dont_write_bytecode = True  # leave no cache under perfbench/
     sys.path.insert(0, str(change / "perfbench"))
-    from workloads import WORKLOADS
+    import workloads
 
     total, differences = 0, []
-    for workload in WORKLOADS:
+    for workload in workloads.WORKLOADS:
         for seed in args.seeds:
             with tempfile.TemporaryDirectory(prefix="same-reports-") as tmp:
                 workdir = Path(tmp)
-                argvs = _invocations(change / "perfbench", workload, seed, change / "specs",
-                                     workdir)
+                ops = workloads.build(workload, seed, workdir, change / "specs")
+                argvs = [argv for op in ops for argv in (op.argv, op.argv[1:])]
                 before = _run_worker(parent, workdir, argvs)
                 after = _run_worker(change, workdir, argvs)
             same = sum(x == y for x, y in zip(before, after, strict=True))
