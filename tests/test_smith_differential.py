@@ -55,7 +55,8 @@ def test_smith_normal_form_logs_the_reference_operations(m):
 
 
 def test_ties_are_broken_in_row_major_order():
-    # the minimal |entry| 2 sits at (0, 2), (1, 0) and (1, 1): (0, 2) wins
+    # the minimal |entry| 2 sits at (0, 2), (0, 3), (1, 0) and (1, 1); (0, 2) wins,
+    # being in the first row and, within that row, in the first column
     m = IntMatrix.from_rows([[5, 3, -2, 2], [2, -2, 7, 4], [4, 6, 8, 3]])
     dec = smith_normal_form(m)
     assert dec.col_ops[0] == (0, 2)

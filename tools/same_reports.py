@@ -1,10 +1,10 @@
 """Check that two checkouts of bundlesec give byte-identical reports.
 
-    python3 tools/same_reports.py PARENT CHANGE [--seeds 1 2 3]
+    python3 tools/same_reports.py PARENT CHANGE
 
-For each benchmark workload and seed, the inputs are generated once by
-``perfbench/workloads.py`` of CHANGE (read-only; nothing under ``perfbench/``
-is changed), into a temporary directory.  Every op is then run through
+For each benchmark workload and each of the seeds 1, 2 and 3, the inputs are
+generated once by ``perfbench/workloads.py`` of CHANGE (read-only; nothing
+under ``perfbench/`` is changed), into a temporary directory.  Every op is then run through
 ``bundlesec.cli.main`` of each checkout, once with ``--json`` and once as
 text, and the exit code, standard output and standard error are compared.
 Each checkout runs in its own interpreter, started with ``-B`` so that no
@@ -26,6 +26,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from typing import Sequence
 
+SEEDS = (1, 2, 3)
 SHOWN_DIFFERENCES = 10
 
 
@@ -60,7 +61,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     sys.dont_write_bytecode = True  # leave no cache under perfbench/
@@ -69,7 +69,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     total, differences = 0, []
     for workload in workloads.WORKLOADS:
-        for seed in args.seeds:
+        for seed in SEEDS:
             with tempfile.TemporaryDirectory(prefix="same-reports-") as tmp:
                 workdir = Path(tmp)
                 ops = workloads.build(workload, seed, workdir, change / "specs")
