@@ -24,7 +24,9 @@ MAX_ENTRY_BITS bits.
 The abelianization test (lemma 2) writes no word: pi^ab is the cokernel of
 one integer matrix of exponent sums, action columns and offsets, and the
 group a split extension would have is the cokernel of the same matrix with
-the offsets set to zero.
+the offsets set to zero, which is block-diagonal.  Both are read through one
+Smith form of the action block A = [theta(x) - I]_x, the matrix whose
+cokernel is the fibre coinvariants.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .zlinalg import (
     InvariantError,
     Vector,
     cokernel,
-    cyclic_sum,
     smith_normal_form,
 )
 
@@ -312,16 +313,26 @@ def obstruction_class(spec: BundleSpec) -> ObstructionReport:
     return ObstructionReport(lifted, svecs, jw, quotient, coords, verdict)
 
 
+def _action_block(m: int, mats: Sequence[IntMatrix]) -> IntMatrix:
+    """A = [theta(x) - I]_x, the m x m|X| block row of the action matrices
+    less the identity, in the given order."""
+    rows = []
+    for i in range(m):
+        row: List[int] = []
+        for mat in mats:
+            row.extend(mat.data[i])
+            row[len(row) - m + i] -= 1
+        rows.append(tuple(row))
+    return IntMatrix(m, m * len(mats), tuple(rows))
+
+
 def coinvariants(fibre_rank: int, mats: Sequence[IntMatrix]) -> AbelianGroup:
-    """Largest quotient of Z^rank on which all the matrices act trivially."""
-    cols: List[Vector] = []
-    eye = IntMatrix.identity(fibre_rank)
+    """Largest quotient of Z^rank on which all the matrices act trivially:
+    the cokernel of [theta(x) - I]_x."""
     for m in mats:
         if m.rows != fibre_rank or m.cols != fibre_rank:
             raise ValueError("matrix size does not match the fibre rank")
-        diff = m - eye
-        cols.extend(diff.columns())
-    return cokernel(IntMatrix.from_columns(cols, rows=fibre_rank))
+    return cokernel(_action_block(fibre_rank, mats))
 
 
 @dataclass(frozen=True)
@@ -338,7 +349,7 @@ def lemma2_check(base: Presentation, action: LinearRep,
     semidirect product Z^m x|_theta B, whose abelianization is
     (fibre coinvariants) + B^ab.
 
-    pi^ab is the cokernel of one integer matrix whose rows are the base
+    pi^ab is the cokernel of one integer matrix M whose rows are the base
     generators, then the m fibre coordinates: a column (0, column j of
     theta(x) - I) for each x and j, and a column (exponent sums of r,
     -offset_r) for each relator r.  The fibre commutators contribute nothing.
@@ -346,21 +357,47 @@ def lemma2_check(base: Presentation, action: LinearRep,
     set to zero, the abelianization of the split twin: that matrix is
     block-diagonal, diag(exponent sums, [theta(x) - I]_x), so its cokernel is
     B^ab + (fibre coinvariants).
+
+    Both are read from one Smith form U A V = D of the action block
+    A = [theta(x) - I]_x, padded to m pivots d_i.  diag(I, U) M diag(V, I)
+    has the columns d_i e_i and (exponent sums, -U offset_r).  A row with
+    pivot 1 is killed by its own column and drops out, so M has the cokernel
+    of a small matrix: the base rows, then the fibre rows with d_i != 1, one
+    column d_i e_i for each d_i >= 2, and the relator columns on those rows.
+    The split twin is the same small matrix with zero offsets.  Either group
+    projects vectors of the lattice of M: the base part unchanged, the fibre
+    part through the kept rows of U.
     """
     m = action.dim
     n = len(base.generators)
-    eye = IntMatrix.identity(m)
-    pad = _zero(n)
-    action_cols = [pad + col for x in base.generators
-                   for col in (action.matrix(x) - eye).columns()]
-    sums = base.exponent_matrix().columns()
+    sums = base.exponent_matrix()
+    if len(offsets) != len(base.relators):
+        raise ValueError("need one offset per relator")
+    dec = smith_normal_form(_action_block(m, [action.matrix(x) for x in base.generators]))
+    diag = dec.diagonal()
+    diag += (0,) * (m - len(diag))
+    kept = [i for i, d in enumerate(diag) if d != 1]
+    torsion = [i for i in kept if diag[i]]
+    # -U offset_r, as m rows of one entry per relator, from the row log
+    shifted = dec.left_apply([[-off[i] for off in offsets] for i in range(m)])
+    pad = _zero(len(torsion))
+    base_rows = tuple(pad + row for row in sums.data)
+    pivot_rows = [tuple(diag[i] if i == j else 0 for j in torsion) for i in kept]
 
-    def pi_ab(offs: Sequence[Vector]) -> AbelianGroup:
-        offset_cols = [s + tuple(-c for c in off) for s, off in zip(sums, offs, strict=True)]
-        return cokernel(IntMatrix.from_columns(action_cols + offset_cols, rows=n + m))
+    def lift() -> IntMatrix:
+        # Z^(n + m) -> Z^(n + kept): the identity on the base, U's kept rows on the fibre
+        eye = IntMatrix.identity(n).data
+        return IntMatrix(n + len(kept), n + m,
+                         tuple(row + _zero(m) for row in eye)
+                         + tuple(_zero(n) + dec.U.data[i] for i in kept))
 
-    group_ab = pi_ab(offsets)
-    expected = pi_ab([_zero(m)] * len(sums))
+    def pi_ab(fibre_rows: Sequence[Vector]) -> AbelianGroup:
+        rows = base_rows + tuple(p + f for p, f in zip(pivot_rows, fibre_rows))
+        group = cokernel(IntMatrix(n + len(kept), len(torsion) + len(offsets), rows))
+        return AbelianGroup(group.invariant_factors, lambda: group.projection @ lift())
+
+    group_ab = pi_ab([tuple(shifted[i]) for i in kept])
+    expected = pi_ab([_zero(len(offsets))] * len(kept))
     return Lemma2Report(group_ab.invariant_factors == expected.invariant_factors,
                         group_ab, expected)
 
@@ -386,10 +423,10 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
         if not value.is_identity():
             raise MalformedSpec(f"module matrices do not kill the relator {r}")
 
-    # delta1 (m|X| x m): the blocks theta(x) - I stacked
-    eye = IntMatrix.identity(m)
-    d1_rows = [row for x in gens for row in (module.matrix(x) - eye).data]
-    d1 = IntMatrix(m * len(gens), m, tuple(d1_rows))
+    # delta1 (m|X| x m): the blocks theta(x) - I of the action block stacked
+    block = _action_block(m, [module.matrix(x) for x in gens])
+    d1 = IntMatrix(m * len(gens), m, tuple(row[k:k + m] for k in range(0, block.cols, m)
+                                           for row in block.data))
 
     d2 = _delta2(rows, m, len(gens))
     if any(any(row) for row in (d2 @ d1).data):
@@ -398,8 +435,8 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
     dec1 = smith_normal_form(d1)
     dec2 = smith_normal_form(d2)
     torsion = tuple(d for d in dec1.diagonal() if d >= 2)
-    h1 = cyclic_sum(torsion + (0,) * (d2.cols - dec1.rank - dec2.rank))
-    return h1, dec2.cokernel()
+    return (AbelianGroup(torsion + (0,) * (d2.cols - dec1.rank - dec2.rank)),
+            dec2.cokernel())
 
 
 def semidirect_presentation(

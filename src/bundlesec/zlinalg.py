@@ -9,15 +9,15 @@ every cokernel, so it is part of the contract.  The reduction updates only
 the matrix and logs its operations; a column operation touches only the rows
 that are nonzero (live) in the pivot column, since it leaves the others
 unchanged.  The transforms U and V are replayed from the logs when first
-read.
+read, and a cokernel reads U only the first time something projects into it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 
@@ -182,9 +182,8 @@ class IntMatrix:
 Op = Tuple[int, ...]
 
 
-def _replay(n: int, ops: Sequence[Op]) -> IntMatrix:
-    """The n x n identity with the logged row operations applied in order."""
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _apply_ops(ops: Sequence[Op], rows: List[List[int]]) -> List[List[int]]:
+    """The rows with the logged row operations applied in order, in place."""
     for op in ops:
         if len(op) == 2:
             i, j = op
@@ -194,6 +193,12 @@ def _replay(n: int, ops: Sequence[Op]) -> IntMatrix:
             rows[dst] = [x + q * y for x, y in zip(rows[dst], rows[src])]
         else:
             rows[op[0]] = [-x for x in rows[op[0]]]
+    return rows
+
+
+def _replay(n: int, ops: Sequence[Op]) -> IntMatrix:
+    """The n x n identity with the logged row operations applied in order."""
+    rows = _apply_ops(ops, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
     return IntMatrix(n, n, tuple(tuple(row) for row in rows))
 
 
@@ -203,8 +208,8 @@ class SmithDecomposition:
 
     The elimination reduces M alone and logs its row and column operations.
     U and V are replayed from the logs on an identity the first time each is
-    read: the cokernel reads U, the kernel and solutions of M read U and V,
-    and the diagonal reads neither.
+    read: a projection into the cokernel reads U, the kernel and solutions of
+    M read U and V, and the diagonal reads neither.
     """
 
     D: IntMatrix
@@ -228,18 +233,25 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
+    def left_apply(self, rows: Sequence[Sequence[int]]) -> List[List[int]]:
+        """The rows of U @ X, for X given by its rows, from the row log: U is
+        not built."""
+        return _apply_ops(self.row_ops, [list(row) for row in rows])
+
     def kernel_basis(self) -> Tuple[Vector, ...]:
         """A lattice basis of { v : M @ v == 0 }: the columns of V where D e_j == 0."""
         return tuple(self.V.column(j) for j in range(self.rank, self.D.cols))
 
     def cokernel(self) -> "AbelianGroup":
-        """The quotient Z^rows / im(M), with its canonical projection."""
+        """The quotient Z^rows / im(M); its canonical projection, the rows of U
+        at the pivots >= 2 and then at the free rows, is built when first read."""
         diag = self.diagonal()
         torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
         free_rows = [i for i, d in enumerate(diag) if d == 0] + list(range(len(diag), self.D.rows))
         factors = tuple(diag[i] for i in torsion_rows) + tuple(0 for _ in free_rows)
-        proj_rows = tuple(self.U.data[i] for i in torsion_rows + free_rows)
-        return AbelianGroup(factors, IntMatrix(len(factors), self.D.rows, proj_rows))
+        kept = torsion_rows + free_rows
+        return AbelianGroup(factors, lambda: IntMatrix(
+            len(kept), self.D.rows, tuple(self.U.data[i] for i in kept)))
 
     def solve(self, v: Sequence[int]) -> Optional[Vector]:
         """One integer solution x of M @ x == v, or None if there is none."""
@@ -348,11 +360,15 @@ class AbelianGroup:
     ``invariant_factors`` lists torsion factors (each >= 2, divisibility chain)
     followed by zeros, one per infinite cyclic factor.  ``projection`` maps an
     ambient vector to canonical coordinates; coordinate i is taken mod the
-    i-th factor when that factor is nonzero.
+    i-th factor when that factor is nonzero.  It is built by
+    ``make_projection`` the first time it is read, so a group that nothing
+    projects into costs no transform.  Without ``make_projection`` the ambient
+    lattice is Z^(factor count), and the projection is the identity.
     """
 
     invariant_factors: Tuple[int, ...]
-    projection: IntMatrix
+    make_projection: Optional[Callable[[], IntMatrix]] = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         fs = self.invariant_factors
@@ -364,8 +380,15 @@ class AbelianGroup:
                 raise ValueError("free factors must come last")
             if x != 0 and y != 0 and y % x != 0:
                 raise ValueError("divisibility chain violated")
-        if self.projection.rows != len(fs):
+
+    @cached_property
+    def projection(self) -> IntMatrix:
+        if self.make_projection is None:
+            return IntMatrix.identity(len(self.invariant_factors))
+        projection = self.make_projection()
+        if projection.rows != len(self.invariant_factors):
             raise ValueError("projection row count must equal factor count")
+        return projection
 
     @property
     def rank(self) -> int:
@@ -402,14 +425,6 @@ def kernel_basis(m: IntMatrix) -> Tuple[Vector, ...]:
 def solve(m: IntMatrix, v: Sequence[int]) -> Optional[Vector]:
     """One integer solution x of m @ x == v, or None if there is none."""
     return smith_normal_form(m).solve(v)
-
-
-def cyclic_sum(factors: Sequence[int]) -> AbelianGroup:
-    """The sum of the cyclic groups Z/f (Z for f == 0), in canonical form:
-    Z^n modulo the vectors f e_i, one for each nonzero factor."""
-    n = len(factors)
-    cols = [tuple(f if i == j else 0 for i in range(n)) for j, f in enumerate(factors) if f]
-    return cokernel(IntMatrix.from_columns(cols, rows=n))
 
 
 def invariant_factors_by_minors(m: IntMatrix) -> Tuple[int, ...]:

@@ -251,25 +251,43 @@ def test_lemma2_detects_heisenberg():
     assert str(report.expected) == "Z^4"
 
 
-def test_lemma2_makes_two_smith_forms_and_split_check_three(monkeypatch):
+def test_lemma2_makes_three_smith_forms_and_split_check_four(monkeypatch):
     import io
     import pathlib
+    import sys
     from contextlib import redirect_stdout
     from bundlesec import cli, zlinalg
-    calls = _count_calls(monkeypatch, zlinalg, "smith_normal_form")
+    original = zlinalg.smith_normal_form
+    shapes = []
+
+    def recording(m):
+        shapes.append((m.rows, m.cols))
+        return original(m)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("bundlesec") and getattr(mod, "smith_normal_form", None) is original:
+            monkeypatch.setattr(mod, "smith_normal_form", recording)
     shear = IntMatrix.from_rows([[1, 1], [0, 1]])
     lemma2_check(TORUS, LinearRep({"u": shear, "v": I2}, 2), [(1, 0)])
-    # pi^ab and its split twin
-    assert calls == {"smith_normal_form": 2}
+    # the action block (m x m|X|), then pi^ab and its split twin on the base
+    # rows and the one fibre row whose pivot is not 1: one pivot column is
+    # not kept, and the relator keeps its column
+    assert shapes == [(2, 4), (3, 1), (3, 1)]
     root = pathlib.Path(__file__).resolve().parent.parent
-    for path in (root / "specs" / "heisenberg_torus.bundle",
-                 root / "tests" / "specs" / "two_relator_torus.bundle"):
-        calls["smith_normal_form"] = 0
+    # delta2 (m|R| x m|X|), the action block (m x m|X|), then the two small
+    # matrices: heisenberg_torus has pivots (0, 0), so 2 + 2 rows and the one
+    # relator column; two_relator_torus has pivots (1, 2), so 3 + 1 rows, the
+    # column 2 e and the two relator columns
+    for path, expected in ((root / "specs" / "heisenberg_torus.bundle",
+                            [(2, 4), (2, 4), (4, 1), (4, 1)]),
+                           (root / "tests" / "specs" / "two_relator_torus.bundle",
+                            [(4, 6), (2, 6), (4, 3), (4, 3)])):
+        shapes.clear()
         with redirect_stdout(io.StringIO()) as out:
             assert cli.main(["--json", "split-check", str(path)]) == 0
         assert '"lifted": true' in out.getvalue()
         # the cokernel of delta2, one for any number of relators, then lemma 2
-        assert calls == {"smith_normal_form": 3}, path.name
+        assert shapes == expected, path.name
 
 
 def test_lemma2_keeps_a_trivial_relators_offset_out_of_the_coinvariants():

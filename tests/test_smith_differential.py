@@ -6,7 +6,8 @@ factors, because cokernel coordinates are read from the log.
 Inputs are wide (up to 10 x 40) and tall (up to 40 x 10), sparse and dense,
 with zeroed rows and columns, many ties in the minimal |entry| (small or
 scaled entries), and entries up to 2^70; then the delta1, delta2 and lemma-2
-matrices of a genus-12 base with a rank-16 hyperbolic action."""
+matrices of a genus-12 base with a rank-16 hyperbolic action, together with
+the two whole-matrix lemma-2 cokernels of ``lemma2_reference``."""
 
 import random
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from bundlesec import extensions, zlinalg
 from bundlesec.extensions import h1_h2_base, lemma2_check
 from bundlesec.zlinalg import IntMatrix, smith_normal_form
+from lemma2_reference import lemma2_check as reference_lemma2_check
 from smith_reference import smith_normal_form as reference_smith_normal_form
 from test_h1_h2_differential import _random_module, _surface
 
@@ -75,10 +77,13 @@ def test_smith_normal_form_logs_the_reference_operations_at_genus_12_rank_16(mon
 
     monkeypatch.setattr(zlinalg, "smith_normal_form", record)
     monkeypatch.setattr(extensions, "smith_normal_form", record)
+    offsets = [tuple(range(-8, 8))]
     h1_h2_base(base, module)
-    lemma2_check(base, module, [tuple(range(-8, 8))])
+    lemma2_check(base, module, offsets)
+    reference_lemma2_check(base, module, offsets)
     shapes = [(m.rows, m.cols) for m in seen]
-    assert shapes.count((16, 384)) == 1  # delta2
-    assert shapes.count((40, 385)) == 2  # lemma 2, with and without the offsets
+    assert shapes.count((16, 384)) == 2  # delta2, and lemma 2's action block
+    assert shapes.count((40, 385)) == 2  # the reference, with and without the offsets
+    assert len(shapes) == 7  # delta1 and lemma 2's two small matrices besides
     for m in seen:
         _assert_same_elimination(m)

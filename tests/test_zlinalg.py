@@ -7,7 +7,6 @@ from bundlesec.zlinalg import (
     AbelianGroup,
     IntMatrix,
     cokernel,
-    cyclic_sum,
     invariant_factors_by_minors,
     kernel_basis,
     smith_normal_form,
@@ -139,21 +138,44 @@ def test_membership_and_quotient_class():
     assert all(c == 0 for c in cokernel(m).project((2, 3)))
 
 
-def test_cyclic_sum_merges_factors():
-    a = cokernel(IntMatrix.from_rows([[2]]))
-    b = cokernel(IntMatrix.from_rows([[3]]))
-    assert cyclic_sum(a.invariant_factors + b.invariant_factors).invariant_factors == (6,)
-    free = cokernel(IntMatrix.zeros(1, 1))
-    assert str(cyclic_sum(a.invariant_factors + free.invariant_factors)) == "Z + Z/2"
+def test_cokernel_replays_u_only_when_something_projects():
+    m = IntMatrix.from_rows([[2, 4, 1], [-2, 6, 3], [0, 0, 5]])
+    dec = smith_normal_form(m)
+    group = dec.cokernel()
+    assert str(group) == "Z/2 + Z/50"
+    assert "U" not in vars(dec)
+    assert group.project((1, 0, 0)) == group.project((1 + 2, 0 - 2, 0))
+    assert "U" in vars(dec) and "V" not in vars(dec)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(matrices(), st.integers(min_value=0, max_value=3))
+def test_left_apply_is_u_times_the_rows(m, width):
+    rows = [[(3 * i - 2 * j) % 7 - 3 for j in range(width)] for i in range(m.rows)]
+    dec = smith_normal_form(m)
+    applied = dec.left_apply(rows)
+    assert "U" not in vars(dec)
+    x = IntMatrix(m.rows, width, tuple(tuple(row) for row in rows))
+    assert IntMatrix(m.rows, width, tuple(tuple(row) for row in applied)) == dec.U @ x
 
 
 def test_abelian_group_validation():
     with pytest.raises(ValueError):
-        AbelianGroup((1,), IntMatrix.zeros(1, 1))
+        AbelianGroup((1,))
     with pytest.raises(ValueError):
-        AbelianGroup((4, 2), IntMatrix.zeros(2, 2))
+        AbelianGroup((4, 2))
     with pytest.raises(ValueError):
-        AbelianGroup((0, 2), IntMatrix.zeros(2, 2))
+        AbelianGroup((0, 2))
+    # a projection of the wrong height is refused when it is built
+    group = AbelianGroup((2, 0), lambda: IntMatrix.zeros(1, 2))
+    with pytest.raises(ValueError):
+        group.project((1, 1))
+
+
+def test_abelian_group_without_a_projection_is_its_own_lattice():
+    group = AbelianGroup((2, 6, 0))
+    assert str(group) == "Z + Z/2 + Z/6"
+    assert group.project((3, -1, 7)) == (1, 5, 7)
 
 
 @settings(max_examples=100, derandomize=True)
