@@ -4,9 +4,10 @@ Subcommands: abelianize, split-check, cohomology, transgress, endo.
 Reports are deterministic; --json selects machine-readable output.
 Exit codes: 0 success (any mathematical verdict), 2 missing file,
 3 parse error, 4 malformed bundle data (including data over a cap: relator
-letters, Fox-row entry bits, checked on the running prefix of each
-relator's Fox pass), 5 usage error, 6 failed internal check
-(a bug, reported in one line on stderr).
+letters, bits of an integer in a bundle file, Fox-row entry bits, checked on
+the running prefix of each relator's Fox pass), 5 usage error (transgress
+takes exactly one of --k and --range), 6 failed internal check (a bug,
+reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -152,12 +153,8 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_transgress(k: Optional[int], range_text: Optional[str], as_json: bool) -> int:
-    if range_text is not None:
-        ks = _parse_range(range_text)
-    elif k is not None:
-        ks = range(k, k + 1)
-    else:
-        raise MalformedSpec("transgress needs --k or --range")
+    # argparse sets exactly one of k and range_text
+    ks = range(k, k + 1) if range_text is None else _parse_range(range_text)
     # the relator u^-k [x,y] has |k| + 4 letters; the first test bounds the
     # second's loop
     if (4 * (ks.stop - ks.start) > MAX_RELATOR_LETTERS
@@ -247,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("transgress", help="transgression vs evaluation of the class")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--range", dest="range_text", metavar="A..B", default=None)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--k", type=int, default=None)
+    which.add_argument("--range", dest="range_text", metavar="A..B", default=None)
 
     sub.add_parser("endo", help="the genus-3 homology obstruction example")
     return parser

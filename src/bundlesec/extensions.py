@@ -2,10 +2,12 @@
 groups: the relator obstruction, its quotient, the abelianization test, and
 the degree-1/degree-2 cohomology of the base.
 
-A bundle is described by an affine representation of the free group on the
-base generators (the set-theoretic lifts), plus one fibre offset per base
-relator: the presented extension is (fibre x| F(X)) / << r . offset^-1 >>.
-The obstruction s(r) is the fibre value of the relator word under the lifts.
+A torus bundle is described by the action theta of the base generators on
+the fibre Z^m, one translation t_x per base generator (the set-theoretic lift
+of x is (theta(x), t_x)), and one fibre offset per base relator: the
+presented extension is (fibre x| F(X)) / << r . offset^-1 >>.  A Klein-bottle
+bundle lifts each generator to an automorphism and a fibre element.  The
+obstruction s(r) is the fibre value of the relator word under the lifts.
 
 Each base relator r is walked once per spec, by the Fox pass over the
 coefficient module A: it gives theta(r) and the block row
@@ -37,7 +39,6 @@ from operator import add, mul, sub
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .groupring import (
-    AffineRep,
     KbAut,
     KbElement,
     LinearRep,
@@ -131,40 +132,56 @@ def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class TorusBundleSpec:
-    """A Z^m-fibre bundle datum over a presented base."""
+class _BundleDatum:
+    """What the torus and Klein-bottle data share: the base, the coefficient
+    module A of the obstruction, the checks on the lifts and offsets, and the
+    Fox rows."""
 
     base: Presentation
-    fibre_rank: int
-    action_cocycle: AffineRep
-    relator_offsets: Tuple[Vector, ...] = ()
+    coefficients: LinearRep
+    relator_offsets: Tuple
 
-    def __post_init__(self) -> None:
+    def _check(self, lifts: Sequence[Mapping[str, object]], zero_offset: object) -> None:
+        """Check that the base has a relator, that every base generator has
+        an entry in each of the lifts' mappings and that there is one offset
+        per relator; missing offsets are zero_offset."""
         if not self.base.relators:
             raise MalformedSpec("base presentation needs at least one relator")
-        if self.action_cocycle.dim != self.fibre_rank:
-            raise MalformedSpec("affine data does not match the fibre rank")
         for g in self.base.generators:
-            if g not in self.action_cocycle.assignment:
-                raise MalformedSpec(f"no affine pair for base generator {g!r}")
-        offs = self.relator_offsets or tuple(_zero(self.fibre_rank) for _ in self.base.relators)
+            if not all(g in lift for lift in lifts):
+                raise MalformedSpec(f"no lift for base generator {g!r}")
+        offs = self.relator_offsets or (zero_offset,) * len(self.base.relators)
         if len(offs) != len(self.base.relators):
             raise MalformedSpec("need one fibre offset per base relator")
-        for v in offs:
-            if len(v) != self.fibre_rank:
-                raise MalformedSpec("offset has wrong fibre dimension")
-        object.__setattr__(self, "relator_offsets", tuple(tuple(v) for v in offs))
-
-    @property
-    def coefficients(self) -> LinearRep:
-        """The fibre as a module over the base: theta, the matrix part of the lifts."""
-        return self.action_cocycle.linear
+        object.__setattr__(self, "relator_offsets", tuple(offs))
 
     @cached_property
     def fox_rows(self) -> List[FoxRow]:
         """The Fox row of each base relator, made once; s(r), J_w and delta2 read it."""
         return _fox_rows(self.base, self.coefficients)
+
+
+@dataclass(frozen=True)
+class TorusBundleSpec(_BundleDatum):
+    """A Z^m-fibre bundle datum over a presented base: the action theta of
+    the base generators on the fibre, the translation of each generator's
+    lift, and the fibre offset of each relator."""
+
+    base: Presentation
+    coefficients: LinearRep
+    translations: Mapping[str, Vector]
+    relator_offsets: Tuple[Vector, ...] = ()
+
+    def __post_init__(self) -> None:
+        m = self.fibre_rank
+        self._check((self.coefficients.assignment, self.translations), _zero(m))
+        for v in (*(self.translations[g] for g in self.base.generators), *self.relator_offsets):
+            if len(v) != m:
+                raise MalformedSpec("translation or offset has wrong fibre dimension")
+
+    @property
+    def fibre_rank(self) -> int:
+        return self.coefficients.dim
 
     def relator_values(self) -> Tuple[bool, Tuple[Vector, ...], Optional[Vector]]:
         """(lifted, s(r) per relator, S: the s(r) joined in relator order).
@@ -182,7 +199,7 @@ class TorusBundleSpec:
 
 
 @dataclass(frozen=True)
-class KbBundleSpec:
+class KbBundleSpec(_BundleDatum):
     """A Klein-bottle-fibre bundle datum over a presented base."""
 
     base: Presentation
@@ -190,15 +207,7 @@ class KbBundleSpec:
     relator_offsets: Tuple[KbElement, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.base.relators:
-            raise MalformedSpec("base presentation needs at least one relator")
-        for g in self.base.generators:
-            if g not in self.action_cocycle:
-                raise MalformedSpec(f"no Klein-bottle pair for base generator {g!r}")
-        offs = self.relator_offsets or tuple(KbElement.identity() for _ in self.base.relators)
-        if len(offs) != len(self.base.relators):
-            raise MalformedSpec("need one fibre offset per base relator")
-        object.__setattr__(self, "relator_offsets", tuple(offs))
+        self._check((self.action_cocycle,), KbElement.identity())
 
     nonzero_verdict = VERDICT_NO_SECTION
 
@@ -210,11 +219,6 @@ class KbBundleSpec:
              for g, (aut, _) in self.action_cocycle.items()},
             1,
         )
-
-    @cached_property
-    def fox_rows(self) -> List[FoxRow]:
-        """The Fox row of each base relator, made once; J_w and delta2 read it."""
-        return _fox_rows(self.base, self.coefficients)
 
     def evaluate(self, w: Word) -> Tuple[KbElement, KbAut]:
         """Value of a base word under the lifts in fibre x| Aut(fibre)."""
@@ -273,8 +277,7 @@ def s_of_r(spec: TorusBundleSpec, relator_index: int = 0) -> Tuple[IntMatrix, Ve
     part is then the obstruction element in the fibre.
     """
     value, block_row = spec.fox_rows[relator_index]
-    lifts = spec.action_cocycle.assignment
-    t = tuple(c for x in spec.base.generators for c in lifts[x][1])
+    t = tuple(c for x in spec.base.generators for c in spec.translations[x])
     return value, _flat_add(value.apply(spec.relator_offsets[relator_index]), block_row.apply(t))
 
 

@@ -5,10 +5,11 @@ A word is evaluated in a group by one fold, ``evaluate_word``.  Its Fox
 derivatives are evaluated in a ring by one prefix pass, ``fox_jacobian``,
 which also returns the value of the word.  The ring is given by the pass's
 arguments: image, mul, add, sub, one and zero.  The matrix ring of
-``extensions`` (on flat integer tuples), the affine lifts of a torus bundle
-and the Laurent ring of ``transgression`` all read the one pass.  The
-program never forms Fox derivatives as formal group-ring elements, so no
-word problem in the target group ever arises.
+``extensions`` (on flat integer tuples), the lifts of a torus bundle (its
+action theta and one translation per generator) and the Laurent ring of
+``transgression`` all read the one pass.  The program never forms Fox
+derivatives as formal group-ring elements, so no word problem in the target
+group ever arises.
 
 The conveniences ``LinearRep.evaluate_word``, ``evaluate_affine``,
 ``fox_derivative`` (over the formal ring ``FreeRingElement``) and
@@ -99,32 +100,16 @@ def fox_jacobian(w: Word, gens: Sequence[str], image: Callable[[str, int], U],
     return prefix, jac
 
 
-@dataclass(frozen=True)
-class AffineRep:
-    """Assignment of an affine pair (matrix, translation) to each generator.
+def evaluate_affine(w: Word, rep: LinearRep, translations: Mapping[str, Vector]
+                    ) -> Tuple[IntMatrix, Vector]:
+    """The value of w under the lifts (theta(x), t_x) of a torus bundle.
 
-    Pairs multiply by (A, t)(B, s) = (AB, t + A s), so the value of a word w
-    is (theta(w), sum_x theta(d w / d x) t_x), with theta the matrix part:
-    one Fox pass over the linear representation ``linear`` gives both.
+    Lifts multiply by (A, t)(B, s) = (AB, t + A s), so the value is
+    (theta(w), sum_x theta(d w / d x) t_x): one Fox pass over theta gives both.
     """
-
-    assignment: Mapping[str, Tuple[IntMatrix, Vector]]
-    dim: int
-
-    def __post_init__(self) -> None:
-        for g, (_, t) in self.assignment.items():
-            if len(t) != self.dim:
-                raise ValueError(f"affine pair for {g!r} has wrong size")
-        # the matrix part: checked, and its inverses computed, once
-        linear = LinearRep({g: m for g, (m, _) in self.assignment.items()}, self.dim)
-        object.__setattr__(self, "linear", linear)
-
-
-def evaluate_affine(w: Word, rep: AffineRep) -> Tuple[IntMatrix, Vector]:
-    """The value (theta(w), sum_x theta(d w / d x) t_x) of w under the lifts."""
-    value, jac = fox_jacobian(w, rep.assignment, rep.linear.matrix, IntMatrix.__matmul__,
+    value, jac = fox_jacobian(w, translations, rep.matrix, IntMatrix.__matmul__,
                               IntMatrix.identity(rep.dim), IntMatrix.zeros(rep.dim, rep.dim))
-    parts = [(0,) * rep.dim] + [jac[g].apply(t) for g, (_, t) in rep.assignment.items()]
+    parts = [(0,) * rep.dim] + [jac[g].apply(t) for g, t in translations.items()]
     return value, tuple(map(sum, zip(*parts)))
 
 

@@ -27,7 +27,7 @@ from operator import matmul
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .zlinalg import AbelianGroup, IntMatrix
-from .extensions import coinvariants
+from .extensions import VERDICT_NO_SECTION, VERDICT_SPLITS, coinvariants
 
 RANK = 6
 
@@ -155,7 +155,7 @@ def jacobian_obstruction(
 
 def _b1_verdict(monodromy: Iterable[IntMatrix]) -> Tuple[AbelianGroup, Tuple[int, ...], str]:
     group, coords = jacobian_obstruction(monodromy, CURVE_VECTORS["b1"])
-    return group, coords, "SPLITS" if all(c == 0 for c in coords) else "NO_SECTION"
+    return group, coords, VERDICT_SPLITS if all(c == 0 for c in coords) else VERDICT_NO_SECTION
 
 
 def endo_verdict() -> Tuple[AbelianGroup, Tuple[int, ...], str]:

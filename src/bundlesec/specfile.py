@@ -13,6 +13,11 @@ A bundle file has four sections::
     u = 0 0            # translation vector / fibre element per generator
     offset 1 = 1 0     # fibre offset of the 1st base relator (optional)
 
+A torus datum is the action theta, one matrix per base generator, plus a
+translation vector per generator and an offset per relator; both default to
+zero.  Every parsed integer (matrix entry, translation, offset, Klein-bottle
+exponent, rank, relator index) has at most MAX_ENTRY_BITS bits.
+
 Lines starting with '#' are comments; blank lines are ignored.
 Cohomology inputs reuse the same layout without the [cocycle] section.
 """
@@ -22,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .extensions import KbBundleSpec, MalformedSpec, TorusBundleSpec
-from .groupring import KB_AUT_NAMES, AffineRep, KbAut, KbElement, LinearRep, kb_multiply
+from .extensions import MAX_ENTRY_BITS, KbBundleSpec, MalformedSpec, TorusBundleSpec
+from .groupring import KB_AUT_NAMES, KbAut, KbElement, LinearRep, kb_multiply
 from .words import ParseError, Presentation, parse_presentation
 from .zlinalg import IntMatrix
 
@@ -38,6 +43,7 @@ class BundleFile:
     offset_lines: Dict[int, str]
 
     def torus_action(self) -> LinearRep:
+        """theta, from the [action] section: the one place it is parsed."""
         rank = self.fibre_rank
         mats = {g: _parse_matrix(self._action_line(g), rank) for g in self.base.generators}
         try:
@@ -56,20 +62,15 @@ class BundleFile:
         return self.action_lines[g]
 
     def _torus_spec(self) -> TorusBundleSpec:
+        # the action first: its row count refuses a huge rank before a zero
+        # vector of that length is built
+        action = self.torus_action()
         rank = self.fibre_rank
-        assignment = {}
-        for g in self.base.generators:
-            mat = _parse_matrix(self._action_line(g), rank)
-            tvec = _parse_vector(self.cocycle_lines.get(g, ""), rank)
-            assignment[g] = (mat, tvec)
-        offsets = []
-        for i in range(1, len(self.base.relators) + 1):
-            offsets.append(_parse_vector(self.offset_lines.get(i, ""), rank))
-        try:
-            cocycle = AffineRep(assignment, rank)
-        except ValueError as exc:
-            raise MalformedSpec(str(exc)) from exc
-        return TorusBundleSpec(self.base, rank, cocycle, tuple(offsets))
+        translations = {g: _parse_vector(self.cocycle_lines.get(g, ""), rank)
+                        for g in self.base.generators}
+        offsets = tuple(_parse_vector(self.offset_lines.get(i, ""), rank)
+                        for i in range(1, len(self.base.relators) + 1))
+        return TorusBundleSpec(self.base, action, translations, offsets)
 
     def _kb_spec(self) -> KbBundleSpec:
         pairs: Dict[str, Tuple[KbAut, KbElement]] = {
@@ -93,14 +94,26 @@ def _quote(text: str) -> str:
     return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
+def _parse_int(token: str, bad: str) -> int:
+    """int(token), or MalformedSpec(bad) if the token is no integer (int()'s
+    own limit of 4,300 digits included); refused above MAX_ENTRY_BITS bits,
+    so that no value the file spells out outgrows the Fox pass's entry cap
+    or the digit limit of the report."""
+    try:
+        n = int(token)
+    except ValueError as exc:
+        raise MalformedSpec(bad) from exc
+    if n.bit_length() > MAX_ENTRY_BITS:
+        raise MalformedSpec(f"integer {_quote(token)} has more than {MAX_ENTRY_BITS} bits")
+    return n
+
+
 def _parse_vector(text: str, rank: int) -> Tuple[int, ...]:
     text = text.strip()
     if not text:
         return tuple(0 for _ in range(rank))
-    try:
-        vec = tuple(int(tok) for tok in text.split())
-    except ValueError as exc:
-        raise MalformedSpec(f"bad integer vector {_quote(text)}") from exc
+    bad = f"bad integer vector {_quote(text)}"
+    vec = tuple(_parse_int(tok, bad) for tok in text.split())
     if len(vec) != rank:
         raise MalformedSpec(f"vector {_quote(text)} does not have length {rank}")
     return vec
@@ -108,10 +121,9 @@ def _parse_vector(text: str, rank: int) -> Tuple[int, ...]:
 
 def _kb_exponent(token: str, exp: str) -> int:
     """The n of a token 'name^n' (1 for a bare 'name')."""
-    try:
-        return int(exp) if exp else 1
-    except ValueError as exc:
-        raise MalformedSpec(f"bad exponent in Klein-bottle token {_quote(token)}") from exc
+    if not exp:
+        return 1
+    return _parse_int(exp, f"bad exponent in Klein-bottle token {_quote(token)}")
 
 
 def kb_aut_from_word(text: str) -> KbAut:
@@ -199,10 +211,7 @@ def parse_bundle_file(text: str) -> BundleFile:
     if kind == "torus":
         if len(fibre_words) != 2:
             raise MalformedSpec("expected: torus <rank>")
-        try:
-            rank = int(fibre_words[1])
-        except ValueError as exc:
-            raise MalformedSpec("torus rank must be an integer") from exc
+        rank = _parse_int(fibre_words[1], "torus rank must be an integer")
         if rank < 1:
             raise MalformedSpec("torus rank must be positive")
     elif kind == "kb":
@@ -223,10 +232,7 @@ def parse_bundle_file(text: str) -> BundleFile:
         key, value = _split_assignment(line)
         if key.startswith("offset"):
             idx_text = key[len("offset"):].strip()
-            try:
-                idx = int(idx_text) if idx_text else 1
-            except ValueError as exc:
-                raise MalformedSpec(f"bad relator index in {_quote(key)}") from exc
+            idx = _parse_int(idx_text, f"bad relator index in {_quote(key)}") if idx_text else 1
             if not 1 <= idx <= len(base.relators):
                 raise MalformedSpec(f"offset index {idx} out of range")
             if idx in offset_lines:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence, Tuple
 
-from bundlesec.groupring import AffineRep, LinearRep
+from bundlesec.groupring import LinearRep
 from bundlesec.transgression import LaurentElement
 from bundlesec.words import Word
 from bundlesec.zlinalg import IntMatrix, Vector
@@ -135,9 +135,10 @@ def laurent_of_ring_element(e: FreeRingElement, images: Mapping[str, Tuple[int, 
 Affine = Tuple[IntMatrix, Vector]
 
 
-def affine_pair(rep: AffineRep, gen: str, sign: int = 1) -> Affine:
+def affine_pair(rep: LinearRep, translations: Mapping[str, Vector], gen: str,
+                sign: int = 1) -> Affine:
     """The lift of gen^sign: (A, t), or (A^-1, -A^-1 t)."""
-    m, t = rep.assignment[gen]
+    m, t = rep.assignment[gen], translations[gen]
     if sign == 1:
         return m, t
     minv = m.inverse_unimodular()
@@ -150,9 +151,9 @@ def affine_multiply(p: Affine, q: Affine) -> Affine:
     return a @ b, tuple(x + y for x, y in zip(t, a.apply(s)))
 
 
-def evaluate_affine(w: Word, rep: AffineRep) -> Affine:
+def evaluate_affine(w: Word, rep: LinearRep, translations: Mapping[str, Vector]) -> Affine:
     """The affine value of w under the lifts, letter by letter."""
     out: Affine = (IntMatrix.identity(rep.dim), (0,) * rep.dim)
     for g, s in w.letters:
-        out = affine_multiply(out, affine_pair(rep, g, s))
+        out = affine_multiply(out, affine_pair(rep, translations, g, s))
     return out

@@ -18,7 +18,7 @@ from bundlesec.extensions import (
     lemma2_check,
     obstruction_class,
 )
-from bundlesec.groupring import AffineRep
+from bundlesec.groupring import LinearRep
 from bundlesec.words import Word, parse_presentation
 from bundlesec.zlinalg import IntMatrix, smith_normal_form
 from fox_reference import FreeRingElement, fox_derivative
@@ -173,11 +173,11 @@ def test_criterion_7_property_suites():
         vec = lambda: (rng.randint(-4, 4), rng.randint(-4, 4))
         c_u, c_v, offset = vec(), vec(), vec()
         d_u, d_v = vec(), vec()
-        base = TorusBundleSpec(TORUS, 2, AffineRep(
-            {"u": (a, c_u), "v": (b, c_v)}, 2), (offset,))
-        perturbed = TorusBundleSpec(TORUS, 2, AffineRep(
-            {"u": (a, tuple(x + y for x, y in zip(c_u, d_u))),
-             "v": (b, tuple(x + y for x, y in zip(c_v, d_v)))}, 2), (offset,))
+        theta = LinearRep({"u": a, "v": b}, 2)
+        base = TorusBundleSpec(TORUS, theta, {"u": c_u, "v": c_v}, (offset,))
+        perturbed = TorusBundleSpec(TORUS, theta, {
+            "u": tuple(x + y for x, y in zip(c_u, d_u)),
+            "v": tuple(x + y for x, y in zip(c_v, d_v))}, (offset,))
         r1, r2 = obstruction_class(base), obstruction_class(perturbed)
         assert r1.class_coordinates == r2.class_coordinates
         assert r1.verdict == r2.verdict
@@ -186,8 +186,8 @@ def test_criterion_7_property_suites():
     for _ in range(200):
         a, b = _commuting_pair(rng)
         vec = (rng.randint(-4, 4), rng.randint(-4, 4))
-        spec = TorusBundleSpec(TORUS, 2, AffineRep(
-            {"u": (a, vec), "v": (b, (0, 0))}, 2), ((0, 0),))
+        spec = TorusBundleSpec(TORUS, LinearRep({"u": a, "v": b}, 2),
+                               {"u": vec, "v": (0, 0)}, ((0, 0),))
         report = obstruction_class(spec)
         assert report.verdict == "SPLITS"
         assert lemma2_check(TORUS, spec.coefficients, report.s_of_r).is_isomorphic

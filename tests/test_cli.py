@@ -481,6 +481,18 @@ def test_usage_error_exits_5():
     assert run_cli("--help").returncode == 0
 
 
+@pytest.mark.parametrize("flags", [["--k", "3", "--range", "0..1"], []], ids=["both", "neither"])
+def test_transgress_takes_exactly_one_of_k_and_range(capsys, flags):
+    from bundlesec import cli
+
+    assert cli.main(["transgress", *flags]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("not allowed with argument" if flags else "one of the arguments --k --range"
+            " is required") in err
+    assert "Traceback" not in err
+
+
 def test_endo_makes_at_most_80_matrix_products(monkeypatch, capsys):
     from bundlesec import cli
     from bundlesec.zlinalg import IntMatrix

@@ -23,7 +23,6 @@ from bundlesec.groupring import (
     KB_CONJ_X,
     KB_CONJ_Y,
     KB_GAMMA,
-    AffineRep,
     KbAut,
     KbElement,
     LinearRep,
@@ -39,8 +38,8 @@ I2 = IntMatrix.identity(2)
 
 
 def _torus_spec(mat_u, mat_v, c_u=(0, 0), c_v=(0, 0), offset=(0, 0)):
-    rep = AffineRep({"u": (mat_u, tuple(c_u)), "v": (mat_v, tuple(c_v))}, 2)
-    return TorusBundleSpec(TORUS, 2, rep, (tuple(offset),))
+    return TorusBundleSpec(TORUS, LinearRep({"u": mat_u, "v": mat_v}, 2),
+                           {"u": tuple(c_u), "v": tuple(c_v)}, (tuple(offset),))
 
 
 def _kb_spec(aut_u, aut_v, k_u=KbElement.identity(), k_v=KbElement.identity(),
@@ -76,9 +75,8 @@ def test_action_that_does_not_lift():
 
 
 def test_rank_one_fibre_reports_no_splitting():
-    rep = AffineRep({"u": (IntMatrix.identity(1), (0,)),
-                     "v": (IntMatrix.identity(1), (0,))}, 1)
-    spec = TorusBundleSpec(TORUS, 1, rep, ((1,),))
+    rep = LinearRep({"u": IntMatrix.identity(1), "v": IntMatrix.identity(1)}, 1)
+    spec = TorusBundleSpec(TORUS, rep, {"u": (0,), "v": (0,)}, ((1,),))
     report = obstruction_class(spec)
     # a rank-1 fibre is no surface, so only the group-level verdict is made
     assert report.verdict == VERDICT_NO_SPLITTING
@@ -383,11 +381,15 @@ def test_semidirect_products_split(pair, c_u, c_v):
 
 def test_spec_validation():
     with pytest.raises(MalformedSpec):
-        TorusBundleSpec(parse_presentation("< u, v | >"), 2,
-                        AffineRep({"u": (I2, (0, 0)), "v": (I2, (0, 0))}, 2))
+        TorusBundleSpec(parse_presentation("< u, v | >"), LinearRep({"u": I2, "v": I2}, 2),
+                        {"u": (0, 0), "v": (0, 0)})
     with pytest.raises(MalformedSpec):
         _torus_spec(I2, I2, offset=(1,))
     with pytest.raises(MalformedSpec):
-        TorusBundleSpec(TORUS, 2, AffineRep({"u": (I2, (0, 0))}, 2))
+        TorusBundleSpec(TORUS, LinearRep({"u": I2}, 2), {"u": (0, 0)})
+    with pytest.raises(MalformedSpec, match="no lift for base generator 'v'"):
+        TorusBundleSpec(TORUS, LinearRep({"u": I2, "v": I2}, 2), {"u": (0, 0)})
+    with pytest.raises(MalformedSpec, match="wrong fibre dimension"):
+        _torus_spec(I2, I2, c_v=(0, 0, 0))
     with pytest.raises(MalformedSpec):
         KbBundleSpec(TORUS, {"u": (KbAut.identity(), KbElement.identity())})

@@ -10,7 +10,7 @@ centre modules of Klein-bottle fibres."""
 from hypothesis import given, settings, strategies as st
 
 from bundlesec.extensions import KbBundleSpec, TorusBundleSpec, _fox_rows, s_of_r
-from bundlesec.groupring import KB_AUT_NAMES, AffineRep, KbElement, LinearRep
+from bundlesec.groupring import KB_AUT_NAMES, KbElement, LinearRep
 from bundlesec.words import Presentation, Word
 from bundlesec.zlinalg import IntMatrix
 from fox_reference import (
@@ -79,10 +79,12 @@ def _lifts(m):
 def test_s_of_r_matches_the_affine_fold(base, lifts):
     action, vectors = lifts
     m = len(vectors[0])
-    rep = AffineRep({g: (action[g], t) for g, t in zip(GENS, vectors)}, m)
+    rep = LinearRep(action, m)
+    translations = dict(zip(GENS, vectors))
     offsets = tuple(vectors[3:3 + len(base.relators)])
     # the action need not kill the relators
-    spec = TorusBundleSpec(base, m, rep, offsets)
+    spec = TorusBundleSpec(base, rep, translations, offsets)
     eye = IntMatrix.identity(m)
     for i, (r, offset) in enumerate(zip(base.relators, offsets)):
-        assert s_of_r(spec, i) == affine_multiply(evaluate_affine(r, rep), (eye, offset))
+        assert s_of_r(spec, i) == affine_multiply(evaluate_affine(r, rep, translations),
+                                                  (eye, offset))

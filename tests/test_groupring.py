@@ -13,7 +13,6 @@ from bundlesec.groupring import (
     KB_ALPHA,
     KB_CONJ_Y,
     KB_GAMMA,
-    AffineRep,
     KbAut,
     KbElement,
     LinearRep,
@@ -95,21 +94,21 @@ def test_fox_augmentation_is_exponent_sum(w):
 
 def _heisenberg_rep():
     eye = IntMatrix.identity(2)
-    return AffineRep({"u": (eye, (0, 0)), "v": (eye, (0, 0))}, 2)
+    return LinearRep({"u": eye, "v": eye}, 2), {"u": (0, 0), "v": (0, 0)}
 
 
 def test_affine_evaluation_trivial_action():
-    rep = _heisenberg_rep()
-    m, t = evaluate_affine(commutator(Word.gen("u"), Word.gen("v")), rep)
+    rep, translations = _heisenberg_rep()
+    m, t = evaluate_affine(commutator(Word.gen("u"), Word.gen("v")), rep, translations)
     assert m.is_identity()
     assert t == (0, 0)
 
 
 def test_affine_inverse_pairs():
     shear = IntMatrix.from_rows([[1, 1], [0, 1]])
-    rep = AffineRep({"u": (shear, (3, -2))}, 2)
-    forward = affine_pair(rep, "u", 1)
-    backward = affine_pair(rep, "u", -1)
+    rep, translations = LinearRep({"u": shear}, 2), {"u": (3, -2)}
+    forward = affine_pair(rep, translations, "u", 1)
+    backward = affine_pair(rep, translations, "u", -1)
     m, t = affine_multiply(forward, backward)
     assert m.is_identity() and t == (0, 0)
     m, t = affine_multiply(backward, forward)
@@ -119,8 +118,9 @@ def test_affine_inverse_pairs():
 def test_affine_nonabelian_value():
     # theta(u) = shear: the commutator [u,v] picks up a nonzero translation
     shear = IntMatrix.from_rows([[1, 1], [0, 1]])
-    rep = AffineRep({"u": (shear, (0, 0)), "v": (IntMatrix.identity(2), (0, 1))}, 2)
-    m, t = evaluate_affine(commutator(Word.gen("u"), Word.gen("v")), rep)
+    rep = LinearRep({"u": shear, "v": IntMatrix.identity(2)}, 2)
+    m, t = evaluate_affine(commutator(Word.gen("u"), Word.gen("v")), rep,
+                           {"u": (0, 0), "v": (0, 1)})
     assert m.is_identity()
     assert t == (1, 0)
 
@@ -163,9 +163,10 @@ def linear_reps(draw):
 
 @st.composite
 def affine_reps(draw):
+    """theta and one translation per generator."""
     rep = draw(linear_reps())
     vec = st.tuples(*[st.integers(min_value=-3, max_value=3)] * rep.dim)
-    return AffineRep({g: (m, draw(vec)) for g, m in rep.assignment.items()}, rep.dim)
+    return rep, {g: draw(vec) for g in rep.assignment}
 
 
 xy_words = st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from((1, -1))),
@@ -196,22 +197,25 @@ def test_formal_fox_derivative_from_the_pass_matches_the_reference(w, rep):
 
 @settings(max_examples=200, derandomize=True)
 @given(xy_words, affine_reps())
-def test_evaluate_affine_matches_a_letter_by_letter_product(w, rep):
-    assert groupring.evaluate_affine(w, rep) == evaluate_affine(w, rep)
-    assert rep.linear.evaluate_word(w) == linear_value(w, rep.linear)
+def test_evaluate_affine_matches_a_letter_by_letter_product(w, lifts):
+    rep, translations = lifts
+    assert groupring.evaluate_affine(w, rep, translations) == evaluate_affine(w, rep, translations)
+    assert rep.evaluate_word(w) == linear_value(w, rep)
 
 
 @settings(max_examples=200, derandomize=True)
 @given(xy_words, xy_words, affine_reps(), st.data())
-def test_affine_value_from_the_fox_pass_matches_a_letter_by_letter_product(r1, r2, rep, data):
+def test_affine_value_from_the_fox_pass_matches_a_letter_by_letter_product(r1, r2, lifts, data):
     # s(r) = (theta(r), sum_x theta(d r / d x) t_x + theta(r) offset) from the
     # Fox pass; the actions need not lift, and the offsets need not be zero
+    rep, translations = lifts
     vec = st.tuples(*[st.integers(min_value=-3, max_value=3)] * rep.dim)
     offsets = (data.draw(vec), data.draw(vec))
-    spec = TorusBundleSpec(Presentation(("x", "y", "z"), (r1, r2)), rep.dim, rep, offsets)
+    spec = TorusBundleSpec(Presentation(("x", "y", "z"), (r1, r2)), rep, translations, offsets)
     eye = IntMatrix.identity(rep.dim)
     for i, (r, offset) in enumerate(zip((r1, r2), offsets)):
-        assert s_of_r(spec, i) == affine_multiply(evaluate_affine(r, rep), (eye, offset))
+        assert s_of_r(spec, i) == affine_multiply(evaluate_affine(r, rep, translations),
+                                                  (eye, offset))
 
 
 def test_fox_jacobian_in_the_integers():

@@ -24,7 +24,7 @@ from bundlesec.extensions import (
     lemma2_check,
     obstruction_class,
 )
-from bundlesec.groupring import AffineRep, LinearRep
+from bundlesec.groupring import LinearRep
 from bundlesec.specfile import parse_bundle_file
 from bundlesec.words import Presentation, Word, commutator, parse_presentation
 from bundlesec.zlinalg import IntMatrix
@@ -51,8 +51,8 @@ def _split_surface(genus, k):
 
 
 def _spec(base, module, translations, offsets):
-    pairs = {x: (module.matrix(x), translations[x]) for x in base.generators}
-    return TorusBundleSpec(base, module.dim, AffineRep(pairs, module.dim), tuple(offsets))
+    return TorusBundleSpec(base, module, {x: translations[x] for x in base.generators},
+                           tuple(offsets))
 
 
 def _vector(rng, m):

@@ -228,6 +228,30 @@ def test_endo_verdict():
     assert verdict == "NO_SECTION"
 
 
+def test_endo_verdict_from_the_relator_obstruction():
+    # the second route: the genus-3 base with theta the six monodromy
+    # matrices and the offset b1, through obstruction_class and H^2
+    from bundlesec.extensions import TorusBundleSpec, h1_h2_base, obstruction_class
+    from bundlesec.groupring import LinearRep
+    from bundlesec.words import parse_presentation
+
+    base = parse_presentation("< x1, y1, x2, y2, x3, y3 | [x1,y1] [x2,y2] [x3,y3] >")
+    theta = LinearRep(dict(zip(base.generators, endo_monodromy())), RANK)
+    spec = TorusBundleSpec(base, theta, {g: (0,) * RANK for g in base.generators},
+                           (CURVE_VECTORS["b1"],))
+    report = obstruction_class(spec)
+    assert report.lifted
+    assert report.quotient.invariant_factors == (2, 2, 2, 2)
+    assert report.class_coordinates == ((1, 0, 0, 0),)
+    assert h1_h2_base(base, theta)[1].invariant_factors == (2, 2, 2, 2)
+    # the coinvariants and the class of [b1] that `endo` prints
+    group, coords, _ = endo_verdict()
+    assert str(report.quotient) == str(group) == "Z/2 + Z/2 + Z/2 + Z/2"
+    assert report.class_coordinates == (coords,)
+    # a rank-6 torus is no surface group, so the verdict is the group-level one
+    assert report.verdict == "NO_SPLITTING"
+
+
 def test_jacobian_obstruction_generating_set_independence():
     b1 = CURVE_VECTORS["b1"]
     four = [transvection(CURVE_VECTORS[n]) for n in ("x0", "y0", "z0")] + [HYPERELLIPTIC]

@@ -41,7 +41,7 @@ def test_parse_torus_bundle():
     spec = bundle.to_spec()
     assert isinstance(spec, TorusBundleSpec)
     assert spec.fibre_rank == 2
-    assert spec.action_cocycle.assignment["v"][1] == (1, -2)
+    assert spec.translations["v"] == (1, -2)
     assert spec.relator_offsets == ((3, 4),)
 
 
@@ -59,7 +59,7 @@ def test_parse_kb_bundle():
 def test_missing_cocycle_defaults_to_zero():
     text = TORUS_TEXT.replace("[cocycle]\nu = 0 0\nv = 1 -2\noffset 1 = 3 4\n", "")
     spec = parse_bundle_file(text).to_spec()
-    assert spec.action_cocycle.assignment["v"][1] == (0, 0)
+    assert spec.translations["v"] == (0, 0)
     assert spec.relator_offsets == ((0, 0),)
 
 
@@ -160,6 +160,73 @@ def test_long_offending_text_is_clipped_to_one_short_line(tmp_path, capsys, fibr
     assert len(err.encode()) < 200
     assert needle in err
     assert "characters)" in err
+
+
+NINES = "9" * 4300  # as many digits as int() converts
+K = "9" * 4299 + "8"  # 2K has 4,301 digits, more than the report could print
+
+
+@pytest.mark.parametrize("text", [
+    "[base]\n< u, v | u^2 v^-2 >\n[fibre]\ntorus 1\n[action]\nu = 1\nv = 1\n"
+    f"[cocycle]\nu = {NINES}\n",
+    f"[base]\n< u | u^2 >\n[fibre]\nkb\n[action]\nu = id\n[cocycle]\nu = x^{K}\n"
+    f"offset 1 = x^{K}\n",
+    f"[base]\n< u, v | [u,v] >\n[fibre]\ntorus 2\n[action]\nu = 1 {NINES} ; 0 1\n"
+    "v = 1 0 ; 0 1\n",
+    f"[base]\n< u, v | [u,v] >\n[fibre]\ntorus {NINES}\n[action]\nu = 1\nv = 1\n",
+    f"[base]\n< u, v | [u,v] >\n[fibre]\ntorus 1\n[action]\nu = 1\nv = 1\n"
+    f"[cocycle]\noffset {NINES} = 1\n",
+], ids=["torus_translation", "kb_exponents", "matrix_entry", "rank", "relator_index"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_integers_over_the_bit_cap_exit_4_in_one_short_line(tmp_path, capsys, text, as_json):
+    from bundlesec import cli
+
+    path = tmp_path / "huge_integer.bundle"
+    path.write_text(text)
+    assert cli.main(["--json"] * as_json + ["split-check", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert "has more than 1024 bits" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["u = 1 {n} ; 0 1", "u = 1 0 ; 0 1\n[cocycle]\nu = {n} 0",
+                                  "u = 1 0 ; 0 1\n[cocycle]\noffset 1 = 0 -{n}"],
+                         ids=["matrix_entry", "translation", "offset"])
+def test_the_integer_bit_cap_boundary(line):
+    def spec(n):
+        return parse_bundle_file(TORUS_TEXT.split("[action]")[0] + "[action]\nv = 1 0 ; 0 1\n"
+                                 + line.format(n=n) + "\n").to_spec()
+
+    spec(2 ** 1024 - 1)  # 1,024 bits
+    with pytest.raises(MalformedSpec, match="has more than 1024 bits"):
+        spec(2 ** 1024)
+
+
+@pytest.mark.parametrize("parse, word", [(kb_element_from_word, "x^{n}"),
+                                         (kb_aut_from_word, "alpha^-{n}")])
+def test_kb_exponent_bit_cap_boundary(parse, word):
+    parse(word.format(n=2 ** 1024 - 1))
+    with pytest.raises(MalformedSpec, match="has more than 1024 bits"):
+        parse(word.format(n=2 ** 1024))
+
+
+def test_a_huge_rank_is_refused_by_the_action_before_any_vector_is_built(monkeypatch):
+    from bundlesec import specfile
+
+    parse_vector = specfile._parse_vector
+
+    def no_zero_vector(text, rank):
+        # a default translation or offset would be `rank` zeros
+        assert text.strip(), "a zero vector was built before the action was checked"
+        return parse_vector(text, rank)
+
+    monkeypatch.setattr(specfile, "_parse_vector", no_zero_vector)
+    text = TORUS_TEXT.replace("torus 2", "torus 1000000000").replace("u = 0 0\n", "")
+    with pytest.raises(MalformedSpec, match="does not have 1000000000 rows"):
+        parse_bundle_file(text).to_spec()
 
 
 def test_long_content_before_any_section_is_clipped():
