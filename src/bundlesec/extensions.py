@@ -147,9 +147,11 @@ class _BundleDatum:
         per relator; missing offsets are zero_offset."""
         if not self.base.relators:
             raise MalformedSpec("base presentation needs at least one relator")
-        for g in self.base.generators:
-            if not all(g in lift for lift in lifts):
-                raise MalformedSpec(f"no lift for base generator {g!r}")
+        gens = self.base.generators
+        for lift in lifts:
+            if not all(map(lift.__contains__, gens)):
+                missing = next(g for g in gens if g not in lift)
+                raise MalformedSpec(f"no lift for base generator {missing!r}")
         offs = self.relator_offsets or (zero_offset,) * len(self.base.relators)
         if len(offs) != len(self.base.relators):
             raise MalformedSpec("need one fibre offset per base relator")

@@ -94,17 +94,26 @@ def _quote(text: str) -> str:
     return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
+# the largest |integer| a file may spell out: no value it gives outgrows the
+# Fox pass's entry cap or the digits a report can print.  A text shorter
+# than the cap's 309 digits holds no integer above it.
+_INT_CAP = (1 << MAX_ENTRY_BITS) - 1
+_SHORT_TEXT = len(str(_INT_CAP)) - 1
+
+
+def _too_big(token: str) -> MalformedSpec:
+    return MalformedSpec(f"integer {_quote(token)} has more than {MAX_ENTRY_BITS} bits")
+
+
 def _parse_int(token: str, bad: str) -> int:
-    """int(token), or MalformedSpec(bad) if the token is no integer (int()'s
-    own limit of 4,300 digits included); refused above MAX_ENTRY_BITS bits,
-    so that no value the file spells out outgrows the Fox pass's entry cap
-    or the digit limit of the report."""
+    """int(token) of at most MAX_ENTRY_BITS bits, or MalformedSpec(bad) if
+    the token is no integer (int()'s own limit of 4,300 digits included)."""
     try:
         n = int(token)
     except ValueError as exc:
         raise MalformedSpec(bad) from exc
-    if n.bit_length() > MAX_ENTRY_BITS:
-        raise MalformedSpec(f"integer {_quote(token)} has more than {MAX_ENTRY_BITS} bits")
+    if abs(n) > _INT_CAP:
+        raise _too_big(token)
     return n
 
 
@@ -112,8 +121,13 @@ def _parse_vector(text: str, rank: int) -> Tuple[int, ...]:
     text = text.strip()
     if not text:
         return tuple(0 for _ in range(rank))
-    bad = f"bad integer vector {_quote(text)}"
-    vec = tuple(_parse_int(tok, bad) for tok in text.split())
+    tokens = text.split()
+    try:
+        vec = tuple(map(int, tokens))
+    except ValueError as exc:
+        raise MalformedSpec(f"bad integer vector {_quote(text)}") from exc
+    if len(text) > _SHORT_TEXT and (max(vec) > _INT_CAP or min(vec) < -_INT_CAP):
+        raise _too_big(next(tok for tok, n in zip(tokens, vec) if abs(n) > _INT_CAP))
     if len(vec) != rank:
         raise MalformedSpec(f"vector {_quote(text)} does not have length {rank}")
     return vec
