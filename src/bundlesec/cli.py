@@ -4,10 +4,9 @@ Subcommands: abelianize, split-check, cohomology, transgress, endo.
 Reports are deterministic; --json selects machine-readable output.
 Exit codes: 0 success (any mathematical verdict), 2 missing file,
 3 parse error, 4 malformed bundle data (including data over a cap: relator
-letters, bits of an integer in a bundle file, Fox-row entry bits, checked on
-the running prefix of each relator's Fox pass), 5 usage error (transgress
-takes exactly one of --k and --range), 6 failed internal check (a bug,
-reported in one line on stderr).
+letters, bits of a bundle file's integers, Fox-row entry bits, checked on the
+running prefix of each relator's Fox pass), 5 usage error (transgress takes
+one of --k and --range), 6 failed internal check (a bug, in one stderr line).
 """
 
 from __future__ import annotations

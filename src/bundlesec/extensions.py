@@ -133,25 +133,21 @@ def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
 
 
 class _BundleDatum:
-    """What the torus and Klein-bottle data share: the base, the coefficient
-    module A of the obstruction, the checks on the lifts and offsets, and the
-    Fox rows."""
+    """What the torus and Klein-bottle data share: the base, the module A,
+    the checks on the lifts and offsets, and the Fox rows."""
 
     base: Presentation
     coefficients: LinearRep
     relator_offsets: Tuple
 
     def _check(self, lifts: Sequence[Mapping[str, object]], zero_offset: object) -> None:
-        """Check that the base has a relator, that every base generator has
-        an entry in each of the lifts' mappings and that there is one offset
-        per relator; missing offsets are zero_offset."""
+        """Check that the base has a relator, that each of the lifts' mappings
+        has every base generator and that there is one offset per relator."""
         if not self.base.relators:
             raise MalformedSpec("base presentation needs at least one relator")
-        gens = self.base.generators
-        for lift in lifts:
-            if not all(map(lift.__contains__, gens)):
-                missing = next(g for g in gens if g not in lift)
-                raise MalformedSpec(f"no lift for base generator {missing!r}")
+        for g in self.base.generators:
+            if not all(g in lift for lift in lifts):
+                raise MalformedSpec(f"no lift for base generator {g!r}")
         offs = self.relator_offsets or (zero_offset,) * len(self.base.relators)
         if len(offs) != len(self.base.relators):
             raise MalformedSpec("need one fibre offset per base relator")

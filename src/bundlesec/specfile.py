@@ -13,10 +13,8 @@ A bundle file has four sections::
     u = 0 0            # translation vector / fibre element per generator
     offset 1 = 1 0     # fibre offset of the 1st base relator (optional)
 
-A torus datum is the action theta, one matrix per base generator, plus a
-translation vector per generator and an offset per relator; both default to
-zero.  Every parsed integer (matrix entry, translation, offset, Klein-bottle
-exponent, rank, relator index) has at most MAX_ENTRY_BITS bits.
+A torus datum is theta plus a translation per generator and an offset per
+relator (zero by default).  No integer may exceed MAX_ENTRY_BITS bits.
 
 Lines starting with '#' are comments; blank lines are ignored.
 Cohomology inputs reuse the same layout without the [cocycle] section.
@@ -94,15 +92,10 @@ def _quote(text: str) -> str:
     return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
-# the largest |integer| a file may spell out: no value it gives outgrows the
-# Fox pass's entry cap or the digits a report can print.  A text shorter
-# than the cap's 309 digits holds no integer above it.
+# no integer of a file outgrows the Fox pass's entry cap or the digits a
+# report prints; a text shorter than the cap's 309 digits holds none larger
 _INT_CAP = (1 << MAX_ENTRY_BITS) - 1
 _SHORT_TEXT = len(str(_INT_CAP)) - 1
-
-
-def _too_big(token: str) -> MalformedSpec:
-    return MalformedSpec(f"integer {_quote(token)} has more than {MAX_ENTRY_BITS} bits")
 
 
 def _parse_int(token: str, bad: str) -> int:
@@ -113,7 +106,7 @@ def _parse_int(token: str, bad: str) -> int:
     except ValueError as exc:
         raise MalformedSpec(bad) from exc
     if abs(n) > _INT_CAP:
-        raise _too_big(token)
+        raise MalformedSpec(f"integer {_quote(token)} has more than {MAX_ENTRY_BITS} bits")
     return n
 
 
@@ -121,13 +114,13 @@ def _parse_vector(text: str, rank: int) -> Tuple[int, ...]:
     text = text.strip()
     if not text:
         return tuple(0 for _ in range(rank))
-    tokens = text.split()
     try:
-        vec = tuple(map(int, tokens))
+        vec = tuple(map(int, text.split()))
     except ValueError as exc:
         raise MalformedSpec(f"bad integer vector {_quote(text)}") from exc
-    if len(text) > _SHORT_TEXT and (max(vec) > _INT_CAP or min(vec) < -_INT_CAP):
-        raise _too_big(next(tok for tok, n in zip(tokens, vec) if abs(n) > _INT_CAP))
+    if len(text) > _SHORT_TEXT:
+        for tok in text.split():
+            _parse_int(tok, "")  # every token is an integer: refuses one over the cap
     if len(vec) != rank:
         raise MalformedSpec(f"vector {_quote(text)} does not have length {rank}")
     return vec
