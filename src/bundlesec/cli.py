@@ -18,16 +18,16 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .extensions import MalformedSpec, TorusBundleSpec, h1_h2_base, lemma2_check
-from .extensions import obstruction_class
+from .extensions import VERDICT_NO_SECTION, VERDICT_SPLITS, coinvariants, obstruction_class
 from .mcg import (
-    endo_monodromy,
-    endo_relation_check,
-    endo_verdict,
-    kb_base_variant,
+    CURVE_VECTORS,
+    KB_VARIANT_GENERATORS,
+    RANK,
+    TORUS_PULLBACK_GENERATORS,
+    endo_spec,
     lantern_check,
-    torus_pullback_info,
 )
-from .specfile import parse_bundle_file
+from .specfile import _quote, parse_bundle_file
 from .transgression import CentralExtensionSpec, transgress, xi_star
 from .words import MAX_RELATOR_LETTERS, ParseError, abelianization, parse_presentation
 from .zlinalg import InvariantError
@@ -145,9 +145,9 @@ def _parse_range(text: str) -> range:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
     except ValueError as exc:
-        raise MalformedSpec(f"bad range {text!r}; expected a..b") from exc
+        raise MalformedSpec(f"bad range {_quote(text)}; expected a..b") from exc
     if lo > hi:
-        raise MalformedSpec(f"empty range {text!r}")
+        raise MalformedSpec(f"empty range {_quote(text)}")
     return range(lo, hi + 1)
 
 
@@ -180,13 +180,29 @@ def cmd_transgress(k: Optional[int], range_text: Optional[str], as_json: bool) -
     return EXIT_OK
 
 
+def _genus3_verdict(coords: Sequence[int]) -> str:
+    # the fibre is a genus-3 surface group, so a nonzero class rules out a section
+    return VERDICT_NO_SECTION if any(coords) else VERDICT_SPLITS
+
+
 def cmd_endo(as_json: bool) -> int:
-    mats = endo_monodromy()
+    spec = endo_spec()
+    mats = [spec.coefficients.matrix(g) for g in spec.base.generators]
     lantern = lantern_check()
-    relation = endo_relation_check(mats)
-    group, coords, verdict = endo_verdict()
-    kb_group, kb_coords, kb_verdict = kb_base_variant()
-    tp_group, tp_coords = torus_pullback_info()
+    # theta(r) from the Fox pass is the commutator product of the six matrices
+    obstruction = obstruction_class(spec)
+    relation = obstruction.lifted
+    group = obstruction.quotient
+    (coords,) = obstruction.class_coordinates
+    verdict = _genus3_verdict(coords)
+    # the Klein-bottle variant and its pullback keep the coinvariants: over the
+    # Klein bottle the pipeline would give H^2 with the orientation twist
+    b1 = CURVE_VECTORS["b1"]
+    kb_group = coinvariants(RANK, KB_VARIANT_GENERATORS)
+    kb_coords = kb_group.project(b1)
+    kb_verdict = _genus3_verdict(kb_coords)
+    tp_group = coinvariants(RANK, TORUS_PULLBACK_GENERATORS)
+    tp_coords = tp_group.project(b1)
     result = {
         "monodromy": [[list(row) for row in m.data] for m in mats],
         "lantern": lantern,

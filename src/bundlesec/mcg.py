@@ -3,8 +3,10 @@
 The surface is the boundary of (4-holed sphere) x [0,1]: two copies of the
 holed sphere glued along the four boundary circles, a closed orientable
 surface of genus 3.  H_1 carries the intersection pairing; Dehn twists act
-by transvections.  Everything here happens in H_1 = Z^6, which is all the
-splitting criterion for the associated Jacobian bundle needs.
+by transvections.  This module keeps the curve model, the twists, the
+lantern check and the data of the genus-3 example: ``endo_spec`` writes the
+example as a bundle datum over the genus-3 base, and ``obstruction_class``
+decides it like any other torus datum, on the module H_1 = Z^6.
 
 A mapping class is its action on H_1: a plain 6x6 ``IntMatrix``.
 ``form_sign`` checks that a matrix preserves or reverses the intersection
@@ -26,8 +28,10 @@ from functools import reduce
 from operator import matmul
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .zlinalg import AbelianGroup, IntMatrix
-from .extensions import VERDICT_NO_SECTION, VERDICT_SPLITS, coinvariants
+from .extensions import TorusBundleSpec
+from .groupring import LinearRep
+from .words import parse_presentation
+from .zlinalg import IntMatrix
 
 RANK = 6
 
@@ -129,54 +133,26 @@ def endo_monodromy() -> Tuple[IntMatrix, ...]:
     return (tx, ty @ tz @ f, ty, tz @ f, tz, f @ ty)
 
 
-def endo_relation_check(mats: Sequence[IntMatrix]) -> bool:
-    """The product [m1,m2][m3,m4][m5,m6] must be the identity on H_1:
-    it represents an inner automorphism of the fibre group."""
-    if len(mats) != 6:
-        raise ValueError("expected six monodromy matrices")
-    return _product(
-        p @ q @ p.inverse_unimodular() @ q.inverse_unimodular()
-        for p, q in zip(mats[::2], mats[1::2])
-    ).is_identity()
+def endo_spec() -> TorusBundleSpec:
+    """The example as bundle data over < x1, y1, x2, y2, x3, y3 |
+    [x1,y1] [x2,y2] [x3,y3] >: theta is the six monodromy matrices in
+    generator order, the translations are zero and the offset is b1.  The
+    relator lifts exactly when [m1,m2][m3,m4][m5,m6] is the identity on H_1."""
+    base = parse_presentation("< x1, y1, x2, y2, x3, y3 | [x1,y1] [x2,y2] [x3,y3] >")
+    theta = LinearRep(dict(zip(base.generators, endo_monodromy())), RANK)
+    return TorusBundleSpec(base, theta, {g: (0,) * RANK for g in base.generators},
+                           (CURVE_VECTORS["b1"],))
 
 
-def jacobian_obstruction(
-    monodromy: Iterable[IntMatrix], g_class: Sequence[int]
-) -> Tuple[AbelianGroup, Tuple[int, ...]]:
-    """Coinvariants of H_1 under the monodromy group, and the class of g.
+_LANTERN_PRODUCT = _product(LANTERN_TWISTS)
 
-    The Jacobian bundle splits over the abelianized fibre if and only if the
-    class of g vanishes here; a nonzero class rules out a section of the
-    surface bundle itself.
-    """
-    group = coinvariants(RANK, list(monodromy))
-    return group, group.project(tuple(g_class))
+#: The monodromy generators of the variant over the Klein bottle:
+#: t_x0 t_y0 t_z0 and the reflection across the gluing circles.
+KB_VARIANT_GENERATORS = (_LANTERN_PRODUCT, REFLECTION)
 
-
-def _b1_verdict(monodromy: Iterable[IntMatrix]) -> Tuple[AbelianGroup, Tuple[int, ...], str]:
-    group, coords = jacobian_obstruction(monodromy, CURVE_VECTORS["b1"])
-    return group, coords, VERDICT_SPLITS if all(c == 0 for c in coords) else VERDICT_NO_SECTION
-
-
-def endo_verdict() -> Tuple[AbelianGroup, Tuple[int, ...], str]:
-    """Run the full genus-3 example: the monodromy image is generated by
-    t_x0, t_y0, t_z0 and the hyperelliptic involution."""
-    return _b1_verdict(LANTERN_TWISTS + (HYPERELLIPTIC,))
-
-
-def kb_base_variant() -> Tuple[AbelianGroup, Tuple[int, ...], str]:
-    """The variant over the Klein bottle: monodromy generated by
-    t_x0 t_y0 t_z0 and the reflection across the gluing circles."""
-    product = _product(LANTERN_TWISTS)
-    return _b1_verdict([product, REFLECTION])
-
-
-def torus_pullback_info() -> Tuple[AbelianGroup, Tuple[int, ...]]:
-    """Pulling the Klein-bottle variant back to the orientation torus cover
-    leaves cyclic monodromy.  On H_1 that generator is trivial, so the
-    homology criterion sees no obstruction; this is informational only — a
-    zero class here does not by itself produce a section.
-    """
-    product = _product(LANTERN_TWISTS)
-    generator = product @ REFLECTION @ product @ REFLECTION.inverse_unimodular()
-    return jacobian_obstruction([generator], CURVE_VECTORS["b1"])
+#: The one monodromy generator left by pulling the Klein-bottle variant back
+#: to the orientation torus cover, P R P R^-1 with P = t_x0 t_y0 t_z0 and R
+#: the reflection.  It acts trivially on H_1, so its coinvariants are all of
+#: H_1; ``endo`` prints them for information, with no verdict.
+TORUS_PULLBACK_GENERATORS = (
+    _LANTERN_PRODUCT @ REFLECTION @ _LANTERN_PRODUCT @ REFLECTION.inverse_unimodular(),)

@@ -23,7 +23,7 @@ Cohomology inputs reuse the same layout without the [cocycle] section.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .extensions import MAX_ENTRY_BITS, KbBundleSpec, MalformedSpec, TorusBundleSpec
 from .groupring import KB_AUT_NAMES, KbAut, KbElement, LinearRep, kb_multiply
@@ -84,12 +84,12 @@ class BundleFile:
 QUOTE_CHARS = 60
 
 
-def _quote(text: str) -> str:
-    """repr(text), clipped to its first QUOTE_CHARS characters and its length,
+def _quote(text: str, show: Callable[[str], str] = repr) -> str:
+    """show(text), clipped to its first QUOTE_CHARS characters and its length,
     so that an error about a long line is still one short line."""
     if len(text) <= QUOTE_CHARS:
-        return repr(text)
-    return f"{text[:QUOTE_CHARS]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:QUOTE_CHARS])}... ({len(text)} characters)"
 
 
 # no integer of a file outgrows the Fox pass's entry cap or the digits a
@@ -179,7 +179,7 @@ def _parse_matrix(text: str, rank: int) -> IntMatrix:
     if not all(part.strip() for part in parts):
         raise MalformedSpec(f"matrix {_quote(text)} has an empty row")
     if len(parts) != rank:
-        raise MalformedSpec(f"matrix {_quote(text)} does not have {rank} rows")
+        raise MalformedSpec(f"matrix {_quote(text)} does not have {_quote(str(rank), str)} rows")
     return IntMatrix.from_rows([_parse_vector(part, rank) for part in parts])
 
 

@@ -193,7 +193,7 @@ def transgress(spec: CentralExtensionSpec) -> int:
     return (lam * r_u).augmentation()
 
 
-def xi_star(spec: CentralExtensionSpec, cycle_multiplicity: int = 1) -> int:
+def xi_star(spec: CentralExtensionSpec) -> int:
     """Evaluate the extension class on the fundamental cycle by computing the
     relator word through the section lifts inside the group itself.
 
@@ -211,9 +211,8 @@ def xi_star(spec: CentralExtensionSpec, cycle_multiplicity: int = 1) -> int:
         return (-m - k * a * b, -a, -b)
 
     lifts = {"x": (0, 1, 0), "y": (0, 0, 1)}
-    word = _BASE_RELATOR ** cycle_multiplicity
     value = (0, 0, 0)
-    for g, s in word.letters:
+    for g, s in _BASE_RELATOR.letters:
         p = lifts[g]
         value = mul(value, p if s == 1 else inv(p))
     if value[1] != 0 or value[2] != 0:

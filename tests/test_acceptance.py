@@ -100,12 +100,17 @@ def test_criterion_5_endo_example():
 
 
 def test_criterion_6_kb_base_variant():
-    start = time.monotonic()
-    from bundlesec.mcg import kb_base_variant
-    group, coords, verdict = kb_base_variant()
-    elapsed = time.monotonic() - start
+    from bundlesec.extensions import coinvariants
+    from bundlesec.mcg import CURVE_VECTORS, KB_VARIANT_GENERATORS, RANK
+
+    report, elapsed = run_cli_json("endo")
+    variant = report["result"]["kb_variant"]
+    group = coinvariants(RANK, KB_VARIANT_GENERATORS)
+    coords = group.project(CURVE_VECTORS["b1"])
+    assert variant["coinvariants"] == str(group)
+    assert variant["class_of_g"] == list(coords)
     assert any(c != 0 for c in coords)
-    assert verdict == "NO_SECTION"
+    assert variant["verdict"] == "NO_SECTION"
     assert elapsed < 1.0
     _passline(6, f"Klein-bottle base variant: class of g nonzero in {group}, "
                  f"NO_SECTION ({elapsed:.3f}s)")

@@ -121,6 +121,23 @@ def test_exit_code_malformed_spec(tmp_path):
     assert out.returncode == 4
 
 
+def test_range_errors_quote_at_most_60_characters(capsys):
+    from bundlesec import cli
+
+    out = run_cli("transgress", "--range=1.." + "9" * 5000 + "x")
+    assert out.returncode == 4
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1
+    assert len(out.stderr.encode()) < 200
+    assert "(5004 characters)" in out.stderr
+    assert "Traceback" not in out.stderr
+    # a value of at most 60 characters is quoted whole, as before
+    for value, message in (("a..b", "bad range 'a..b'; expected a..b"),
+                           ("5..1", "empty range '5..1'")):
+        assert cli.main(["transgress", "--range", value]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cohomology_of_a_module_that_misses_the_relator_exits_4(tmp_path):
     bad = tmp_path / "shear_flip.bundle"
     bad.write_text("[base]\n< u, v | [u,v] >\n[fibre]\ntorus 2\n"

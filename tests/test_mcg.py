@@ -1,22 +1,29 @@
 """Mapping-class computations, validated against the cellular oracle."""
 
+import dataclasses
+import io
+import json
+from contextlib import redirect_stdout
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bundlesec import cli
+from bundlesec.extensions import coinvariants, h1_h2_base, obstruction_class
+from bundlesec.groupring import LinearRep
 from bundlesec.mcg import (
     CURVE_VECTORS,
     HYPERELLIPTIC,
+    KB_VARIANT_GENERATORS,
+    LANTERN_TWISTS,
     PAIRING,
     RANK,
     REFLECTION,
+    TORUS_PULLBACK_GENERATORS,
     endo_monodromy,
-    endo_relation_check,
-    endo_verdict,
+    endo_spec,
     form_sign,
-    jacobian_obstruction,
-    kb_base_variant,
     lantern_check,
-    torus_pullback_info,
     transvection,
 )
 from bundlesec.zlinalg import IntMatrix
@@ -206,10 +213,27 @@ def test_lantern_negative_control():
     assert not lantern_check(wrong)
 
 
+def _endo_report():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["--json", "endo"]) == 0
+    return json.loads(buf.getvalue())
+
+
+def _with_monodromy(mats):
+    spec = endo_spec()
+    return dataclasses.replace(
+        spec, coefficients=LinearRep(dict(zip(spec.base.generators, mats)), RANK))
+
+
 def test_endo_relation():
-    mats = endo_monodromy()
+    # theta of the surface relator, from the Fox pass, is the commutator
+    # product [m1,m2][m3,m4][m5,m6]
+    spec = endo_spec()
+    mats = [spec.coefficients.matrix(g) for g in spec.base.generators]
+    assert tuple(mats) == endo_monodromy()
     assert len(mats) == 6
-    assert endo_relation_check(mats)
+    assert obstruction_class(spec).lifted
     for m in mats:
         assert form_sign(m) == 1
 
@@ -218,65 +242,71 @@ def test_endo_relation_negative_control():
     mats = list(endo_monodromy())
     # a twist along a curve meeting x0 does not commute with t_x0
     mats[1] = transvection((0, 0, 0, 1, 0, 0))
-    assert not endo_relation_check(mats)
+    assert not obstruction_class(_with_monodromy(mats)).lifted
 
 
 def test_endo_verdict():
-    group, coords, verdict = endo_verdict()
-    assert group.invariant_factors == (2, 2, 2, 2)
-    assert any(c != 0 for c in coords)
-    assert verdict == "NO_SECTION"
+    report = _endo_report()
+    assert report["result"]["coinvariants"] == "Z/2 + Z/2 + Z/2 + Z/2"
+    assert any(c != 0 for c in report["result"]["class_of_g"])
+    assert report["verdict"] == "NO_SECTION"
 
 
 def test_endo_verdict_from_the_relator_obstruction():
-    # the second route: the genus-3 base with theta the six monodromy
-    # matrices and the offset b1, through obstruction_class and H^2
-    from bundlesec.extensions import TorusBundleSpec, h1_h2_base, obstruction_class
-    from bundlesec.groupring import LinearRep
-    from bundlesec.words import parse_presentation
-
-    base = parse_presentation("< x1, y1, x2, y2, x3, y3 | [x1,y1] [x2,y2] [x3,y3] >")
-    theta = LinearRep(dict(zip(base.generators, endo_monodromy())), RANK)
-    spec = TorusBundleSpec(base, theta, {g: (0,) * RANK for g in base.generators},
-                           (CURVE_VECTORS["b1"],))
+    # endo decides the genus-3 base with theta the six monodromy matrices
+    # and the offset b1 through obstruction_class; the second route is the
+    # coinvariants of H_1 under the monodromy and the class of [b1] there
+    spec = endo_spec()
     report = obstruction_class(spec)
     assert report.lifted
     assert report.quotient.invariant_factors == (2, 2, 2, 2)
     assert report.class_coordinates == ((1, 0, 0, 0),)
-    assert h1_h2_base(base, theta)[1].invariant_factors == (2, 2, 2, 2)
-    # the coinvariants and the class of [b1] that `endo` prints
-    group, coords, _ = endo_verdict()
-    assert str(report.quotient) == str(group) == "Z/2 + Z/2 + Z/2 + Z/2"
-    assert report.class_coordinates == (coords,)
-    # a rank-6 torus is no surface group, so the verdict is the group-level one
+    assert h1_h2_base(spec.base, spec.coefficients)[1].invariant_factors == (2, 2, 2, 2)
+    # a rank-6 torus is no surface group, so the pipeline's own verdict is
+    # the group-level one; endo names NO_SECTION itself
     assert report.verdict == "NO_SPLITTING"
+    # the program's report against the coinvariants route
+    group = coinvariants(RANK, list(LANTERN_TWISTS + (HYPERELLIPTIC,)))
+    coords = group.project(CURVE_VECTORS["b1"])
+    printed = _endo_report()
+    assert printed["result"]["coinvariants"] == str(group) == "Z/2 + Z/2 + Z/2 + Z/2"
+    assert printed["result"]["class_of_g"] == list(coords) == [1, 0, 0, 0]
+    assert printed["result"]["relation"] is True
+    assert printed["verdict"] == "NO_SECTION"
 
 
 def test_jacobian_obstruction_generating_set_independence():
     b1 = CURVE_VECTORS["b1"]
     four = [transvection(CURVE_VECTORS[n]) for n in ("x0", "y0", "z0")] + [HYPERELLIPTIC]
-    g1, c1 = jacobian_obstruction(four, b1)
-    g2, c2 = jacobian_obstruction(endo_monodromy(), b1)
+    g1 = coinvariants(RANK, four)
+    g2 = coinvariants(RANK, endo_monodromy())
     assert g1.invariant_factors == g2.invariant_factors
-    assert c1 == c2
+    assert g1.project(b1) == g2.project(b1)
 
 
 def test_jacobian_obstruction_trivial_monodromy():
-    group, coords = jacobian_obstruction([IntMatrix.identity(RANK)], (1, 0, 0, 0, 0, 0))
+    group = coinvariants(RANK, [IntMatrix.identity(RANK)])
+    coords = group.project((1, 0, 0, 0, 0, 0))
     assert group.invariant_factors == (0,) * RANK
     assert any(c != 0 for c in coords)
 
 
 def test_jacobian_obstruction_minus_identity():
-    group, coords = jacobian_obstruction([HYPERELLIPTIC], (2, 0, 0, 0, 0, 0))
+    group = coinvariants(RANK, [HYPERELLIPTIC])
+    coords = group.project((2, 0, 0, 0, 0, 0))
     assert group.invariant_factors == (2,) * RANK
     assert all(c == 0 for c in coords)
 
 
 def test_kb_base_variant():
-    group, coords, verdict = kb_base_variant()
+    product = LANTERN_TWISTS[0] @ LANTERN_TWISTS[1] @ LANTERN_TWISTS[2]
+    assert KB_VARIANT_GENERATORS == (product, REFLECTION)
+    group = coinvariants(RANK, KB_VARIANT_GENERATORS)
+    coords = group.project(CURVE_VECTORS["b1"])
     assert any(c != 0 for c in coords)
-    assert verdict == "NO_SECTION"
+    printed = _endo_report()["result"]["kb_variant"]
+    assert printed == {"coinvariants": str(group), "class_of_g": list(coords),
+                       "verdict": "NO_SECTION"}
     # mod-2 count: the quotient has order 32 here
     order = 1
     for f in group.invariant_factors:
@@ -285,16 +315,22 @@ def test_kb_base_variant():
 
 
 def test_torus_pullback_is_informational():
-    group, coords = torus_pullback_info()
+    product = LANTERN_TWISTS[0] @ LANTERN_TWISTS[1] @ LANTERN_TWISTS[2]
+    assert TORUS_PULLBACK_GENERATORS == (
+        product @ REFLECTION @ product @ REFLECTION.inverse_unimodular(),)
+    group = coinvariants(RANK, TORUS_PULLBACK_GENERATORS)
+    coords = group.project(CURVE_VECTORS["b1"])
     # the single pulled-back generator acts trivially on H_1
     assert group.invariant_factors == (0,) * RANK
     assert any(c != 0 for c in coords)
+    assert _endo_report()["result"]["torus_pullback_info"] == {
+        "coinvariants": str(group), "class_of_g": list(coords)}
 
 
 def test_coinvariant_order_hand_count():
     # mod 2 the twists contribute span{x0, y0, z0} with x0+y0+z0 = 0, so the
     # quotient of (Z/2)^6 has order 2^4
-    group, _, _ = endo_verdict()
+    group = obstruction_class(endo_spec()).quotient
     order = 1
     for f in group.invariant_factors:
         order *= f

@@ -131,6 +131,8 @@ def test_short_text_is_quoted_whole():
     text = "x" * QUOTE_CHARS
     assert _quote(text) == repr(text)
     assert _quote(text + "y") == f"{text!r}... ({QUOTE_CHARS + 1} characters)"
+    assert _quote(text, str) == text
+    assert _quote(text + "y", str) == f"{text}... ({QUOTE_CHARS + 1} characters)"
 
 
 @pytest.mark.parametrize("fibre, lines, needle", [
@@ -160,6 +162,22 @@ def test_long_offending_text_is_clipped_to_one_short_line(tmp_path, capsys, fibr
     assert len(err.encode()) < 200
     assert needle in err
     assert "characters)" in err
+
+
+@pytest.mark.parametrize("command", ["split-check", "cohomology"])
+def test_huge_torus_rank_is_clipped_in_the_row_count_message(tmp_path, capsys, command):
+    from bundlesec import cli
+
+    path = tmp_path / "huge_rank.bundle"
+    for rank, shown in ((2 ** 1000, str(2 ** 1000)[:60] + "... (302 characters)"),
+                        (10 ** 59, str(10 ** 59)), (3, "3")):
+        path.write_text(f"[base]\n< u, v | [u,v] >\n[fibre]\ntorus {rank}\n"
+                        "[action]\nu = 1\nv = 1\n")
+        assert cli.main([command, str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: matrix '1' does not have {shown} rows\n"
+        assert len(err.encode()) < 200
 
 
 NINES = "9" * 4300  # as many digits as int() converts

@@ -173,11 +173,6 @@ def test_verify_range_helper():
         assert transgress(spec) == xi_star(spec)
 
 
-def test_xi_star_scales_with_the_cycle():
-    spec = CentralExtensionSpec(3)
-    assert [xi_star(spec, n) for n in (-1, 0, 2)] == [-3, 0, 6]
-
-
 def test_xi_star_normal_form_is_consistent():
     # the k = 1 group is the discrete Heisenberg group; the commutator of the
     # section lifts must be exactly one unit of the fibre
