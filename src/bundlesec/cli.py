@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -140,12 +141,28 @@ def cmd_cohomology(path: str, as_json: bool) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str) -> range:
+# the relators u^-k [x,y] of one transgress request hold |k| + 4 letters each
+_TOO_MANY_LETTERS = f"request holds more than {MAX_RELATOR_LETTERS} relator letters (|k| + 4 per k)"
+# what int() reads: optional sign, decimal digits with single underscores between
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _k_value(text: str) -> int:
+    """int(text) for --k; a value that is none is quoted clipped."""
     try:
-        lo_text, hi_text = text.split("..", 1)
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}") from None
+
+
+def _parse_range(text: str) -> range:
+    lo_text, dots, hi_text = text.partition("..")
+    if not (dots and _INTEGER.fullmatch(lo_text) and _INTEGER.fullmatch(hi_text)):
+        raise MalformedSpec(f"bad range {_quote(text)}; expected a..b")
+    try:
         lo, hi = int(lo_text), int(hi_text)
-    except ValueError as exc:
-        raise MalformedSpec(f"bad range {_quote(text)}; expected a..b") from exc
+    except ValueError:  # more digits than int() converts, so far over the cap
+        raise MalformedSpec(_TOO_MANY_LETTERS) from None
     if lo > hi:
         raise MalformedSpec(f"empty range {_quote(text)}")
     return range(lo, hi + 1)
@@ -154,12 +171,10 @@ def _parse_range(text: str) -> range:
 def cmd_transgress(k: Optional[int], range_text: Optional[str], as_json: bool) -> int:
     # argparse sets exactly one of k and range_text
     ks = range(k, k + 1) if range_text is None else _parse_range(range_text)
-    # the relator u^-k [x,y] has |k| + 4 letters; the first test bounds the
-    # second's loop
+    # the first test bounds the second's loop
     if (4 * (ks.stop - ks.start) > MAX_RELATOR_LETTERS
             or sum(abs(kk) + 4 for kk in ks) > MAX_RELATOR_LETTERS):
-        raise MalformedSpec(f"request holds more than {MAX_RELATOR_LETTERS} relator "
-                            "letters (|k| + 4 per k)")
+        raise MalformedSpec(_TOO_MANY_LETTERS)
     rows = []
     all_agree = True
     for kk in ks:
@@ -260,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transgress", help="transgression vs evaluation of the class")
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--k", type=int, default=None)
+    which.add_argument("--k", type=_k_value, default=None)
     which.add_argument("--range", dest="range_text", metavar="A..B", default=None)
 
     sub.add_parser("endo", help="the genus-3 homology obstruction example")

@@ -11,10 +11,10 @@ action theta and one translation per generator) and the Laurent ring of
 derivatives as formal group-ring elements, so no word problem in the target
 group ever arises.
 
-The conveniences ``LinearRep.evaluate_word``, ``evaluate_affine``,
-``fox_derivative`` (over the formal ring ``FreeRingElement``) and
-``evaluate_linear`` have no letter loop of their own: each reads the fold or
-the pass.
+No command calls ``LinearRep.evaluate_word``, ``evaluate_affine``,
+``fox_derivative`` (over the formal ring ``FreeRingElement``) or
+``evaluate_linear``: they stay only as targets of the benchmark's span tracer,
+until the benchmark revision in ROADMAP.md drops them.
 
 Also hosts the Klein-bottle group model: normal forms x^a y^b for the group
 < x, y | x y x^-1 y >, its automorphisms, and its centre (generated by x^2).
@@ -174,21 +174,8 @@ class KbElement:
     def y(n: int = 1) -> "KbElement":
         return KbElement(0, n)
 
-    def is_identity(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def is_central(self) -> bool:
         return self.b == 0 and self.a % 2 == 0
-
-    def __str__(self) -> str:
-        if self.is_identity():
-            return "1"
-        parts = []
-        if self.a:
-            parts.append("x" if self.a == 1 else f"x^{self.a}")
-        if self.b:
-            parts.append("y" if self.b == 1 else f"y^{self.b}")
-        return " ".join(parts)
 
 
 def kb_multiply(p: KbElement, q: KbElement) -> KbElement:

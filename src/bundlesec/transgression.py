@@ -79,9 +79,6 @@ class LaurentElement:
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentElement) and self.terms == other.terms
 
-    def __repr__(self) -> str:
-        return " + ".join(f"{c}*x^{a}y^{b}" for (a, b), c in sorted(self.terms.items())) or "0"
-
 
 def laurent_divide(num: LaurentElement, den: LaurentElement) -> LaurentElement:
     """Exact division; raises ValueError when den does not divide num.
@@ -161,10 +158,7 @@ class CentralExtensionSpec:
     k: int
 
     def relators(self) -> Tuple[Word, Word, Word]:
-        r = Word.gen("u", -self.k) * _BASE_RELATOR
-        s = commutator(_U, _X)
-        t = commutator(_U, _Y)
-        return r, s, t
+        return Word.gen("u", -self.k) * _BASE_RELATOR, commutator(_U, _X), commutator(_U, _Y)
 
 
 def transgress(spec: CentralExtensionSpec) -> int:

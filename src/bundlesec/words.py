@@ -60,23 +60,13 @@ class Word:
 
     @staticmethod
     def gen(name: str, exponent: int = 1) -> "Word":
-        sign = 1 if exponent > 0 else -1
-        return Word(tuple((name, sign) for _ in range(abs(exponent))))
+        return Word(((name, 1 if exponent > 0 else -1),) * abs(exponent))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word.make(self.letters + other.letters)
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
-
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        # one reduction pass over n copies of the letters
-        return Word.make(self.letters * n)
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def __str__(self) -> str:
         if not self.letters:
@@ -126,11 +116,6 @@ class Presentation:
         return IntMatrix.from_rows([
             [exponent_sum(r, g) for r in self.relators] for g in self.generators
         ])
-
-    def __str__(self) -> str:
-        gens = ", ".join(self.generators)
-        rels = ", ".join(str(r) for r in self.relators)
-        return f"< {gens} | {rels} >"
 
 
 def abelianization(p: Presentation) -> AbelianGroup:

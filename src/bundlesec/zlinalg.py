@@ -49,15 +49,6 @@ class IntMatrix:
         return IntMatrix(nrows, ncols, data)
 
     @staticmethod
-    def from_columns(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
-        if cols:
-            rows = len(cols[0])
-        elif rows is None:
-            raise ValueError("need explicit row count for an empty column list")
-        data = tuple(tuple(int(col[i]) for col in cols) for i in range(rows))
-        return IntMatrix(rows, len(cols), data)
-
-    @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -130,9 +121,6 @@ class IntMatrix:
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and self.determinant() in (1, -1)
-
     def inverse_unimodular(self) -> "IntMatrix":
         """Inverse of a determinant +-1 matrix by Gauss-Jordan elimination over Z.
 
@@ -172,9 +160,6 @@ class IntMatrix:
                     q = a[i][t]
                     a[i] = [x - q * y for x, y in zip(a[i], pivot_row)]
         return IntMatrix(n, n, tuple(tuple(row[n:]) for row in a))
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.data)
 
 
 # Logged operations: (i, j) swaps rows (columns) i and j, (dst, src, q) adds q
@@ -426,25 +411,3 @@ def solve(m: IntMatrix, v: Sequence[int]) -> Optional[Vector]:
     """One integer solution x of m @ x == v, or None if there is none."""
     return smith_normal_form(m).solve(v)
 
-
-def invariant_factors_by_minors(m: IntMatrix) -> Tuple[int, ...]:
-    """Invariant factors via gcds of k x k minors; an independent cross-check.
-
-    Only usable for small matrices (exponential in the dimensions).
-    """
-    from itertools import combinations
-    from math import gcd
-
-    diag = []
-    prev = 1
-    for k in range(1, min(m.rows, m.cols) + 1):
-        g = 0
-        for rows in combinations(range(m.rows), k):
-            for cols in combinations(range(m.cols), k):
-                sub = IntMatrix.from_rows([[m.data[i][j] for j in cols] for i in rows])
-                g = gcd(g, sub.determinant())
-        if g == 0:
-            break
-        diag.append(g // prev)
-        prev = g
-    return tuple(diag)

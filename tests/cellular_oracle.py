@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from bundlesec.zlinalg import AbelianGroup, IntMatrix, cokernel
+from smith_reference import from_columns
 
 COLS, ROWS = 11, 5
 HOLES = ((2, 2), (5, 2), (8, 2))  # removed unit squares, by lower-left corner
@@ -205,7 +206,7 @@ def build_model() -> HomologyModel:
             if idx in nontree_pos:
                 col[nontree_pos[idx]] += s
         cols.append(tuple(col))
-    group = cokernel(IntMatrix.from_columns(cols, rows=len(nontree)))
+    group = cokernel(from_columns(cols, rows=len(nontree)))
 
     # rows of the cokernel projection vanish on boundaries, so, read as
     # coefficient vectors on non-tree edges (zero on tree edges), they are

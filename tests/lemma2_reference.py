@@ -14,7 +14,8 @@ from typing import Sequence
 from bundlesec.extensions import Lemma2Report, _zero
 from bundlesec.groupring import LinearRep
 from bundlesec.words import Presentation
-from bundlesec.zlinalg import AbelianGroup, IntMatrix, Vector, cokernel
+from bundlesec.zlinalg import AbelianGroup, Vector, cokernel
+from smith_reference import from_columns, minus_identity
 
 
 def lemma2_check(base: Presentation, action: LinearRep,
@@ -35,15 +36,14 @@ def lemma2_check(base: Presentation, action: LinearRep,
     """
     m = action.dim
     n = len(base.generators)
-    eye = IntMatrix.identity(m)
     pad = _zero(n)
     action_cols = [pad + col for x in base.generators
-                   for col in (action.matrix(x) - eye).columns()]
+                   for col in minus_identity(action.matrix(x)).columns()]
     sums = base.exponent_matrix().columns()
 
     def pi_ab(offs: Sequence[Vector]) -> AbelianGroup:
         offset_cols = [s + tuple(-c for c in off) for s, off in zip(sums, offs, strict=True)]
-        return cokernel(IntMatrix.from_columns(action_cols + offset_cols, rows=n + m))
+        return cokernel(from_columns(action_cols + offset_cols, rows=n + m))
 
     group_ab = pi_ab(offsets)
     expected = pi_ab([_zero(m)] * len(sums))
@@ -56,4 +56,4 @@ def cyclic_sum(factors: Sequence[int]) -> AbelianGroup:
     Z^n modulo the vectors f e_i, one for each nonzero factor."""
     n = len(factors)
     cols = [tuple(f if i == j else 0 for i in range(n)) for j, f in enumerate(factors) if f]
-    return cokernel(IntMatrix.from_columns(cols, rows=n))
+    return cokernel(from_columns(cols, rows=n))

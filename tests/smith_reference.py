@@ -1,16 +1,23 @@
-"""Reference Smith elimination for the differential tests.
+"""Reference integer linear algebra for the differential tests.
 
-This is the elimination loop as it stood before the per-row pivot search and
-the live-row column operations: it builds one ``(|x|, i, j)`` tuple per
-nonzero entry of the trailing block to find the pivot, and applies every
-column operation to every row.  ``smith_normal_form`` must choose the same
-pivots and log the same operations, because the canonical coordinates of
-every cokernel are read from that log.
+``smith_normal_form`` is the elimination loop as it stood before the per-row
+pivot search and the live-row column operations: it builds one
+``(|x|, i, j)`` tuple per nonzero entry of the trailing block to find the
+pivot, and applies every column operation to every row.  The program's
+``smith_normal_form`` must choose the same pivots and log the same
+operations, because the canonical coordinates of every cokernel are read
+from that log.
+
+``invariant_factors_by_minors`` is the independent route to the invariant
+factors: gcds of k x k minors, with no elimination at all.  The matrix
+helpers below it are ones the program itself does not need.
 """
 
 from __future__ import annotations
 
-from typing import List
+from itertools import combinations
+from math import gcd
+from typing import List, Sequence, Tuple
 
 from bundlesec.zlinalg import IntMatrix, Op, SmithDecomposition
 
@@ -74,3 +81,37 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     return SmithDecomposition(IntMatrix(r, c, tuple(tuple(row) for row in a)),
                               tuple(row_ops), tuple(col_ops))
+
+
+def invariant_factors_by_minors(m: IntMatrix) -> Tuple[int, ...]:
+    """The nonzero invariant factors d_k = g_k / g_(k-1), where g_k is the gcd
+    of the k x k minors of m.  Exponential in the dimensions: small matrices
+    only."""
+    diag = []
+    prev = 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        g = 0
+        for rows in combinations(range(m.rows), k):
+            for cols in combinations(range(m.cols), k):
+                sub = IntMatrix.from_rows([[m.data[i][j] for j in cols] for i in rows])
+                g = gcd(g, sub.determinant())
+        if g == 0:
+            break
+        diag.append(g // prev)
+        prev = g
+    return tuple(diag)
+
+
+def from_columns(cols: Sequence[Sequence[int]], rows: int) -> IntMatrix:
+    """The rows x len(cols) matrix with the given columns (none is allowed)."""
+    return IntMatrix(rows, len(cols), tuple(tuple(col[i] for col in cols) for i in range(rows)))
+
+
+def is_unimodular(m: IntMatrix) -> bool:
+    return m.rows == m.cols and m.determinant() in (1, -1)
+
+
+def minus_identity(m: IntMatrix) -> IntMatrix:
+    """m - I for a square m."""
+    return IntMatrix.from_rows([[x - (i == j) for j, x in enumerate(row)]
+                                for i, row in enumerate(m.data)])

@@ -138,6 +138,37 @@ def test_range_errors_quote_at_most_60_characters(capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_a_range_bound_past_int_digits_is_over_the_letter_cap(capsys):
+    from bundlesec import cli
+
+    # int() refuses 4,301 digits; the value still has the shape a..b
+    for bound in ("9" * 4300, "9" * 4301, "-" + "9" * 4301):
+        assert cli.main(["transgress", f"--range=1..{bound}"]) == 4
+        assert capsys.readouterr() == (
+            "", "error: request holds more than 10000 relator letters (|k| + 4 per k)\n")
+    for value in ("1..2..3", "1.. 2x", "..5", "1_.._2"):
+        assert cli.main(["transgress", f"--range={value}"]) == 4
+        assert capsys.readouterr() == ("", f"error: bad range {value!r}; expected a..b\n")
+
+
+def test_k_errors_quote_at_most_60_characters(capsys):
+    from bundlesec import cli
+
+    def last_line(value):
+        # after argparse's usage lines
+        assert cli.main(["transgress", "--k", value]) == 5
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("\n")
+        return err.splitlines()[-1]
+
+    error = "bundlesec transgress: error: argument --k: invalid int value: "
+    # at most 60 characters: quoted whole, as argparse's own int message did
+    for value in ("abc", "x" * 60):
+        assert last_line(value) == f"{error}{value!r}"
+    value = "9" * 5000 + "x"
+    assert last_line(value) == f"{error}{value[:60]!r}... (5001 characters)"
+
+
 def test_cohomology_of_a_module_that_misses_the_relator_exits_4(tmp_path):
     bad = tmp_path / "shear_flip.bundle"
     bad.write_text("[base]\n< u, v | [u,v] >\n[fibre]\ntorus 2\n"

@@ -10,12 +10,12 @@ from bundlesec.groupring import LinearRep
 from bundlesec.words import Presentation, Word, commutator
 from bundlesec.zlinalg import IntMatrix, cokernel, kernel_basis, solve
 from fox_reference import evaluate_linear, fox_derivative
+from smith_reference import from_columns, minus_identity
 
 
 def _h1_h2_reference(base, module):
     m = module.dim
-    eye = IntMatrix.identity(m)
-    diffs = [module.matrix(x) - eye for x in base.generators]
+    diffs = [minus_identity(module.matrix(x)) for x in base.generators]
     d1_cols = [tuple(c for d in diffs for c in d.column(j)) for j in range(m)]
     d2_rows = []
     for r in base.relators:
@@ -24,10 +24,10 @@ def _h1_h2_reference(base, module):
             d2_rows.append(tuple(c for blk in blocks for c in blk.data[i]))
     d2 = IntMatrix(m * len(base.relators), m * len(base.generators), tuple(d2_rows))
     kb = kernel_basis(d2)
-    kmat = IntMatrix.from_columns(list(kb), rows=d2.cols)
+    kmat = from_columns(list(kb), rows=d2.cols)
     coeff_cols = [solve(kmat, col) for col in d1_cols]
     assert all(x is not None for x in coeff_cols)
-    return cokernel(IntMatrix.from_columns(coeff_cols, rows=len(kb))), cokernel(d2)
+    return cokernel(from_columns(coeff_cols, rows=len(kb))), cokernel(d2)
 
 
 def _surface(genus):

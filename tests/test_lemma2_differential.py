@@ -166,7 +166,8 @@ def test_lemma2_matches_the_one_matrix_reference_on_generated_modules():
 
 def _bundle_text(base, module, rng):
     rank = module.dim
-    lines = ["[base]", str(base), "[fibre]", f"torus {rank}", "[action]"]
+    presentation = f"< {', '.join(base.generators)} | {', '.join(map(str, base.relators))} >"
+    lines = ["[base]", presentation, "[fibre]", f"torus {rank}", "[action]"]
     lines += [f"{x} = " + " ; ".join(" ".join(map(str, row)) for row in module.matrix(x).data)
               for x in base.generators]
     lines.append("[cocycle]")

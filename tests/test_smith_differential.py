@@ -7,7 +7,11 @@ Inputs are wide (up to 10 x 40) and tall (up to 40 x 10), sparse and dense,
 with zeroed rows and columns, many ties in the minimal |entry| (small or
 scaled entries), and entries up to 2^70; then the delta1, delta2 and lemma-2
 matrices of a genus-12 base with a rank-16 hyperbolic action, together with
-the two whole-matrix lemma-2 cokernels of ``lemma2_reference``."""
+the two whole-matrix lemma-2 cokernels of ``lemma2_reference``.
+
+The invariant factors are also checked by a route with no elimination at
+all, gcds of minors, on the two matrices the pipeline reduces: delta2 and the
+action block [theta(x) - I]_x of seeded small torus specs."""
 
 import random
 
@@ -15,10 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from bundlesec import extensions, zlinalg
 from bundlesec.extensions import h1_h2_base, lemma2_check
+from bundlesec.groupring import LinearRep
+from bundlesec.words import Presentation, Word
 from bundlesec.zlinalg import IntMatrix, smith_normal_form
 from lemma2_reference import lemma2_check as reference_lemma2_check
+from smith_reference import invariant_factors_by_minors
 from smith_reference import smith_normal_form as reference_smith_normal_form
-from test_h1_h2_differential import _random_module, _surface
+from test_h1_h2_differential import _elementary_product, _random_module, _surface
 
 
 def _assert_same_elimination(m):
@@ -87,3 +94,34 @@ def test_smith_normal_form_logs_the_reference_operations_at_genus_12_rank_16(mon
     assert len(shapes) == 7  # delta1 and lemma 2's two small matrices besides
     for m in seen:
         _assert_same_elimination(m)
+
+
+def _small_torus_specs(rng, count):
+    """Torus specs with m|R| <= 4 and m|X| <= 8, where the minors stay few:
+    relators of 1-8 random letters, unimodular actions that need not kill them."""
+    for _ in range(count):
+        m = rng.choice((1, 2, 3, 4))
+        gens = tuple(f"g{i}" for i in range(rng.randint(1, 8 // m)))
+        relators = tuple(
+            Word.make((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 8)))
+            for _ in range(rng.randint(1, 4 // m)))
+        theta = {g: _elementary_product(rng, m, rng.randint(0, 2 * m)) for g in gens}
+        yield extensions.TorusBundleSpec(Presentation(gens, relators), LinearRep(theta, m),
+                                         {g: (0,) * m for g in gens})
+
+
+def _pipeline_matrices(spec):
+    m, gens = spec.fibre_rank, spec.base.generators
+    return (extensions._delta2(spec.fox_rows, m, len(gens)),
+            extensions._action_block(m, [spec.coefficients.matrix(g) for g in gens]))
+
+
+def test_smith_diagonals_of_the_pipeline_match_the_minors_route():
+    torsion = 0
+    for spec in _small_torus_specs(random.Random(21), 150):
+        for mat in _pipeline_matrices(spec):
+            assert mat.rows <= 4 and mat.cols <= 8
+            diag = tuple(d for d in smith_normal_form(mat).diagonal() if d)
+            assert diag == invariant_factors_by_minors(mat)
+            torsion += any(d >= 2 for d in diag)
+    assert torsion >= 30

@@ -15,6 +15,17 @@ half of them with theta(y_i) = I so that the action lifts, offsets that are
 random or taken from the image of some theta(x) - I (a zero class), and zero
 or random translations.  Coordinates are not compared: they depend on the
 Smith logs of two different matrices.
+
+The same cases check that the verdict and the quotient do not depend on how
+the data are written: conjugating theta by a unimodular P (with the
+translations and the offset mapped by P), inverting the relator (offset to
+-offset) and moving its first letter g^s to the end (offset to
+theta(g)^-s offset).  Each check is run on a mutant as well, which must fail
+on some case.  Conjugation's mutant leaves the offset unmapped.  On a surface
+word the class is that of the offset in the coinvariants, where o, -o and
+theta(g)^-s o vanish together, so an untransformed offset is no fault for
+the other two: inversion's mutant drops the offset, and the rotation's drops
+the letter it moves.
 """
 
 import random
@@ -24,8 +35,9 @@ from operator import matmul
 from bundlesec.extensions import TorusBundleSpec, coinvariants, obstruction_class
 from bundlesec.groupring import LinearRep
 from bundlesec.mcg import RANK, transvection
-from bundlesec.words import parse_presentation
+from bundlesec.words import Presentation, Word, parse_presentation
 from bundlesec.zlinalg import IntMatrix
+from test_h1_h2_differential import _elementary_product
 
 SEED = 20
 CASES = 200
@@ -103,3 +115,66 @@ def test_the_quotient_is_the_coinvariants_on_surface_words():
         if report.lifted:
             offset_class = group.project(spec.relator_offsets[0])
             assert any(report.class_coordinates[0]) == any(offset_class)
+
+
+def _respec(spec, relator=None, theta=None, translations=None, offset=None):
+    """spec with the parts given replaced."""
+    base = spec.base if relator is None else Presentation(spec.base.generators, (relator,))
+    theta = theta or {g: spec.coefficients.matrix(g) for g in spec.base.generators}
+    return TorusBundleSpec(base, LinearRep(theta, RANK), translations or spec.translations,
+                           (offset or spec.relator_offsets[0],))
+
+
+def _conjugated(spec, p, map_offset=True):
+    pinv = p.inverse_unimodular()
+    (offset,) = spec.relator_offsets
+    return _respec(spec, theta={g: p @ spec.coefficients.matrix(g) @ pinv
+                                for g in spec.base.generators},
+                   translations={g: p.apply(t) for g, t in spec.translations.items()},
+                   offset=p.apply(offset) if map_offset else offset)
+
+
+def _inverted(spec, drop_offset=False):
+    (relator,), (offset,) = spec.base.relators, spec.relator_offsets
+    return _respec(spec, relator=relator.inverse(),
+                   offset=(0,) * RANK if drop_offset else tuple(-c for c in offset))
+
+
+def _rotated(spec, drop_letter=False):
+    # r = g^s w and w g^s = g^-s r g^s, whose value is theta(g)^-s offset
+    (relator,), (offset,) = spec.base.relators, spec.relator_offsets
+    (g, s), rest = relator.letters[0], relator.letters[1:]
+    return _respec(spec, relator=Word.make(rest if drop_letter else rest + ((g, s),)),
+                   offset=spec.coefficients.matrix(g, -s).apply(offset))
+
+
+def _unchanged(report, spec):
+    other = obstruction_class(spec)
+    return (report.verdict, report.quotient.invariant_factors) == (
+        other.verdict, other.quotient.invariant_factors)
+
+
+def _assert_invariant(transform, mutant):
+    """transform keeps the verdict and the quotient on every case; mutant not."""
+    rng = random.Random(SEED)
+    caught = 0
+    for spec in CASE_LIST:
+        p = _elementary_product(rng, RANK, 12)
+        report = obstruction_class(spec)
+        assert _unchanged(report, transform(spec, p))
+        caught += not _unchanged(report, mutant(spec, p))
+    assert caught > 0
+
+
+def test_conjugating_the_action_by_a_unimodular_matrix():
+    _assert_invariant(_conjugated, lambda spec, p: _conjugated(spec, p, map_offset=False))
+
+
+def test_inverting_the_relator():
+    _assert_invariant(lambda spec, _: _inverted(spec),
+                      lambda spec, _: _inverted(spec, drop_offset=True))
+
+
+def test_cyclically_permuting_the_relator():
+    _assert_invariant(lambda spec, _: _rotated(spec),
+                      lambda spec, _: _rotated(spec, drop_letter=True))

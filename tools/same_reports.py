@@ -7,6 +7,9 @@ generated once by ``perfbench/workloads.py`` of CHANGE (read-only; nothing
 under ``perfbench/`` is changed), into a temporary directory.  Every op is then run through
 ``bundlesec.cli.main`` of each checkout, once with ``--json`` and once as
 text, and the exit code, standard output and standard error are compared.
+The commands of the golden reports (``CASES`` in CHANGE's
+``tests/test_golden.py``) are compared the same way, each with ``--json`` and
+as text, run from CHANGE's root so that their relative paths resolve.
 Each checkout runs in its own interpreter, started with ``-B`` so that no
 bytecode cache is written into it.
 
@@ -57,6 +60,16 @@ def _worker(src: str) -> None:
     json.dump(results, sys.stdout)
 
 
+def _golden_argvs(change: Path) -> list:
+    """The golden commands of CHANGE, each with --json and as text, once each."""
+    sys.path[:0] = [str(change / "src"), str(change / "tests")]
+    import test_golden
+
+    bare = [argv[1:] if argv[0] == "--json" else argv for _, argv in test_golden.CASES]
+    forms = [tuple(form) for argv in bare for form in (["--json", *argv], argv)]
+    return [list(form) for form in dict.fromkeys(forms)]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -79,12 +92,22 @@ def main(argv: Sequence[str] | None = None) -> int:
             same = sum(x == y for x, y in zip(before, after, strict=True))
             print(f"{workload} seed {seed}: {same}/{len(argvs)} reports identical")
             total += len(argvs)
-            differences += [(workload, seed, " ".join(a), x, y)
+            differences += [(f"{workload} seed {seed}", " ".join(a), x, y)
                             for a, x, y in zip(argvs, before, after) if x != y]
-    print(f"all: {total - len(differences)}/{total} reports identical "
-          "(exit code, stdout and stderr; each op with --json and as text)")
-    for workload, seed, command, x, y in differences[:SHOWN_DIFFERENCES]:
-        print(f"differs: {workload} seed {seed}: bundlesec {command}\n"
+    workload_same = total - len(differences)
+
+    goldens = _golden_argvs(change)
+    before = _run_worker(parent, change, goldens)
+    after = _run_worker(change, change, goldens)
+    golden_same = sum(x == y for x, y in zip(before, after, strict=True))
+    differences += [("golden", " ".join(a), x, y)
+                    for a, x, y in zip(goldens, before, after) if x != y]
+    print(f"golden commands: {golden_same}/{len(goldens)} reports identical")
+    print(f"all: {workload_same}/{total} workload reports and {golden_same}/{len(goldens)} "
+          "golden reports identical (exit code, stdout and stderr; each with --json and "
+          "as text)")
+    for where, command, x, y in differences[:SHOWN_DIFFERENCES]:
+        print(f"differs: {where}: bundlesec {command}\n"
               f"  parent: {x!r:.300}\n  change: {y!r:.300}")
     return 1 if differences else 0
 
