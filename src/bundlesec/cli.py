@@ -2,21 +2,35 @@
 
 Subcommands: abelianize, split-check, cohomology, transgress, endo.
 Reports are deterministic; --json selects machine-readable output.
-Exit codes: 0 success (any mathematical verdict), 2 missing file,
-3 parse error, 4 malformed bundle data (including data over a cap: relator
-letters, bits of a bundle file's integers, Fox-row entry bits, checked on the
-running prefix of each relator's Fox pass), 5 usage error (transgress takes
-one of --k and --range), 6 failed internal check (a bug, in one stderr line).
+Each input's sha256 is that of the file's bytes, from CPython's built-in
+SHA-256, so no OpenSSL is loaded.
+Exit codes: 0 success (any mathematical verdict), 2 missing or unreadable
+file (a directory, no read permission: one line with the path and the OS
+reason), 3 parse error (bytes that are not UTF-8 too, at the line and column
+of the first bad byte), 4 malformed bundle data (including data over a cap:
+relator letters, bits of a bundle file's integers, Fox-row entry bits,
+checked on the running prefix of each relator's Fox pass), 5 usage error
+(transgress takes one of --k and --range), 6 failed internal check (a bug, in
+one stderr line).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+# the interpreter's own SHA-256, taken as the stdlib's random takes sha512:
+# hashlib would map OpenSSL's libcrypto into the process to hash a few bytes
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:  # a build without built-in hashes
+        from hashlib import sha256
 
 from .extensions import MalformedSpec, TorusBundleSpec, h1_h2_base, lemma2_check
 from .extensions import VERDICT_NO_SECTION, VERDICT_SPLITS, coinvariants, obstruction_class
@@ -43,13 +57,35 @@ EXIT_USAGE = 5
 EXIT_INTERNAL = 6
 
 
+class InputError(Exception):
+    """An input file that cannot be read (exit 2)."""
+
+
 def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read(path: str) -> Tuple[str, str]:
+    """(text, sha256 of the file's bytes).  The text is the bytes' UTF-8
+    decoding with CR LF and a lone CR read as LF, as open() in text mode reads it."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise InputError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(data[:exc.start].decode("utf-8"))
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", before.count("\n") + 1,
+                         len(before) - before.rfind("\n")) from None
+    return _universal_newlines(text), _digest(data)
 
 
 def _report(command: str, inputs: Dict, result: Dict, verdict: str) -> Dict:
@@ -71,21 +107,21 @@ def _emit(report: Dict, as_json: bool, text_lines: Sequence[str]) -> None:
 
 
 def cmd_abelianize(path: str, as_json: bool) -> int:
-    text = _read(path)
+    text, digest = _read(path)
     group = abelianization(parse_presentation(text))
     result = {
         "group": str(group),
         "invariant_factors": list(group.invariant_factors),
         "rank": group.rank,
     }
-    report = _report("abelianize", {"path": path, "sha256": _digest(text.encode())},
+    report = _report("abelianize", {"path": path, "sha256": digest},
                      result, str(group))
     _emit(report, as_json, [f"{path}: abelianization {group} (rank {group.rank})"])
     return EXIT_OK
 
 
 def _split_check_one(path: str) -> Dict:
-    text = _read(path)
+    text, digest = _read(path)
     bundle = parse_bundle_file(text)
     spec = bundle.to_spec()
     obstruction = obstruction_class(spec)
@@ -103,7 +139,7 @@ def _split_check_one(path: str) -> Dict:
             "is_isomorphic": check.is_isomorphic,
         }
     result["lemma2"] = lemma2
-    return _report("split-check", {"path": path, "sha256": _digest(text.encode())},
+    return _report("split-check", {"path": path, "sha256": digest},
                    result, obstruction.verdict)
 
 
@@ -128,14 +164,14 @@ def cmd_split_check(paths: Sequence[str], as_json: bool) -> int:
 
 
 def cmd_cohomology(path: str, as_json: bool) -> int:
-    text = _read(path)
+    text, digest = _read(path)
     bundle = parse_bundle_file(text)
     if bundle.fibre_kind != "torus":
         raise MalformedSpec("cohomology supports torus-module coefficients only")
     h1, h2 = h1_h2_base(bundle.base, bundle.torus_action())
     result = {"h1": str(h1), "h2": str(h2)}
     verdict = f"H1 = {h1}; H2 = {h2}"
-    report = _report("cohomology", {"path": path, "sha256": _digest(text.encode())},
+    report = _report("cohomology", {"path": path, "sha256": digest},
                      result, verdict)
     _emit(report, as_json, [f"{path}: H^1 = {h1}, H^2 = {h2}"])
     return EXIT_OK
@@ -320,8 +356,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "endo":
             return cmd_endo(as_json)
         raise InvariantError(f"unhandled command {args.command}")
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_FILE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Every function defined in src/bundlesec is run by some command.
 
 A worker interpreter sets ``sys.setprofile`` before it imports bundlesec, then
-runs through ``cli.main`` every golden argv (``test_golden.CASES``) and one
+runs through ``cli.main`` every golden argv (``golden_cases.CASES``) and one
 argv per documented error exit, and records every code object of
 src/bundlesec that is entered.  Each ``def`` in src/bundlesec/*.py, nested
 ones included (lambdas and comprehensions are not defs), must be entered,
@@ -70,14 +70,18 @@ OTHER_ALLOWED = {
         "str() of them) and test_lemma2_differential's lattice-equality check does",
 }
 
-# inputs for one argv per documented error exit: (exit code, argv, file name, text)
+# inputs for one argv per documented error exit: (exit code, argv, file name, bytes)
 ERROR_CASES = (
     (2, ["abelianize", "{tmp}/missing.pres"], None, None),
+    # a directory: not a missing file, but no file to read
+    (2, ["split-check", "{tmp}"], None, None),
     # no factor after '|': _Parser.fail
-    (3, ["abelianize", "{tmp}/no_relator.pres"], "no_relator.pres", "< a | , >\n"),
+    (3, ["abelianize", "{tmp}/no_relator.pres"], "no_relator.pres", b"< a | , >\n"),
+    # a byte that is not UTF-8, placed by line and column
+    (3, ["cohomology", "{tmp}/latin1.bundle"], "latin1.bundle", b"[base]\n< u \xe9 | u >\n"),
     # -1 does not kill u: the message formats the relator word
     (4, ["cohomology", "{tmp}/unkilled.bundle"], "unkilled.bundle",
-     "[base]\n< u | u >\n[fibre]\ntorus 1\n[action]\nu = -1\n"),
+     b"[base]\n< u | u >\n[fibre]\ntorus 1\n[action]\nu = -1\n"),
     (5, ["transgress", "--k", "abc"], None, None),
 )
 
@@ -119,12 +123,12 @@ def _worker(extra_argvs):
             entered.add((Path(code.co_filename).name, code.co_firstlineno, code.co_name))
 
     sys.setprofile(profile)  # before bundlesec is imported: import-time calls count
-    import test_golden
+    import golden_cases
     from bundlesec import cli
 
     os.chdir(ROOT)
     codes = []
-    for argv in [argv for _, argv in test_golden.CASES] + extra_argvs:
+    for argv in [argv for _, argv in golden_cases.CASES] + extra_argvs:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             codes.append(cli.main(argv))
     commands = sorted(entered)
@@ -181,9 +185,9 @@ def _pin_errors(targets, exercised):
 @pytest.fixture(scope="module")
 def reached(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("reached")
-    for _, _, name, text in ERROR_CASES:
+    for _, _, name, data in ERROR_CASES:
         if name:
-            (tmp / name).write_text(text, encoding="utf-8")
+            (tmp / name).write_bytes(data)
     argvs = [[a.format(tmp=tmp) for a in argv] for _, argv, _, _ in ERROR_CASES]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests"))))
     proc = subprocess.run([sys.executable, "-B", __file__, json.dumps(argvs)], env=env,
@@ -201,9 +205,9 @@ def reached(tmp_path_factory):
 
 
 def test_the_commands_exit_as_documented(reached):
-    import test_golden
+    import golden_cases
 
-    assert reached["codes"] == [0] * len(test_golden.CASES) + [c for c, *_ in ERROR_CASES]
+    assert reached["codes"] == [0] * len(golden_cases.CASES) + [c for c, *_ in ERROR_CASES]
 
 
 def test_every_def_in_src_is_entered_by_a_command(reached):

@@ -26,17 +26,27 @@ word the class is that of the offset in the coinvariants, where o, -o and
 theta(g)^-s o vanish together, so an untransformed offset is no fault for
 the other two: inversion's mutant drops the offset, and the rotation's drops
 the letter it moves.
+
+Klein-bottle fibres get the same check on their centre Z: seeded
+``KbBundleSpec`` data over surface words of genus 1 to 4, each generator
+lifted by a product of 0-3 named automorphisms (``KB_AUT_NAMES``, each
+possibly inverted; the identity for every y_i in half the cases, so that the
+relator can lift) and a random x^a y^b, with a central offset x^2k.  The
+quotient is the coinvariants of the +-1 centre actions: Z/2 if some
+generator acts by -1, Z otherwise; a lifted class vanishes exactly when s(r)
+does in them.  The mutant drops the last block of delta2.
 """
 
 import random
 from functools import reduce
 from operator import matmul
 
-from bundlesec.extensions import TorusBundleSpec, coinvariants, obstruction_class
-from bundlesec.groupring import LinearRep
+from bundlesec.extensions import KbBundleSpec, TorusBundleSpec, coinvariants, obstruction_class
+from bundlesec.extensions import VERDICT_ACTION_DOES_NOT_LIFT, VERDICT_NO_SECTION, VERDICT_SPLITS
+from bundlesec.groupring import KB_AUT_NAMES, KbElement, LinearRep
 from bundlesec.mcg import RANK, transvection
 from bundlesec.words import Presentation, Word, parse_presentation
-from bundlesec.zlinalg import IntMatrix
+from bundlesec.zlinalg import IntMatrix, cokernel
 from test_h1_h2_differential import _elementary_product
 
 SEED = 20
@@ -178,3 +188,58 @@ def test_inverting_the_relator():
 def test_cyclically_permuting_the_relator():
     _assert_invariant(lambda spec, _: _rotated(spec),
                       lambda spec, _: _rotated(spec, drop_letter=True))
+
+
+def _kb_aut(rng):
+    """A product of 0-3 named Klein-bottle automorphisms, each possibly inverted."""
+    out = KB_AUT_NAMES["id"]
+    for _ in range(rng.randint(0, 3)):
+        aut = KB_AUT_NAMES[rng.choice(sorted(KB_AUT_NAMES))]
+        out = out.compose(aut.inverse() if rng.random() < 0.5 else aut)
+    return out
+
+
+def _kb_cases():
+    rng = random.Random(SEED)
+    for _ in range(CASES):
+        base = _surface_base(rng.randint(1, 4))
+        lifts = rng.random() < 0.5
+        cocycle = {g: (KB_AUT_NAMES["id"] if lifts and g.startswith("y") else _kb_aut(rng),
+                       KbElement(rng.randint(-3, 3), rng.randint(-3, 3)))
+                   for g in base.generators}
+        # a central offset x^2k, k in -2..2
+        yield KbBundleSpec(base, cocycle, (KbElement.x(2 * rng.randint(-2, 2)),))
+
+
+KB_CASE_LIST = list(_kb_cases())
+
+
+def _kb_expected(spec):
+    # Z/2 once some generator acts by -1 on the centre, else Z
+    flips = any(aut.center_action() == -1 for aut, _ in spec.action_cocycle.values())
+    return (2,) if flips else (0,)
+
+
+def test_the_kb_generator_reaches_every_kind_of_case():
+    kinds = {(len(spec.base.generators) // 2, _kb_expected(spec)) for spec in KB_CASE_LIST}
+    assert kinds == {(genus, q) for genus in range(1, 5) for q in ((0,), (2,))}
+    verdicts = {(_kb_expected(spec), obstruction_class(spec).verdict) for spec in KB_CASE_LIST}
+    assert verdicts == {(q, v) for q in ((0,), (2,))
+                        for v in (VERDICT_ACTION_DOES_NOT_LIFT, VERDICT_NO_SECTION, VERDICT_SPLITS)}
+
+
+def test_the_kb_quotient_is_the_centre_coinvariants_on_surface_words():
+    caught = 0
+    for spec in KB_CASE_LIST:
+        report = obstruction_class(spec)
+        group = coinvariants(1, _action(spec))
+        assert report.quotient.invariant_factors == group.invariant_factors == _kb_expected(spec)
+        if report.lifted:
+            (s,) = report.s_of_r
+            assert any(report.class_coordinates[0]) == any(group.project(s))
+        # the mutant: delta2 without the last generator's block
+        ((_, block_row),) = spec.fox_rows
+        (row,) = block_row.data
+        mutant = cokernel(IntMatrix(1, len(row) - 1, (row[:-1],)))
+        caught += mutant.invariant_factors != group.invariant_factors
+    assert caught > 0

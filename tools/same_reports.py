@@ -8,7 +8,7 @@ under ``perfbench/`` is changed), into a temporary directory.  Every op is then 
 ``bundlesec.cli.main`` of each checkout, once with ``--json`` and once as
 text, and the exit code, standard output and standard error are compared.
 The commands of the golden reports (``CASES`` in CHANGE's
-``tests/test_golden.py``) are compared the same way, each with ``--json`` and
+``tests/golden_cases.py``) are compared the same way, each with ``--json`` and
 as text, run from CHANGE's root so that their relative paths resolve.
 Each checkout runs in its own interpreter, started with ``-B`` so that no
 bytecode cache is written into it.
@@ -63,9 +63,9 @@ def _worker(src: str) -> None:
 def _golden_argvs(change: Path) -> list:
     """The golden commands of CHANGE, each with --json and as text, once each."""
     sys.path[:0] = [str(change / "src"), str(change / "tests")]
-    import test_golden
+    import golden_cases
 
-    bare = [argv[1:] if argv[0] == "--json" else argv for _, argv in test_golden.CASES]
+    bare = [argv[1:] if argv[0] == "--json" else argv for _, argv in golden_cases.CASES]
     forms = [tuple(form) for argv in bare for form in (["--json", *argv], argv)]
     return [list(form) for form in dict.fromkeys(forms)]
 
