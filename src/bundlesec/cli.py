@@ -6,8 +6,10 @@ Each input's sha256 is that of the file's bytes, from CPython's built-in
 SHA-256, so no OpenSSL is loaded.
 Exit codes: 0 success (any mathematical verdict), 2 missing or unreadable
 file (a directory, no read permission: one line with the path and the OS
-reason), 3 parse error (bytes that are not UTF-8 too, at the line and column
-of the first bad byte), 4 malformed bundle data (including data over a cap:
+reason; a FIFO, a device or any other path that is not a regular file: one
+line with the path and "not a regular file", before it is opened), 3 parse
+error (bytes that are not UTF-8 too, at the line and column of the first bad
+byte), 4 malformed bundle data (including data over a cap:
 relator letters, bits of a bundle file's integers, Fox-row entry bits,
 checked on the running prefix of each relator's Fox pass), 5 usage error
 (transgress takes one of --k and --range), 6 failed internal check (a bug, in
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import stat
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,8 +75,13 @@ def _universal_newlines(text: str) -> str:
 
 def _read(path: str) -> Tuple[str, str]:
     """(text, sha256 of the file's bytes).  The text is the bytes' UTF-8
-    decoding with CR LF and a lone CR read as LF, as open() in text mode reads it."""
+    decoding with CR LF and a lone CR read as LF, as open() in text mode reads it.
+    Only a regular file is opened: a FIFO would block and a device never end;
+    a directory is left to open() to refuse."""
     try:
+        mode = os.stat(path).st_mode
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise InputError(f"cannot read {path}: not a regular file")
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:

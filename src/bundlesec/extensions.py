@@ -213,10 +213,7 @@ class KbBundleSpec(_BundleDatum):
     def coefficients(self) -> LinearRep:
         """The centre of the fibre as a module over the base: the +-1 action zeta."""
         return LinearRep(
-            {g: IntMatrix.from_rows([[aut.center_action()]])
-             for g, (aut, _) in self.action_cocycle.items()},
-            1,
-        )
+            {g: IntMatrix.from_rows([[aut.eps]]) for g, (aut, _) in self.action_cocycle.items()}, 1)
 
     def evaluate(self, w: Word) -> Tuple[KbElement, KbAut]:
         """Value of a base word under the lifts in fibre x| Aut(fibre)."""

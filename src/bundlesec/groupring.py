@@ -17,7 +17,9 @@ No command calls ``LinearRep.evaluate_word``, ``evaluate_affine``,
 until the benchmark revision in ROADMAP.md drops them.
 
 Also hosts the Klein-bottle group model: normal forms x^a y^b for the group
-< x, y | x y x^-1 y >, its automorphisms, and its centre (generated by x^2).
+< x, y | x y x^-1 y >, its centre (generated by x^2), and its automorphisms
+as three integers (eps, q, eta) for x |-> x^eps y^q, y |-> y^eta, which apply,
+compose, invert and take powers in closed form.
 """
 
 from __future__ import annotations
@@ -166,14 +168,6 @@ class KbElement:
     def identity() -> "KbElement":
         return KbElement(0, 0)
 
-    @staticmethod
-    def x(n: int = 1) -> "KbElement":
-        return KbElement(n, 0)
-
-    @staticmethod
-    def y(n: int = 1) -> "KbElement":
-        return KbElement(0, n)
-
     def is_central(self) -> bool:
         return self.b == 0 and self.a % 2 == 0
 
@@ -189,14 +183,6 @@ def kb_inverse(p: KbElement) -> KbElement:
     return KbElement(-p.a, -sign * p.b)
 
 
-def kb_power(p: KbElement, n: int) -> KbElement:
-    # y^b x^a = x^a y^((-1)^a b): for even a the factors of p^n commute,
-    # for odd a the y-parts cancel in pairs
-    if p.a % 2 == 0:
-        return KbElement(n * p.a, n * p.b)
-    return KbElement(n * p.a, p.b * (n % 2))
-
-
 def kb_center_component(p: KbElement) -> int:
     """Coordinate of a central element under centre =~ Z generated by x^2."""
     if not p.is_central():
@@ -206,43 +192,41 @@ def kb_center_component(p: KbElement) -> int:
 
 @dataclass(frozen=True)
 class KbAut:
-    """An automorphism of the Klein-bottle group, by images of x and y.
+    """The automorphism x |-> x^eps y^q, y |-> y^eta of the Klein-bottle
+    group, eps and eta each +-1: every automorphism has this form.
 
-    Validity requires image_y = y^{+-1} and the x-exponent of image_x to be
-    +-1; the defining relation is then automatic (checked anyway).
+    eps is the +-1 by which it scales the centre, generated by x^2.
     """
 
-    image_x: KbElement
-    image_y: KbElement
+    eps: int
+    q: int
+    eta: int
 
     def __post_init__(self) -> None:
-        if self.image_y.a != 0 or self.image_y.b not in (1, -1):
-            raise ValueError("image of y must be y or y^-1")
-        if self.image_x.a not in (1, -1):
-            raise ValueError("image of x must have x-exponent +-1")
-        lhs = kb_multiply(kb_multiply(self.image_x, self.image_y), kb_inverse(self.image_x))
-        if lhs != kb_inverse(self.image_y):
-            raise ValueError("images do not satisfy the defining relation")
+        if self.eps not in (1, -1) or self.eta not in (1, -1):
+            raise ValueError("eps and eta must be +-1")
 
     @staticmethod
     def identity() -> "KbAut":
-        return KbAut(KbElement.x(), KbElement.y())
+        return KbAut(1, 0, 1)
 
     def apply(self, p: KbElement) -> KbElement:
-        return kb_multiply(kb_power(self.image_x, p.a), kb_power(self.image_y, p.b))
+        # (x^eps y^q)^a = x^(eps a) y^(q (a mod 2)): the y-parts cancel in pairs
+        return KbElement(self.eps * p.a, self.q * (p.a % 2) + self.eta * p.b)
 
     def compose(self, other: "KbAut") -> "KbAut":
         """self after other."""
-        return KbAut(self.apply(other.image_x), self.apply(other.image_y))
+        return KbAut(self.eps * other.eps, self.q + self.eta * other.q, self.eta * other.eta)
 
     def inverse(self) -> "KbAut":
-        p, q = self.image_x.a, self.image_x.b
-        eps = self.image_y.b
-        return KbAut(KbElement(p, -q * eps), KbElement(0, eps))
+        return KbAut(self.eps, -self.eta * self.q, self.eta)
 
-    def center_action(self) -> int:
-        """The +-1 by which the automorphism scales the centre."""
-        return kb_center_component(self.apply(KbElement.x(2)))
+    def power(self, n: int) -> "KbAut":
+        """self composed with itself n times, the inverse's -n times for n < 0:
+        q adds up when eta = 1, and the automorphism is an involution when eta = -1."""
+        odd = n % 2
+        q = self.q * n if self.eta == 1 else self.q * odd
+        return KbAut(self.eps if odd else 1, q, self.eta if odd else 1)
 
 
 def kb_pair_multiply(p: Tuple[KbElement, KbAut], q: Tuple[KbElement, KbAut]):
@@ -251,19 +235,10 @@ def kb_pair_multiply(p: Tuple[KbElement, KbAut], q: Tuple[KbElement, KbAut]):
     return kb_multiply(e, a.apply(f)), a.compose(b)
 
 
-def kb_conjugation(g: KbElement) -> KbAut:
-    """The automorphism h |-> g^-1 h g."""
-    ginv = kb_inverse(g)
-    return KbAut(
-        kb_multiply(kb_multiply(ginv, KbElement.x()), g),
-        kb_multiply(kb_multiply(ginv, KbElement.y()), g),
-    )
-
-
-KB_ALPHA = KbAut(KbElement.x(-1), KbElement.y())
-KB_GAMMA = KbAut(KbElement(1, 1), KbElement.y())
-KB_CONJ_X = kb_conjugation(KbElement.x())
-KB_CONJ_Y = kb_conjugation(KbElement.y())
+KB_ALPHA = KbAut(-1, 0, 1)
+KB_GAMMA = KbAut(1, 1, 1)
+KB_CONJ_X = KbAut(1, 0, -1)  # h |-> x^-1 h x
+KB_CONJ_Y = KbAut(1, 2, 1)  # h |-> y^-1 h y
 
 KB_AUT_NAMES: Dict[str, KbAut] = {
     "1": KbAut.identity(),

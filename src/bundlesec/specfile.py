@@ -16,16 +16,19 @@ A bundle file has four sections::
 A torus datum is theta plus a translation per generator and an offset per
 relator (zero by default).  No integer may exceed MAX_ENTRY_BITS bits.
 
+A header is one bracketed word naming one of the four sections, in any case;
+any other word is an error, and other bracketed text is section content.
 Lines starting with '#' are comments; blank lines are ignored.
 Cohomology inputs reuse the same layout without the [cocycle] section.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .extensions import MAX_ENTRY_BITS, KbBundleSpec, MalformedSpec, TorusBundleSpec
+from .extensions import _ENTRY_CAP, MAX_ENTRY_BITS, KbBundleSpec, MalformedSpec, TorusBundleSpec
 from .groupring import KB_AUT_NAMES, KbAut, KbElement, LinearRep, kb_multiply
 from .words import ParseError, Presentation, parse_presentation
 from .zlinalg import IntMatrix
@@ -94,8 +97,7 @@ def _quote(text: str, show: Callable[[str], str] = repr) -> str:
 
 # no integer of a file outgrows the Fox pass's entry cap or the digits a
 # report prints; a text shorter than the cap's 309 digits holds none larger
-_INT_CAP = (1 << MAX_ENTRY_BITS) - 1
-_SHORT_TEXT = len(str(_INT_CAP)) - 1
+_SHORT_TEXT = len(str(_ENTRY_CAP)) - 1
 
 
 def _parse_int(token: str, bad: str) -> int:
@@ -105,7 +107,7 @@ def _parse_int(token: str, bad: str) -> int:
         n = int(token)
     except ValueError as exc:
         raise MalformedSpec(bad) from exc
-    if abs(n) > _INT_CAP:
+    if abs(n) > _ENTRY_CAP:
         raise MalformedSpec(f"integer {_quote(token)} has more than {MAX_ENTRY_BITS} bits")
     return n
 
@@ -140,17 +142,7 @@ def kb_aut_from_word(text: str) -> KbAut:
         name, _, exp = token.partition("^")
         if name not in KB_AUT_NAMES:
             raise MalformedSpec(f"unknown Klein-bottle automorphism {_quote(name)}")
-        a = KB_AUT_NAMES[name]
-        n = _kb_exponent(token, exp)
-        if n < 0:
-            a = a.inverse()
-            n = -n
-        # square and multiply: out o a^n in O(log n) compositions
-        while n:
-            if n & 1:
-                out = out.compose(a)
-            a = a.compose(a)
-            n >>= 1
+        out = out.compose(KB_AUT_NAMES[name].power(_kb_exponent(token, exp)))
     return out
 
 
@@ -163,9 +155,9 @@ def kb_element_from_word(text: str) -> KbElement:
         name, _, exp = token.partition("^")
         n = _kb_exponent(token, exp)
         if name == "x":
-            out = kb_multiply(out, KbElement.x(n))
+            out = kb_multiply(out, KbElement(n, 0))
         elif name == "y":
-            out = kb_multiply(out, KbElement.y(n))
+            out = kb_multiply(out, KbElement(0, n))
         else:
             raise MalformedSpec(f"unknown Klein-bottle generator {_quote(name)}")
     return out
@@ -183,6 +175,12 @@ def _parse_matrix(text: str, rank: int) -> IntMatrix:
     return IntMatrix.from_rows([_parse_vector(part, rank) for part in parts])
 
 
+_SECTIONS = ("base", "fibre", "action", "cocycle")
+# a header is one bracketed word; other bracketed text, such as a relator
+# line "[a1,b1] [a2,b2]", is content of the current section
+_SECTION_HEADER = re.compile(r"\[\s*(\w+)\s*\]")
+
+
 def parse_bundle_file(text: str) -> BundleFile:
     sections: Dict[str, List[str]] = {}
     base_lines: List[str] = []  # the [base] lines in place, every other line blank
@@ -192,8 +190,11 @@ def parse_bundle_file(text: str) -> BundleFile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
+        header = _SECTION_HEADER.fullmatch(line)
+        if header:
+            current = header.group(1).lower()
+            if current not in _SECTIONS:
+                raise MalformedSpec(f"unknown section {_quote(line, str)}")
             if current in sections:
                 raise MalformedSpec(f"duplicate section [{current}]")
             sections[current] = []

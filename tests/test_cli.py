@@ -121,6 +121,30 @@ def test_exit_code_malformed_spec(tmp_path):
     assert out.returncode == 4
 
 
+def test_a_misspelled_section_header_exits_4(tmp_path, capsys):
+    from bundlesec import cli
+
+    bad = tmp_path / "cocyle.bundle"
+    bad.write_text((SPECS / "flat_kb.bundle").read_text().replace("[cocycle]", "[cocyle]"))
+    assert cli.main(["split-check", str(bad)]) == 4
+    assert capsys.readouterr() == ("", "error: unknown section [cocyle]\n")
+
+
+def test_a_relator_line_in_brackets_reads_as_on_one_line(tmp_path, capsys):
+    from bundlesec import cli
+
+    spec = SPECS.parent / "tests" / "specs" / "genus2_rank3.bundle"
+    split = tmp_path / "genus2_rank3.bundle"
+    split.write_text(spec.read_text().replace("| [a1,b1] [a2,b2] >", "|\n  [a1,b1] [a2,b2]\n>"))
+    reports = []
+    for path in (spec, split):
+        assert cli.main(["--json", "split-check", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["inputs"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_range_errors_quote_at_most_60_characters(capsys):
     from bundlesec import cli
 

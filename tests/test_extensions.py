@@ -26,7 +26,6 @@ from bundlesec.groupring import (
     KbAut,
     KbElement,
     LinearRep,
-    kb_conjugation,
     kb_inverse,
     kb_multiply,
 )
@@ -204,8 +203,9 @@ def test_kb_noncentral_relator_value_does_not_lift():
 
 kb_small = st.builds(KbElement, st.integers(min_value=-3, max_value=3),
                      st.integers(min_value=-3, max_value=3))
+# KbAut(1, 4, -1) is conjugation by x y^2
 kb_auts = st.sampled_from([KbAut.identity(), KB_ALPHA, KB_GAMMA, KB_CONJ_X, KB_CONJ_Y,
-                           kb_conjugation(KbElement(1, 2)), KB_ALPHA.compose(KB_GAMMA)])
+                           KbAut(1, 4, -1), KB_ALPHA.compose(KB_GAMMA)])
 uv_words = st.lists(st.tuples(st.sampled_from("uv"), st.sampled_from((1, -1))),
                     max_size=16).map(Word.make)
 

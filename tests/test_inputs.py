@@ -1,7 +1,8 @@
 """How the CLI reads an input file: the digest is that of the file's bytes,
 computed with no OpenSSL loaded; CR LF and CR-only files read as their LF
-twins; a directory or unreadable file exits 2 and bytes that are not UTF-8
-exit 3, each in one stderr line."""
+twins; a directory, an unreadable file or a path that is not a regular file
+(a FIFO, a device) exits 2 and bytes that are not UTF-8 exit 3, each in one
+stderr line."""
 
 import errno
 import hashlib
@@ -107,3 +108,23 @@ def test_bytes_that_are_not_utf8_exit_3_at_the_first_bad_byte(command, tmp_path,
     path.write_bytes(BAD_UTF8)
     assert _run(capsys, [command, str(path)]) == (
         3, "", "error: invalid UTF-8 byte 0xff (line 2, column 6)\n")
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_a_fifo_with_no_writer_exits_2_without_blocking(command, tmp_path):
+    # in a subprocess with a timeout: opening the FIFO would block for good
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-B", "-m", "bundlesec.cli", command, str(path)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: cannot read {path}: not a regular file\n")
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_a_character_device_exits_2_unread(command, capsys):
+    # /dev/null reads as an empty file, which would exit 3 or 4 if it were read
+    assert _run(capsys, [command, os.devnull]) == (
+        2, "", f"error: cannot read {os.devnull}: not a regular file\n")

@@ -1,11 +1,15 @@
 """The sectioned bundle-file format."""
 
+import pathlib
+
 import pytest
 
 from bundlesec.extensions import KbBundleSpec, MalformedSpec, TorusBundleSpec
 from bundlesec.groupring import KB_ALPHA, KB_AUT_NAMES, KB_CONJ_Y, KB_GAMMA, KbAut, KbElement
 from bundlesec.specfile import kb_aut_from_word, kb_element_from_word, parse_bundle_file
-from bundlesec.words import ParseError
+from bundlesec.words import ParseError, Word
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 TORUS_TEXT = """
 [base]
@@ -50,7 +54,7 @@ def test_parse_kb_bundle():
     spec = bundle.to_spec()
     assert isinstance(spec, KbBundleSpec)
     aut, elem = spec.action_cocycle["u"]
-    assert aut.center_action() == 1
+    assert aut.eps == 1
     assert (elem.a, elem.b) == (1, 0)
     off = spec.relator_offsets[0]
     assert (off.a, off.b) == (2, -1)
@@ -82,6 +86,34 @@ def test_malformed_files(mutation, needle):
     with pytest.raises(MalformedSpec) as err:
         parse_bundle_file(mutation(TORUS_TEXT)).to_spec()
     assert needle in str(err.value)
+
+
+def test_a_misspelled_section_header_is_refused():
+    # [cocyle] would drop the cocycle: the file's NO_SECTION would read SPLITS
+    text = (ROOT / "specs" / "flat_kb.bundle").read_text().replace("[cocycle]", "[cocyle]")
+    with pytest.raises(MalformedSpec) as err:
+        parse_bundle_file(text)
+    assert str(err.value) == "unknown section [cocyle]"
+
+
+def test_a_long_unknown_section_header_is_clipped():
+    with pytest.raises(MalformedSpec) as err:
+        parse_bundle_file(f"[{'s' * 5000}]\n" + TORUS_TEXT)
+    assert str(err.value) == f"unknown section [{'s' * 59}... (5002 characters)"
+
+
+def test_section_headers_are_case_insensitive():
+    text = TORUS_TEXT.replace("[base]", "[BASE]").replace("[fibre]", "[ Fibre ]")
+    assert parse_bundle_file(text).fibre_rank == 2
+
+
+def test_a_bracketed_relator_line_is_base_content():
+    # "[a1,b1] [a2,b2]" on a line of its own is bracketed text, but not one word
+    one_line = (ROOT / "tests" / "specs" / "genus2_rank3.bundle").read_text()
+    text = one_line.replace("< a1, b1, a2, b2 | [a1,b1] [a2,b2] >",
+                            "< a1, b1, a2, b2 |\n  [a1,b1] [a2,b2]\n>")
+    assert text != one_line
+    assert parse_bundle_file(text).to_spec() == parse_bundle_file(one_line).to_spec()
 
 
 def test_bad_presentation_raises_parse_error():
@@ -301,4 +333,4 @@ def test_kb_aut_huge_exponent_is_fast():
     start = time.perf_counter()
     aut = kb_aut_from_word("gamma^200000")
     assert time.perf_counter() - start < 0.5
-    assert aut == KbAut(KbElement(1, 200000), KbElement.y())
+    assert aut == KbAut(1, 200000, 1)

@@ -208,7 +208,7 @@ def _kb_cases():
                        KbElement(rng.randint(-3, 3), rng.randint(-3, 3)))
                    for g in base.generators}
         # a central offset x^2k, k in -2..2
-        yield KbBundleSpec(base, cocycle, (KbElement.x(2 * rng.randint(-2, 2)),))
+        yield KbBundleSpec(base, cocycle, (KbElement(2 * rng.randint(-2, 2), 0),))
 
 
 KB_CASE_LIST = list(_kb_cases())
@@ -216,7 +216,7 @@ KB_CASE_LIST = list(_kb_cases())
 
 def _kb_expected(spec):
     # Z/2 once some generator acts by -1 on the centre, else Z
-    flips = any(aut.center_action() == -1 for aut, _ in spec.action_cocycle.values())
+    flips = any(aut.eps == -1 for aut, _ in spec.action_cocycle.values())
     return (2,) if flips else (0,)
 
 
