@@ -14,7 +14,10 @@ A bundle file has four sections::
     offset 1 = 1 0     # fibre offset of the 1st base relator (optional)
 
 A torus datum is theta plus a translation per generator and an offset per
-relator (zero by default).  No integer may exceed MAX_ENTRY_BITS bits.
+relator (zero by default).  A [cocycle] key that names a base generator is
+that generator's translation, even one named 'offset'; any other key
+'offset' or 'offset N' is the offset of relator 1 or N.  No integer may
+exceed MAX_ENTRY_BITS bits.
 
 A header is one bracketed word naming one of the four sections, in any case;
 any other word is an error, and other bracketed text is section content.
@@ -26,11 +29,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .extensions import _ENTRY_CAP, MAX_ENTRY_BITS, KbBundleSpec, MalformedSpec, TorusBundleSpec
+from .extensions import (_ENTRY_CAP, MAX_ENTRY_BITS, KbBundleSpec, MalformedSpec,
+                         TorusBundleSpec, _over_cap)
 from .groupring import KB_AUT_NAMES, KbAut, KbElement, LinearRep, kb_multiply
-from .words import ParseError, Presentation, parse_presentation
+from .words import Presentation, parse_presentation
 from .zlinalg import IntMatrix
 
 
@@ -40,8 +44,8 @@ class BundleFile:
     fibre_kind: str  # "torus" | "kb"
     fibre_rank: int
     action_lines: Dict[str, str]
-    cocycle_lines: Dict[str, str]
-    offset_lines: Dict[int, str]
+    # values by base generator name, and relator offsets by relator index
+    cocycle_lines: Dict[Union[str, int], str]
 
     def torus_action(self) -> LinearRep:
         """theta, from the [action] section: the one place it is parsed."""
@@ -69,7 +73,7 @@ class BundleFile:
         rank = self.fibre_rank
         translations = {g: _parse_vector(self.cocycle_lines.get(g, ""), rank)
                         for g in self.base.generators}
-        offsets = tuple(_parse_vector(self.offset_lines.get(i, ""), rank)
+        offsets = tuple(_parse_vector(self.cocycle_lines.get(i, ""), rank)
                         for i in range(1, len(self.base.relators) + 1))
         return TorusBundleSpec(self.base, action, translations, offsets)
 
@@ -78,7 +82,7 @@ class BundleFile:
             g: (kb_aut_from_word(self._action_line(g)),
                 kb_element_from_word(self.cocycle_lines.get(g, "1")))
             for g in self.base.generators}
-        offsets = tuple(kb_element_from_word(self.offset_lines.get(i, "1"))
+        offsets = tuple(kb_element_from_word(self.cocycle_lines.get(i, "1"))
                         for i in range(1, len(self.base.relators) + 1))
         return KbBundleSpec(self.base, pairs, offsets)
 
@@ -95,71 +99,56 @@ def _quote(text: str, show: Callable[[str], str] = repr) -> str:
     return f"{show(text[:QUOTE_CHARS])}... ({len(text)} characters)"
 
 
-# no integer of a file outgrows the Fox pass's entry cap or the digits a
-# report prints; a text shorter than the cap's 309 digits holds none larger
-_SHORT_TEXT = len(str(_ENTRY_CAP)) - 1
-
-
-def _parse_int(token: str, bad: str) -> int:
-    """int(token) of at most MAX_ENTRY_BITS bits, or MalformedSpec(bad) if
-    the token is no integer (int()'s own limit of 4,300 digits included)."""
+def _parse_ints(tokens: Sequence[str], bad: str) -> Tuple[int, ...]:
+    """The integers the tokens spell, or MalformedSpec(bad) if one is no
+    integer (int()'s own limit of 4,300 digits included).  No integer of a
+    file may outgrow the Fox pass's entry cap or the digits a report prints:
+    the first token over MAX_ENTRY_BITS bits is named."""
     try:
-        n = int(token)
+        ints = tuple(map(int, tokens))
     except ValueError as exc:
         raise MalformedSpec(bad) from exc
-    if abs(n) > _ENTRY_CAP:
+    if ints and _over_cap(ints):
+        token = next(t for t, n in zip(tokens, ints) if abs(n) > _ENTRY_CAP)
         raise MalformedSpec(f"integer {_quote(token)} has more than {MAX_ENTRY_BITS} bits")
-    return n
+    return ints
 
 
 def _parse_vector(text: str, rank: int) -> Tuple[int, ...]:
     text = text.strip()
     if not text:
         return tuple(0 for _ in range(rank))
-    try:
-        vec = tuple(map(int, text.split()))
-    except ValueError as exc:
-        raise MalformedSpec(f"bad integer vector {_quote(text)}") from exc
-    if len(text) > _SHORT_TEXT:
-        for tok in text.split():
-            _parse_int(tok, "")  # every token is an integer: refuses one over the cap
+    vec = _parse_ints(text.split(), f"bad integer vector {_quote(text)}")
     if len(vec) != rank:
         raise MalformedSpec(f"vector {_quote(text)} does not have length {rank}")
     return vec
 
 
-def _kb_exponent(token: str, exp: str) -> int:
-    """The n of a token 'name^n' (1 for a bare 'name')."""
-    if not exp:
-        return 1
-    return _parse_int(exp, f"bad exponent in Klein-bottle token {_quote(token)}")
+def _kb_powers(tokens: List[str], names: Dict[str, Any], kind: str) -> Iterator[Tuple[Any, int]]:
+    """(names[name], n) for each token 'name^n' (n = 1 for a bare 'name');
+    each name is checked before its exponent."""
+    for token in tokens:
+        name, _, exp = token.partition("^")
+        if name not in names:
+            raise MalformedSpec(f"unknown Klein-bottle {kind} {_quote(name)}")
+        (n,) = _parse_ints([exp or "1"], f"bad exponent in Klein-bottle token {_quote(token)}")
+        yield names[name], n
 
 
 def kb_aut_from_word(text: str) -> KbAut:
     """Compose named automorphisms, e.g. 'alpha gamma' or 'alpha^-1'."""
     out = KbAut.identity()
-    for token in text.split():
-        name, _, exp = token.partition("^")
-        if name not in KB_AUT_NAMES:
-            raise MalformedSpec(f"unknown Klein-bottle automorphism {_quote(name)}")
-        out = out.compose(KB_AUT_NAMES[name].power(_kb_exponent(token, exp)))
+    for aut, n in _kb_powers(text.split(), KB_AUT_NAMES, "automorphism"):
+        out = out.compose(aut.power(n))
     return out
 
 
 def kb_element_from_word(text: str) -> KbElement:
     """Parse a product of x/y powers, e.g. 'x^2 y^-1' or '1'."""
     out = KbElement.identity()
-    for token in text.split():
-        if token == "1":
-            continue
-        name, _, exp = token.partition("^")
-        n = _kb_exponent(token, exp)
-        if name == "x":
-            out = kb_multiply(out, KbElement(n, 0))
-        elif name == "y":
-            out = kb_multiply(out, KbElement(0, n))
-        else:
-            raise MalformedSpec(f"unknown Klein-bottle generator {_quote(name)}")
+    tokens = [token for token in text.split() if token != "1"]
+    for (a, b), n in _kb_powers(tokens, {"x": (1, 0), "y": (0, 1)}, "generator"):
+        out = kb_multiply(out, KbElement(a * n, b * n))
     return out
 
 
@@ -172,7 +161,7 @@ def _parse_matrix(text: str, rank: int) -> IntMatrix:
         raise MalformedSpec(f"matrix {_quote(text)} has an empty row")
     if len(parts) != rank:
         raise MalformedSpec(f"matrix {_quote(text)} does not have {_quote(str(rank), str)} rows")
-    return IntMatrix.from_rows([_parse_vector(part, rank) for part in parts])
+    return IntMatrix(rank, rank, tuple(_parse_vector(part, rank) for part in parts))
 
 
 _SECTIONS = ("base", "fibre", "action", "cocycle")
@@ -219,7 +208,7 @@ def parse_bundle_file(text: str) -> BundleFile:
     if kind == "torus":
         if len(fibre_words) != 2:
             raise MalformedSpec("expected: torus <rank>")
-        rank = _parse_int(fibre_words[1], "torus rank must be an integer")
+        (rank,) = _parse_ints(fibre_words[1:], "torus rank must be an integer")
         if rank < 1:
             raise MalformedSpec("torus rank must be positive")
     elif kind == "kb":
@@ -227,39 +216,33 @@ def parse_bundle_file(text: str) -> BundleFile:
     else:
         raise MalformedSpec(f"unknown fibre kind {_quote(kind)}")
 
-    action_lines: Dict[str, str] = {}
-    for line in sections.get("action", []):
-        key, value = _split_assignment(line)
-        if key in action_lines:
-            raise MalformedSpec(f"duplicate [action] line for {_quote(key)}")
-        action_lines[key] = value
+    action_lines = _assignments("action", sections.get("action", []), base)
+    cocycle_lines = _assignments("cocycle", sections.get("cocycle", []), base)
+    return BundleFile(base, kind, rank, action_lines, cocycle_lines)
 
-    cocycle_lines: Dict[str, str] = {}
-    offset_lines: Dict[int, str] = {}
-    for line in sections.get("cocycle", []):
-        key, value = _split_assignment(line)
-        if key.startswith("offset"):
-            idx_text = key[len("offset"):].strip()
-            idx = _parse_int(idx_text, f"bad relator index in {_quote(key)}") if idx_text else 1
-            if not 1 <= idx <= len(base.relators):
-                raise MalformedSpec(f"offset index {idx} out of range")
-            if idx in offset_lines:
-                raise MalformedSpec(f"duplicate offset for relator {idx}")
-            offset_lines[idx] = value
+
+def _assignments(section: str, lines: List[str], base: Presentation) -> Dict[Union[str, int], str]:
+    """The values of a section's 'key = value' lines, each key once: by base
+    generator name, and in [cocycle] also by the relator index of a key
+    'offset' (relator 1) or 'offset N' that names no base generator."""
+    generators = set(base.generators)
+    out: Dict[Union[str, int], str] = {}
+    for line in lines:
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise MalformedSpec(f"expected 'name = value', found {_quote(line)}")
+        key = key.strip()
+        if key in generators:
+            duplicate = f"duplicate [{section}] line for {_quote(key)}"
+        elif section == "cocycle" and key.startswith("offset"):
+            index = key[len("offset"):].strip() or "1"
+            (key,) = _parse_ints([index], f"bad relator index in {_quote(key)}")
+            if not 1 <= key <= len(base.relators):
+                raise MalformedSpec(f"offset index {key} out of range")
+            duplicate = f"duplicate offset for relator {key}"
         else:
-            if key in cocycle_lines:
-                raise MalformedSpec(f"duplicate [cocycle] line for {_quote(key)}")
-            cocycle_lines[key] = value
-
-    for key in list(action_lines) + list(cocycle_lines):
-        if key not in base.generators:
             raise MalformedSpec(f"line for {_quote(key)} does not name a base generator")
-
-    return BundleFile(base, kind, rank, action_lines, cocycle_lines, offset_lines)
-
-
-def _split_assignment(line: str) -> Tuple[str, str]:
-    if "=" not in line:
-        raise MalformedSpec(f"expected 'name = value', found {_quote(line)}")
-    key, value = line.split("=", 1)
-    return key.strip(), value.strip()
+        if key in out:
+            raise MalformedSpec(duplicate)
+        out[key] = value.strip()
+    return out

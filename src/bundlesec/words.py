@@ -42,17 +42,12 @@ def reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
 
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word in a free group on named generators."""
+    """A word in a free group on named generators, freely reduced on construction."""
 
     letters: Tuple[Letter, ...]
 
     def __post_init__(self) -> None:
-        if self.letters != reduce_letters(self.letters):
-            raise ValueError("word is not freely reduced; use Word.make")
-
-    @staticmethod
-    def make(letters: Iterable[Letter]) -> "Word":
-        return Word(reduce_letters(letters))
+        object.__setattr__(self, "letters", reduce_letters(self.letters))
 
     @staticmethod
     def identity() -> "Word":
@@ -63,7 +58,7 @@ class Word:
         return Word(((name, 1 if exponent > 0 else -1),) * abs(exponent))
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word.make(self.letters + other.letters)
+        return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
@@ -101,14 +96,15 @@ class Presentation:
     relators: Tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.generators)) != len(self.generators):
+        known = set(self.generators)
+        if len(known) != len(self.generators):
             raise ValueError("duplicate generator names")
         for g in self.generators:
             if not g:
                 raise ValueError("empty generator name")
         for r in self.relators:
             for g, _ in r.letters:
-                if g not in self.generators:
+                if g not in known:
                     raise ValueError(f"relator uses unknown generator {g!r}")
 
     def exponent_matrix(self) -> IntMatrix:
@@ -178,9 +174,10 @@ def _tokenize(text: str) -> List[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        # isdecimal, not isdigit: int() refuses a digit such as '²'
+        if ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", text[i:j], line, start_col))
             col += j - i
@@ -223,10 +220,14 @@ class _Parser:
     def parse(self) -> Presentation:
         self.expect("<")
         generators: List[str] = []
+        known = set()
         while True:
             tok = self.next()
             if tok.kind != "NAME":
                 raise ParseError("expected a generator name", tok.line, tok.col)
+            if tok.text in known:
+                raise ParseError(f"duplicate generator {tok.text!r}", tok.line, tok.col)
+            known.add(tok.text)
             generators.append(tok.text)
             sep = self.next()
             if sep.text == ",":
@@ -234,7 +235,6 @@ class _Parser:
             if sep.text == "|":
                 break
             raise ParseError("expected ',' or '|' after generator", sep.line, sep.col)
-        known = set(generators)
         relators: List[Word] = []
         if self.peek().text == ">":
             self.next()
@@ -250,10 +250,7 @@ class _Parser:
         tok = self.next()
         if tok.kind != "EOF":
             raise ParseError("trailing input after presentation", tok.line, tok.col)
-        try:
-            return Presentation(tuple(generators), tuple(relators))
-        except ValueError as exc:
-            raise ParseError(str(exc), 1, 1) from exc
+        return Presentation(tuple(generators), tuple(relators))
 
     def parse_relator(self, known: set) -> List[Word]:
         if self.peek().kind == "COMM":
@@ -294,7 +291,7 @@ class _Parser:
                 break
         if not parsed_any:
             raise self.fail("expected a relator")
-        return [Word.make(letters)]
+        return [Word(letters)]
 
     def check_length(self, count: int, tok: _Token) -> None:
         if count > MAX_RELATOR_LETTERS:
@@ -308,7 +305,7 @@ class _Parser:
         self.expect(";")
         right = self.parse_namelist(known, stop=")")
         self.expect(")")
-        return [Word.make(((a, 1), (b, 1), (a, -1), (b, -1))) for a in left for b in right]
+        return [Word(((a, 1), (b, 1), (a, -1), (b, -1))) for a in left for b in right]
 
     def parse_namelist(self, known: set, stop: str) -> List[str]:
         names = []

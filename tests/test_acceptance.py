@@ -121,7 +121,7 @@ def _random_word(rng, max_len=10):
     letters = []
     for _ in range(rng.randint(0, max_len)):
         letters.append((rng.choice("xy"), rng.choice((1, -1))))
-    return Word.make(letters)
+    return Word(letters)
 
 
 def _random_matrix(rng, r, c, bound=9):

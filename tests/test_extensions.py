@@ -207,7 +207,7 @@ kb_small = st.builds(KbElement, st.integers(min_value=-3, max_value=3),
 kb_auts = st.sampled_from([KbAut.identity(), KB_ALPHA, KB_GAMMA, KB_CONJ_X, KB_CONJ_Y,
                            KbAut(1, 4, -1), KB_ALPHA.compose(KB_GAMMA)])
 uv_words = st.lists(st.tuples(st.sampled_from("uv"), st.sampled_from((1, -1))),
-                    max_size=16).map(Word.make)
+                    max_size=16).map(Word)
 
 
 @settings(max_examples=200, derandomize=True)

@@ -25,7 +25,7 @@ from test_groupring import unimodular
 GENS = ("x", "y", "z")
 
 relators = st.lists(st.tuples(st.sampled_from(GENS), st.sampled_from((1, -1))),
-                    max_size=16).map(Word.make)
+                    max_size=16).map(Word)
 bases = st.lists(relators, min_size=1, max_size=3).map(
     lambda rels: Presentation(GENS, tuple(rels)))
 ranks = st.integers(min_value=1, max_value=4)

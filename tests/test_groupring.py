@@ -36,7 +36,7 @@ from fox_reference import (
 
 letters = st.lists(
     st.tuples(st.sampled_from("xy"), st.sampled_from((1, -1))), max_size=12)
-words = letters.map(Word.make)
+words = letters.map(Word)
 
 
 # --- Fox calculus --------------------------------------------------------------
@@ -169,7 +169,7 @@ def affine_reps(draw):
 
 
 xy_words = st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from((1, -1))),
-                    max_size=16).map(Word.make)
+                    max_size=16).map(Word)
 
 
 @settings(max_examples=200, derandomize=True)

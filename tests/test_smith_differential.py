@@ -103,7 +103,7 @@ def _small_torus_specs(rng, count):
         m = rng.choice((1, 2, 3, 4))
         gens = tuple(f"g{i}" for i in range(rng.randint(1, 8 // m)))
         relators = tuple(
-            Word.make((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 8)))
+            Word((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 8)))
             for _ in range(rng.randint(1, 4 // m)))
         theta = {g: _elementary_product(rng, m, rng.randint(0, 2 * m)) for g in gens}
         yield extensions.TorusBundleSpec(Presentation(gens, relators), LinearRep(theta, m),

@@ -1,6 +1,9 @@
 """The sectioned bundle-file format."""
 
+import json
 import pathlib
+import random
+import re
 
 import pytest
 
@@ -128,6 +131,28 @@ def test_parse_error_names_the_line_and_column_in_the_file():
         parse_bundle_file(text)
     assert (err.value.line, err.value.col) == (5, 7)
     assert str(err.value) == "unknown generator 'w' in relator (line 5, column 7)"
+
+
+def test_a_duplicate_generator_is_named_at_its_line_in_the_file():
+    text = TORUS_TEXT.replace("< u, v | [u,v] >", "# the base\n< u, v,\n  v | [u,v] >")
+    with pytest.raises(ParseError) as err:
+        parse_bundle_file(text)
+    assert str(err.value) == "duplicate generator 'v' (line 5, column 3)"
+
+
+def test_reading_a_base_of_many_generators_is_linear_in_their_number():
+    # each relator letter and each [action] key is looked up in a set: with
+    # a scan of the generator tuple, 20,000 generators took seconds
+    import time
+
+    gens = [f"g{i}" for i in range(20_000)]
+    relators = ", ".join(" ".join(gens[i:i + 1000]) for i in range(0, len(gens), 1000))
+    text = (f"[base]\n< {', '.join(gens)} | {relators} >\n[fibre]\ntorus 1\n[action]\n"
+            + "".join(f"{g} = 1\n" for g in gens))
+    start = time.perf_counter()
+    bundle = parse_bundle_file(text)
+    assert time.perf_counter() - start < 2
+    assert len(bundle.action_lines) == 20_000
 
 
 def test_non_invertible_matrix_is_rejected():
@@ -294,6 +319,69 @@ def test_long_generator_name_is_clipped():
     assert str(err.value) == f"[action] is missing generator {'g' * 60!r}... (5000 characters)"
 
 
+# --- [cocycle] keys ------------------------------------------------------------
+
+OFFSET_LIKE_NAMES = ["offset", "offset1", "offsets", "offset_2", "offset2", "offset10", "offsetx"]
+
+
+def _renamed(text, names):
+    """text with each base generator renamed by names: in the [base] section
+    wherever it stands as a word, in [action] and [cocycle] as a line's key."""
+    pattern = re.compile(r"(?<!\w)(" + "|".join(map(re.escape, names)) + r")(?!\w)")
+    section, out = None, []
+    for line in text.splitlines():
+        header = re.fullmatch(r"\[\s*(\w+)\s*\]", line.strip())
+        if header:
+            section = header.group(1).lower()
+        elif section == "base":
+            line = pattern.sub(lambda m: names[m.group(1)], line)
+        elif section in ("action", "cocycle") and "=" in line:
+            key, value = line.split("=", 1)
+            line = f"{names.get(key.strip(), key.strip())} ={value}"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def _split_check_result(path, capsys):
+    from bundlesec import cli
+
+    code = cli.main(["--json", "split-check", str(path)])
+    out, err = capsys.readouterr()
+    return code, json.loads(out)["result"] if code == 0 else err
+
+
+def test_generators_named_like_offsets_keep_their_translations(tmp_path, capsys):
+    rng = random.Random(24)
+    paths = [path for folder in (ROOT / "specs", ROOT / "tests" / "specs")
+             for path in sorted(folder.glob("*.bundle"))]
+    mismatches = []
+    for path in paths:
+        text = path.read_text()
+        generators = parse_bundle_file(text).base.generators
+        names = dict(zip(generators, rng.sample(OFFSET_LIKE_NAMES, len(generators))))
+        renamed = tmp_path / path.name
+        renamed.write_text(_renamed(text, names))
+        assert parse_bundle_file(renamed.read_text()).base.generators == tuple(names.values())
+        expected = _split_check_result(path, capsys)
+        assert expected[0] == 0
+        if _split_check_result(renamed, capsys) != expected:
+            mismatches.append(path.name)
+    assert mismatches == []
+
+
+def test_a_generator_named_offset_is_no_relator_offset():
+    text = ("[base]\n< {g}, v | [{g},v] >\n[fibre]\ntorus 1\n[action]\n{g} = 1\nv = 1\n"
+            "[cocycle]\n{g} = 1\n")
+    for name in ("offset", "offset1"):
+        spec = parse_bundle_file(text.format(g=name)).to_spec()
+        assert spec.translations == {name: (1,), "v": (0,)}
+        assert spec.relator_offsets == ((0,),)
+    with pytest.raises(MalformedSpec, match="^duplicate offset for relator 1$"):
+        parse_bundle_file(TORUS_TEXT + "offset 1 = 0 0\n")
+    with pytest.raises(MalformedSpec, match="^bad relator index in 'offsetx'$"):
+        parse_bundle_file(TORUS_TEXT + "offsetx = 0 0\n")
+
+
 # --- Klein-bottle values ------------------------------------------------------
 
 
@@ -309,6 +397,11 @@ def test_kb_word_parsers():
         kb_aut_from_word("beta")
     with pytest.raises(MalformedSpec, match="bad exponent in Klein-bottle token 'x\\^a'"):
         kb_element_from_word("x^a")
+    # the name is checked before the exponent, in both kinds of word
+    with pytest.raises(MalformedSpec, match="unknown Klein-bottle generator 'z'"):
+        kb_element_from_word("z^a")
+    with pytest.raises(MalformedSpec, match="unknown Klein-bottle automorphism 'beta'"):
+        kb_aut_from_word("beta^a")
 
 
 def _kb_aut_power_by_repeated_composition(name, n):

@@ -1,8 +1,8 @@
 """Every function defined in src/bundlesec is run by some command.
 
 A worker interpreter sets ``sys.setprofile`` before it imports bundlesec, then
-runs through ``cli.main`` every golden argv (``golden_cases.CASES``) and one
-argv per documented error exit, and records every code object of
+runs through ``cli.main`` every golden argv (``golden_cases.CASES``) and the
+hostile inputs of ``error_cases.CASES``, and records every code object of
 src/bundlesec that is entered.  Each ``def`` in src/bundlesec/*.py, nested
 ones included (lambdas and comprehensions are not defs), must be entered,
 except the names of two allow-lists:
@@ -34,6 +34,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+
+import error_cases
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bundlesec"
@@ -69,22 +71,6 @@ OTHER_ALLOWED = {
         "builds the projection of lemma 2's groups, which the CLI never reads (it prints "
         "str() of them) and test_lemma2_differential's lattice-equality check does",
 }
-
-# inputs for one argv per documented error exit: (exit code, argv, file name, bytes)
-ERROR_CASES = (
-    (2, ["abelianize", "{tmp}/missing.pres"], None, None),
-    # a directory: not a missing file, but no file to read
-    (2, ["split-check", "{tmp}"], None, None),
-    # no factor after '|': _Parser.fail
-    (3, ["abelianize", "{tmp}/no_relator.pres"], "no_relator.pres", b"< a | , >\n"),
-    # a byte that is not UTF-8, placed by line and column
-    (3, ["cohomology", "{tmp}/latin1.bundle"], "latin1.bundle", b"[base]\n< u \xe9 | u >\n"),
-    # -1 does not kill u: the message formats the relator word
-    (4, ["cohomology", "{tmp}/unkilled.bundle"], "unkilled.bundle",
-     b"[base]\n< u | u >\n[fibre]\ntorus 1\n[action]\nu = -1\n"),
-    (5, ["transgress", "--k", "abc"], None, None),
-)
-
 
 def _exercises():
     """One call of each pinned tracer target, on inputs built beforehand."""
@@ -184,11 +170,7 @@ def _pin_errors(targets, exercised):
 
 @pytest.fixture(scope="module")
 def reached(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("reached")
-    for _, _, name, data in ERROR_CASES:
-        if name:
-            (tmp / name).write_bytes(data)
-    argvs = [[a.format(tmp=tmp) for a in argv] for _, argv, _, _ in ERROR_CASES]
+    argvs = error_cases.write_inputs(tmp_path_factory.mktemp("reached"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests"))))
     proc = subprocess.run([sys.executable, "-B", __file__, json.dumps(argvs)], env=env,
                           capture_output=True, text=True)
@@ -207,7 +189,7 @@ def reached(tmp_path_factory):
 def test_the_commands_exit_as_documented(reached):
     import golden_cases
 
-    assert reached["codes"] == [0] * len(golden_cases.CASES) + [c for c, *_ in ERROR_CASES]
+    assert reached["codes"] == [0] * len(golden_cases.CASES) + [c for c, *_ in error_cases.CASES]
 
 
 def test_every_def_in_src_is_entered_by_a_command(reached):

@@ -154,7 +154,7 @@ def _rotated(spec, drop_letter=False):
     # r = g^s w and w g^s = g^-s r g^s, whose value is theta(g)^-s offset
     (relator,), (offset,) = spec.base.relators, spec.relator_offsets
     (g, s), rest = relator.letters[0], relator.letters[1:]
-    return _respec(spec, relator=Word.make(rest if drop_letter else rest + ((g, s),)),
+    return _respec(spec, relator=Word(rest if drop_letter else rest + ((g, s),)),
                    offset=spec.coefficients.matrix(g, -s).apply(offset))
 
 

@@ -85,7 +85,7 @@ def test_laurent_inexact_division_fails_fast_inside_the_lex_window():
 
 
 uxy_words = st.lists(st.tuples(st.sampled_from("uxy"), st.sampled_from((1, -1))),
-                     max_size=16).map(Word.make)
+                     max_size=16).map(Word)
 
 
 @settings(max_examples=200, derandomize=True)

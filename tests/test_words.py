@@ -30,7 +30,7 @@ def test_reduction_is_idempotent_and_reduced(ls):
 @settings(max_examples=200, derandomize=True)
 @given(letters, letters)
 def test_group_laws(ls1, ls2):
-    u, v = Word.make(ls1), Word.make(ls2)
+    u, v = Word(ls1), Word(ls2)
     assert (u * v) * v.inverse() == u
     assert not (u * u.inverse()).letters
     assert (u * v).inverse() == v.inverse() * u.inverse()
@@ -91,6 +91,22 @@ def test_parse_errors_carry_location():
         parse_presentation("< x | x ^ y >")
     with pytest.raises(ParseError):
         parse_presentation("< x | x > junk")
+
+
+def test_a_duplicate_generator_is_named_at_its_repetition():
+    with pytest.raises(ParseError) as err:
+        parse_presentation("< x, y,\n  x | [x,y] >")
+    assert str(err.value) == "duplicate generator 'x' (line 2, column 3)"
+
+
+def test_integer_tokens_are_decimal_digits():
+    # '²' is a digit that int() refuses: it is no integer token
+    with pytest.raises(ParseError) as err:
+        parse_presentation("< x | x^² >")
+    assert str(err.value) == "unexpected character '²' (line 1, column 9)"
+    # other decimal digits, such as Arabic-Indic ones, read as integers
+    assert parse_presentation("< x | x^\u0663, x^-\u0661\u0662 >").relators \
+        == (Word.gen("x", 3), Word.gen("x", -12))
 
 
 def test_relator_letter_cap():

@@ -9,7 +9,10 @@ under ``perfbench/`` is changed), into a temporary directory.  Every op is then 
 text, and the exit code, standard output and standard error are compared.
 The commands of the golden reports (``CASES`` in CHANGE's
 ``tests/golden_cases.py``) are compared the same way, each with ``--json`` and
-as text, run from CHANGE's root so that their relative paths resolve.
+as text, run from CHANGE's root so that their relative paths resolve.  The
+hostile inputs of CHANGE's ``tests/error_cases.py`` are written into a
+temporary directory and each argv is compared once, as written, so that a
+changed error message shows as one listed difference.
 Each checkout runs in its own interpreter, started with ``-B`` so that no
 bytecode cache is written into it.
 
@@ -60,9 +63,17 @@ def _worker(src: str) -> None:
     json.dump(results, sys.stdout)
 
 
-def _golden_argvs(change: Path) -> list:
+def _differences(parent: Path, change: Path, workdir: Path, argvs: list, where: str) -> list:
+    """(where, command, parent's result, change's result) for each argv whose
+    results differ."""
+    before = _run_worker(parent, workdir, argvs)
+    after = _run_worker(change, workdir, argvs)
+    return [(where, " ".join(a), x, y) for a, x, y in zip(argvs, before, after, strict=True)
+            if x != y]
+
+
+def _golden_argvs() -> list:
     """The golden commands of CHANGE, each with --json and as text, once each."""
-    sys.path[:0] = [str(change / "src"), str(change / "tests")]
     import golden_cases
 
     bare = [argv[1:] if argv[0] == "--json" else argv for _, argv in golden_cases.CASES]
@@ -77,7 +88,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     sys.dont_write_bytecode = True  # leave no cache under perfbench/
-    sys.path.insert(0, str(change / "perfbench"))
+    sys.path[:0] = [str(change / "perfbench"), str(change / "tests")]
+    import error_cases
     import workloads
 
     total, differences = 0, []
@@ -87,25 +99,28 @@ def main(argv: Sequence[str] | None = None) -> int:
                 workdir = Path(tmp)
                 ops = workloads.build(workload, seed, workdir, change / "specs")
                 argvs = [argv for op in ops for argv in (op.argv, op.argv[1:])]
-                before = _run_worker(parent, workdir, argvs)
-                after = _run_worker(change, workdir, argvs)
-            same = sum(x == y for x, y in zip(before, after, strict=True))
-            print(f"{workload} seed {seed}: {same}/{len(argvs)} reports identical")
+                found = _differences(parent, change, workdir, argvs, f"{workload} seed {seed}")
+            print(f"{workload} seed {seed}: {len(argvs) - len(found)}/{len(argvs)} "
+                  "reports identical")
             total += len(argvs)
-            differences += [(f"{workload} seed {seed}", " ".join(a), x, y)
-                            for a, x, y in zip(argvs, before, after) if x != y]
+            differences += found
     workload_same = total - len(differences)
 
-    goldens = _golden_argvs(change)
-    before = _run_worker(parent, change, goldens)
-    after = _run_worker(change, change, goldens)
-    golden_same = sum(x == y for x, y in zip(before, after, strict=True))
-    differences += [("golden", " ".join(a), x, y)
-                    for a, x, y in zip(goldens, before, after) if x != y]
+    goldens = _golden_argvs()
+    found = _differences(parent, change, change, goldens, "golden")
+    golden_same = len(goldens) - len(found)
+    differences += found
     print(f"golden commands: {golden_same}/{len(goldens)} reports identical")
-    print(f"all: {workload_same}/{total} workload reports and {golden_same}/{len(goldens)} "
-          "golden reports identical (exit code, stdout and stderr; each with --json and "
-          "as text)")
+
+    with tempfile.TemporaryDirectory(prefix="same-reports-") as tmp:
+        errors = error_cases.write_inputs(Path(tmp))
+        found = _differences(parent, change, Path(tmp), errors, "error")
+    error_same = len(errors) - len(found)
+    differences += found
+    print(f"error inputs: {error_same}/{len(errors)} error reports identical")
+    print(f"all: {workload_same}/{total} workload reports, {golden_same}/{len(goldens)} "
+          f"golden reports and {error_same}/{len(errors)} error reports identical (exit "
+          "code, stdout and stderr; workload and golden reports each with --json and as text)")
     for where, command, x, y in differences[:SHOWN_DIFFERENCES]:
         print(f"differs: {where}: bundlesec {command}\n"
               f"  parent: {x!r:.300}\n  change: {y!r:.300}")
