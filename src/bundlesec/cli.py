@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Subcommands: abelianize, split-check, cohomology, transgress, endo.
-Reports are deterministic; --json selects machine-readable output.
+Each command returns its findings, one Output per report (split-check: one
+per file), and prints nothing.  main alone wraps each in the one report
+envelope, prints it (as JSON with --json, else as the Output's text lines)
+and maps errors to exit codes.  Every report is complete before any is
+printed, so a failing run prints none.  Reports are deterministic.
 Each input's sha256 is that of the file's bytes, from CPython's built-in
 SHA-256, so no OpenSSL is loaded.
 Exit codes: 0 success (any mathematical verdict), 2 missing or unreadable
@@ -24,7 +28,7 @@ import os
 import re
 import stat
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 # the interpreter's own SHA-256, taken as the stdlib's random takes sha512:
 # hashlib would map OpenSSL's libcrypto into the process to hash a few bytes
@@ -48,7 +52,7 @@ from .mcg import (
 )
 from .specfile import _quote, parse_bundle_file
 from .transgression import CentralExtensionSpec, transgress, xi_star
-from .words import MAX_RELATOR_LETTERS, ParseError, abelianization, parse_presentation
+from .words import MAX_RELATOR_LETTERS, ParseError, abelianization, parse_presentation, position
 from .zlinalg import InvariantError
 
 SCHEMA_VERSION = 1
@@ -92,30 +96,21 @@ def _read(path: str) -> Tuple[str, str]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = _universal_newlines(data[:exc.start].decode("utf-8"))
-        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", before.count("\n") + 1,
-                         len(before) - before.rfind("\n")) from None
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+                         *position(before, len(before))) from None
     return _universal_newlines(text), _digest(data)
 
 
-def _report(command: str, inputs: Dict, result: Dict, verdict: str) -> Dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "verdict": verdict,
-    }
+class Output(NamedTuple):
+    """One report's findings; main wraps them in the envelope and prints them."""
+
+    inputs: Dict
+    result: Dict
+    verdict: str
+    lines: List[str]  # the text form
 
 
-def _emit(report: Dict, as_json: bool, text_lines: Sequence[str]) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def cmd_abelianize(path: str, as_json: bool) -> int:
+def cmd_abelianize(path: str) -> List[Output]:
     text, digest = _read(path)
     group = abelianization(parse_presentation(text))
     result = {
@@ -123,19 +118,20 @@ def cmd_abelianize(path: str, as_json: bool) -> int:
         "invariant_factors": list(group.invariant_factors),
         "rank": group.rank,
     }
-    report = _report("abelianize", {"path": path, "sha256": digest},
-                     result, str(group))
-    _emit(report, as_json, [f"{path}: abelianization {group} (rank {group.rank})"])
-    return EXIT_OK
+    return [Output({"path": path, "sha256": digest}, result, str(group),
+                   [f"{path}: abelianization {group} (rank {group.rank})"])]
 
 
-def _split_check_one(path: str) -> Dict:
+def _split_check_one(path: str) -> Output:
     text, digest = _read(path)
-    bundle = parse_bundle_file(text)
-    spec = bundle.to_spec()
+    spec = parse_bundle_file(text).to_spec()
     obstruction = obstruction_class(spec)
-    result: Dict = {"obstruction": obstruction.to_json_dict()}
-
+    ob = obstruction.to_json_dict()
+    lines = [
+        f"{path}: {obstruction.verdict}",
+        f"  s(r) = {ob['s_of_r']}",
+        f"  quotient = {ob['quotient']}, class = {ob['class']}",
+    ]
     lemma2: Dict = {"applies": False}
     if isinstance(spec, TorusBundleSpec) and obstruction.lifted:
         # compare pi^ab against (fibre coinvariants) + (base abelianization);
@@ -147,43 +143,25 @@ def _split_check_one(path: str) -> Dict:
             "expected": str(check.expected),
             "is_isomorphic": check.is_isomorphic,
         }
-    result["lemma2"] = lemma2
-    return _report("split-check", {"path": path, "sha256": digest},
-                   result, obstruction.verdict)
+        lines.append(
+            f"  abelianization test: pi^ab = {check.group_ab}, expected {check.expected}, "
+            f"{'isomorphic' if check.is_isomorphic else 'NOT isomorphic'}")
+    return Output({"path": path, "sha256": digest}, {"obstruction": ob, "lemma2": lemma2},
+                  obstruction.verdict, lines)
 
 
-def cmd_split_check(paths: Sequence[str], as_json: bool) -> int:
-    # every file is checked before any report is printed
-    reports = [_split_check_one(p) for p in paths]
-    for report in reports:
-        ob = report["result"]["obstruction"]
-        lines = [
-            f"{report['inputs']['path']}: {report['verdict']}",
-            f"  s(r) = {ob['s_of_r']}",
-            f"  quotient = {ob['quotient']}, class = {ob['class']}",
-        ]
-        lem = report["result"]["lemma2"]
-        if lem["applies"]:
-            lines.append(
-                f"  abelianization test: pi^ab = {lem['group_ab']}, "
-                f"expected {lem['expected']}, "
-                f"{'isomorphic' if lem['is_isomorphic'] else 'NOT isomorphic'}")
-        _emit(report, as_json, lines)
-    return EXIT_OK
+def cmd_split_check(paths: Sequence[str]) -> List[Output]:
+    return [_split_check_one(p) for p in paths]
 
 
-def cmd_cohomology(path: str, as_json: bool) -> int:
+def cmd_cohomology(path: str) -> List[Output]:
     text, digest = _read(path)
     bundle = parse_bundle_file(text)
     if bundle.fibre_kind != "torus":
         raise MalformedSpec("cohomology supports torus-module coefficients only")
     h1, h2 = h1_h2_base(bundle.base, bundle.torus_action())
-    result = {"h1": str(h1), "h2": str(h2)}
-    verdict = f"H1 = {h1}; H2 = {h2}"
-    report = _report("cohomology", {"path": path, "sha256": digest},
-                     result, verdict)
-    _emit(report, as_json, [f"{path}: H^1 = {h1}, H^2 = {h2}"])
-    return EXIT_OK
+    return [Output({"path": path, "sha256": digest}, {"h1": str(h1), "h2": str(h2)},
+                   f"H1 = {h1}; H2 = {h2}", [f"{path}: H^1 = {h1}, H^2 = {h2}"])]
 
 
 # the relators u^-k [x,y] of one transgress request hold |k| + 4 letters each
@@ -213,7 +191,7 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def cmd_transgress(k: Optional[int], range_text: Optional[str], as_json: bool) -> int:
+def cmd_transgress(k: Optional[int], range_text: Optional[str]) -> List[Output]:
     # argparse sets exactly one of k and range_text
     ks = range(k, k + 1) if range_text is None else _parse_range(range_text)
     # the first test bounds the second's loop
@@ -232,12 +210,10 @@ def cmd_transgress(k: Optional[int], range_text: Optional[str], as_json: bool) -
     verdict = "AGREE" if all_agree else "DISAGREE"
     inputs = {"k_values": [r["k"] for r in rows]}
     inputs["sha256"] = _digest(json.dumps(inputs["k_values"]).encode())
-    report = _report("transgress", inputs, {"cases": rows}, verdict)
     lines = [f"k = {r['k']}: d2 = {r['transgression']}, xi* = {r['xi_star']} "
              f"{'AGREE' if r['agree'] else 'DISAGREE'}" for r in rows]
     lines.append(f"overall: {verdict}")
-    _emit(report, as_json, lines)
-    return EXIT_OK
+    return [Output(inputs, {"cases": rows}, verdict, lines)]
 
 
 def _genus3_verdict(coords: Sequence[int]) -> str:
@@ -245,7 +221,7 @@ def _genus3_verdict(coords: Sequence[int]) -> str:
     return VERDICT_NO_SECTION if any(coords) else VERDICT_SPLITS
 
 
-def cmd_endo(as_json: bool) -> int:
+def cmd_endo() -> List[Output]:
     spec = endo_spec()
     mats = [spec.coefficients.matrix(g) for g in spec.base.generators]
     lantern = lantern_check()
@@ -279,8 +255,6 @@ def cmd_endo(as_json: bool) -> int:
             "class_of_g": list(tp_coords),
         },
     }
-    inputs = {"sha256": _digest(b"endo")}
-    report = _report("endo", inputs, result, verdict)
     lines = ["monodromy matrices:"]
     for i, m in enumerate(mats, 1):
         lines.append(f"  generator {i}:")
@@ -297,8 +271,7 @@ def cmd_endo(as_json: bool) -> int:
         f"torus pullback (informational): coinvariants {tp_group}, "
         f"class {list(tp_coords)}",
     ]
-    _emit(report, as_json, lines)
-    return EXIT_OK
+    return [Output({"sha256": _digest(b"endo")}, result, verdict, lines)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,19 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("abelianize", help="invariant factors of a presented group")
     p.add_argument("file")
+    p.set_defaults(run=lambda args: cmd_abelianize(args.file))
 
     p = sub.add_parser("split-check", help="relator obstruction for a bundle file")
     p.add_argument("files", nargs="+")
+    p.set_defaults(run=lambda args: cmd_split_check(args.files))
 
     p = sub.add_parser("cohomology", help="H^1 and H^2 of the base with module coefficients")
     p.add_argument("file")
+    p.set_defaults(run=lambda args: cmd_cohomology(args.file))
 
     p = sub.add_parser("transgress", help="transgression vs evaluation of the class")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--k", type=_k_value, default=None)
     which.add_argument("--range", dest="range_text", metavar="A..B", default=None)
+    p.set_defaults(run=lambda args: cmd_transgress(args.k, args.range_text))
 
-    sub.add_parser("endo", help="the genus-3 homology obstruction example")
+    p = sub.add_parser("endo", help="the genus-3 homology obstruction example")
+    p.set_defaults(run=lambda args: cmd_endo())
     return parser
 
 
@@ -352,19 +330,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if exc.code != 2:
             raise
         return EXIT_USAGE
-    as_json = bool(args.json)
     try:
-        if args.command == "abelianize":
-            return cmd_abelianize(args.file, as_json)
-        if args.command == "split-check":
-            return cmd_split_check(args.files, as_json)
-        if args.command == "cohomology":
-            return cmd_cohomology(args.file, as_json)
-        if args.command == "transgress":
-            return cmd_transgress(args.k, args.range_text, as_json)
-        if args.command == "endo":
-            return cmd_endo(as_json)
-        raise InvariantError(f"unhandled command {args.command}")
+        # every report is complete before any is printed
+        outputs = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_FILE
@@ -377,6 +345,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    for out in outputs:
+        if args.json:
+            report = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                      "inputs": out.inputs, "result": out.result, "verdict": out.verdict}
+            print(json.dumps(report, indent=2))
+        else:
+            print("\n".join(out.lines))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -296,8 +296,6 @@ def obstruction_class(spec: BundleSpec) -> ObstructionReport:
     value does not lift to the centre.  For one relator delta2 is B_r, whose
     columns span J_w, so the quotient is A / J_w.
     """
-    if not isinstance(spec, (TorusBundleSpec, KbBundleSpec)):
-        raise MalformedSpec(f"unsupported bundle spec {type(spec).__name__}")
     lifted, svecs, joined = spec.relator_values()
     jw = jw_submodule(spec)
     quotient = cokernel(_delta2(spec.fox_rows, spec.coefficients.dim, len(spec.base.generators)))

@@ -125,13 +125,14 @@ def _parse_vector(text: str, rank: int) -> Tuple[int, ...]:
 
 
 def _kb_powers(tokens: List[str], names: Dict[str, Any], kind: str) -> Iterator[Tuple[Any, int]]:
-    """(names[name], n) for each token 'name^n' (n = 1 for a bare 'name');
-    each name is checked before its exponent."""
+    """(names[name], n) for each token 'name^n' (n = 1 for a bare 'name', and
+    'name^' has no exponent); each name is checked before its exponent."""
     for token in tokens:
-        name, _, exp = token.partition("^")
+        name, caret, exp = token.partition("^")
         if name not in names:
             raise MalformedSpec(f"unknown Klein-bottle {kind} {_quote(name)}")
-        (n,) = _parse_ints([exp or "1"], f"bad exponent in Klein-bottle token {_quote(token)}")
+        (n,) = _parse_ints([exp if caret else "1"],
+                           f"bad exponent in Klein-bottle token {_quote(token)}")
         yield names[name], n
 
 

@@ -134,44 +134,40 @@ def abelianization(p: Presentation) -> AbelianGroup:
 class _Token:
     kind: str  # NAME INT PUNCT
     text: str
-    line: int
-    col: int
+    offset: int  # of the token's first character in the text
 
 
 _PUNCT = {"<", ">", "|", ",", ";", "^", "[", "]", "(", ")"}
 
 
+def position(text: str, offset: int) -> Tuple[int, int]:
+    """1-based (line, column) of text[offset]; only a newline ends a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    line, col = 1, 1
     i = 0
     n = len(text)
+    end = n  # where the end of input sits: at the '#' of a comment that ends the text
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch.isspace():
-            col += 1
             i += 1
             continue
         if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+            newline = text.find("\n", i)
+            if newline < 0:
+                end = i
+                break
+            i = newline
             continue
-        start_col = col
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            kind = "NAME"
-            if word == "comm":
-                kind = "COMM"
-            tokens.append(_Token(kind, word, line, start_col))
-            col += j - i
+            tokens.append(_Token("COMM" if word == "comm" else "NAME", word, i))
             i = j
             continue
         # isdecimal, not isdigit: int() refuses a digit such as '²'
@@ -179,24 +175,26 @@ def _tokenize(text: str) -> List[_Token]:
             j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("INT", text[i:j], line, start_col))
-            col += j - i
+            tokens.append(_Token("INT", text[i:j], i))
             i = j
             continue
         if ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, line, start_col))
-            col += 1
+            tokens.append(_Token("PUNCT", ch, i))
             i += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+        raise ParseError(f"unexpected character {ch!r}", *position(text, i))
+    tokens.append(_Token("EOF", "", end))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+
+    def error(self, message: str, tok: _Token) -> ParseError:
+        return ParseError(message, *position(self.text, tok.offset))
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -209,13 +207,8 @@ class _Parser:
     def expect(self, text: str) -> _Token:
         tok = self.next()
         if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+            raise self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok)
         return tok
-
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
 
     def parse(self) -> Presentation:
         self.expect("<")
@@ -224,9 +217,9 @@ class _Parser:
         while True:
             tok = self.next()
             if tok.kind != "NAME":
-                raise ParseError("expected a generator name", tok.line, tok.col)
+                raise self.error("expected a generator name", tok)
             if tok.text in known:
-                raise ParseError(f"duplicate generator {tok.text!r}", tok.line, tok.col)
+                raise self.error(f"duplicate generator {tok.text!r}", tok)
             known.add(tok.text)
             generators.append(tok.text)
             sep = self.next()
@@ -234,7 +227,7 @@ class _Parser:
                 continue
             if sep.text == "|":
                 break
-            raise ParseError("expected ',' or '|' after generator", sep.line, sep.col)
+            raise self.error("expected ',' or '|' after generator", sep)
         relators: List[Word] = []
         if self.peek().text == ">":
             self.next()
@@ -246,10 +239,10 @@ class _Parser:
                     continue
                 if sep.text == ">":
                     break
-                raise ParseError("expected ',' or '>' after relator", sep.line, sep.col)
+                raise self.error("expected ',' or '>' after relator", sep)
         tok = self.next()
         if tok.kind != "EOF":
-            raise ParseError("trailing input after presentation", tok.line, tok.col)
+            raise self.error("trailing input after presentation", tok)
         return Presentation(tuple(generators), tuple(relators))
 
     def parse_relator(self, known: set) -> List[Word]:
@@ -276,27 +269,25 @@ class _Parser:
                     self.next()
                     etok = self.next()
                     if etok.kind != "INT":
-                        raise ParseError("expected an integer exponent", etok.line, etok.col)
+                        raise self.error("expected an integer exponent", etok)
                     try:
                         exponent = int(etok.text)
                     except ValueError:  # more digits than int() converts
-                        raise ParseError("exponent too large", etok.line, etok.col) from None
+                        raise self.error("exponent too large", etok) from None
                 if tok.text not in known:
-                    raise ParseError(f"unknown generator {tok.text!r} in relator",
-                                     tok.line, tok.col)
+                    raise self.error(f"unknown generator {tok.text!r} in relator", tok)
                 self.check_length(len(letters) + abs(exponent), etok)
                 letters += [(tok.text, 1 if exponent > 0 else -1)] * abs(exponent)
                 parsed_any = True
             else:
                 break
         if not parsed_any:
-            raise self.fail("expected a relator")
+            raise self.error("expected a relator", self.peek())
         return [Word(letters)]
 
     def check_length(self, count: int, tok: _Token) -> None:
         if count > MAX_RELATOR_LETTERS:
-            raise ParseError(f"relator longer than {MAX_RELATOR_LETTERS} letters",
-                             tok.line, tok.col)
+            raise self.error(f"relator longer than {MAX_RELATOR_LETTERS} letters", tok)
 
     def parse_comm(self, known: set) -> List[Word]:
         self.next()  # comm
@@ -314,15 +305,15 @@ class _Parser:
             if self.peek().text == ",":
                 self.next()
         if not names:
-            raise self.fail("expected at least one generator name")
+            raise self.error("expected at least one generator name", self.peek())
         return names
 
     def parse_name(self, known: set) -> str:
         tok = self.next()
         if tok.kind != "NAME":
-            raise ParseError("expected a generator name", tok.line, tok.col)
+            raise self.error("expected a generator name", tok)
         if tok.text not in known:
-            raise ParseError(f"unknown generator {tok.text!r} in relator", tok.line, tok.col)
+            raise self.error(f"unknown generator {tok.text!r} in relator", tok)
         return tok.text
 
 

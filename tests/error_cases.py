@@ -12,7 +12,7 @@ CASES = (
     (2, ["abelianize", "{tmp}/missing.pres"], None, None),
     # a directory: not a missing file, but no file to read
     (2, ["split-check", "{tmp}"], None, None),
-    # no factor after '|': _Parser.fail
+    # no factor after '|': _Parser.error at the next token
     (3, ["abelianize", "{tmp}/no_relator.pres"], "no_relator.pres", b"< a | , >\n"),
     # a byte that is not UTF-8, placed by line and column
     (3, ["cohomology", "{tmp}/latin1.bundle"], "latin1.bundle", b"[base]\n< u \xe9 | u >\n"),
@@ -33,6 +33,16 @@ CASES = (
     (4, ["split-check", "{tmp}/kb_unknown_name.bundle"], "kb_unknown_name.bundle",
      b"[base]\n< u, v | [u,v] >\n[fibre]\nkb\n[action]\nu = id\nv = id\n"
      b"[cocycle]\nu = z^a\n"),
+    # an empty exponent after '^' is no exponent, in [cocycle] and in [action]
+    (4, ["split-check", "{tmp}/kb_empty_exponent.bundle"], "kb_empty_exponent.bundle",
+     b"[base]\n< u, v | [u,v] >\n[fibre]\nkb\n[action]\nu = id\nv = id\n"
+     b"[cocycle]\nu = x^\n"),
+    (4, ["split-check", "{tmp}/kb_empty_action_exponent.bundle"],
+     "kb_empty_action_exponent.bundle",
+     b"[base]\n< u, v | [u,v] >\n[fibre]\nkb\n[action]\nu = alpha^\nv = id\n"),
+    # a valid file first (written below): an error in a later file prints no report at all
+    (2, ["split-check", "{tmp}/offset_generator.bundle", "{tmp}/missing.bundle"], None, None),
+    (4, ["split-check", "{tmp}/offset_generator.bundle", "{tmp}/no_relator.pres"], None, None),
     (5, ["transgress", "--k", "abc"], None, None),
     # a base generator named 'offset' keeps its translation: SPLITS
     (0, ["split-check", "{tmp}/offset_generator.bundle"], "offset_generator.bundle",

@@ -121,6 +121,19 @@ def test_exit_code_malformed_spec(tmp_path):
     assert out.returncode == 4
 
 
+def test_a_failing_run_prints_no_report(tmp_path, capsys):
+    # every hostile input, a split-check whose second file fails among them
+    import error_cases
+    from bundlesec import cli
+
+    argvs = error_cases.write_inputs(tmp_path)
+    for (code, *_), argv in zip(error_cases.CASES, argvs, strict=True):
+        for flags in ([], ["--json"]):
+            assert cli.main([*flags, *argv]) == code, argv
+            out, _ = capsys.readouterr()
+            assert (out == "") == (code != 0), argv
+
+
 def test_a_misspelled_section_header_exits_4(tmp_path, capsys):
     from bundlesec import cli
 

@@ -404,6 +404,28 @@ def test_kb_word_parsers():
         kb_aut_from_word("beta^a")
 
 
+@pytest.mark.parametrize("section, line, token", [
+    ("cocycle", "u = x^", "x^"),
+    ("action", "u = alpha^", "alpha^"),
+])
+def test_an_empty_kb_exponent_exits_4(tmp_path, capsys, section, line, token):
+    from bundlesec import cli
+
+    lines = {"action": ["u = id", "v = id"], "cocycle": []}
+    lines[section][:1] = [line]
+    path = tmp_path / "empty_exponent.bundle"
+    path.write_text("[base]\n< u, v | [u,v] >\n[fibre]\nkb\n"
+                    + "".join(f"[{name}]\n" + "".join(f"{x}\n" for x in body)
+                              for name, body in lines.items()))
+    assert cli.main(["split-check", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bad exponent in Klein-bottle token {token!r}\n"
+    # a bare name still means the first power
+    assert kb_element_from_word("x") == kb_element_from_word("x^1")
+    assert kb_aut_from_word("alpha") == kb_aut_from_word("alpha^1")
+
+
 def _kb_aut_power_by_repeated_composition(name, n):
     out = KbAut.identity()
     a = KB_AUT_NAMES[name] if n >= 0 else KB_AUT_NAMES[name].inverse()
