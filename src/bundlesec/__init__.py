@@ -11,6 +11,11 @@ Submodules:
                       checked once against the form) and the genus-3 example
 * ``specfile``      — the sectioned bundle-file format
 * ``cli``           — command-line front end
+
+Importing ``cli`` loads neither ``transgression`` nor ``mcg``: the commands
+that use them import them when they run.  Records are plain classes or
+``typing.NamedTuple``s, so a command's start-up loads no class generator
+(nor the ``inspect`` module that one would load).
 """
 
 __version__ = "0.1.0"

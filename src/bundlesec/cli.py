@@ -6,6 +6,8 @@ per file), and prints nothing.  main alone wraps each in the one report
 envelope, prints it (as JSON with --json, else as the Output's text lines)
 and maps errors to exit codes.  Every report is complete before any is
 printed, so a failing run prints none.  Reports are deterministic.
+transgress and endo import their modules (transgression, mcg) when they run,
+so no other command loads them.
 Each input's sha256 is that of the file's bytes, from CPython's built-in
 SHA-256, so no OpenSSL is loaded.
 Exit codes: 0 success (any mathematical verdict), 2 missing or unreadable
@@ -42,16 +44,7 @@ except ImportError:
 
 from .extensions import MalformedSpec, TorusBundleSpec, h1_h2_base, lemma2_check
 from .extensions import VERDICT_NO_SECTION, VERDICT_SPLITS, coinvariants, obstruction_class
-from .mcg import (
-    CURVE_VECTORS,
-    KB_VARIANT_GENERATORS,
-    RANK,
-    TORUS_PULLBACK_GENERATORS,
-    endo_spec,
-    lantern_check,
-)
 from .specfile import _quote, parse_bundle_file
-from .transgression import CentralExtensionSpec, transgress, xi_star
 from .words import MAX_RELATOR_LETTERS, ParseError, abelianization, parse_presentation, position
 from .zlinalg import InvariantError
 
@@ -192,6 +185,8 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_transgress(k: Optional[int], range_text: Optional[str]) -> List[Output]:
+    from .transgression import CentralExtensionSpec, transgress, xi_star
+
     # argparse sets exactly one of k and range_text
     ks = range(k, k + 1) if range_text is None else _parse_range(range_text)
     # the first test bounds the second's loop
@@ -222,6 +217,9 @@ def _genus3_verdict(coords: Sequence[int]) -> str:
 
 
 def cmd_endo() -> List[Output]:
+    from .mcg import (CURVE_VECTORS, KB_VARIANT_GENERATORS, RANK, TORUS_PULLBACK_GENERATORS,
+                      endo_spec, lantern_check)
+
     spec = endo_spec()
     mats = [spec.coefficients.matrix(g) for g in spec.base.generators]
     lantern = lantern_check()

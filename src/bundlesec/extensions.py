@@ -33,10 +33,9 @@ cokernel is the fibre coinvariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul, sub
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .groupring import (
     KbAut,
@@ -151,7 +150,7 @@ class _BundleDatum:
         offs = self.relator_offsets or (zero_offset,) * len(self.base.relators)
         if len(offs) != len(self.base.relators):
             raise MalformedSpec("need one fibre offset per base relator")
-        object.__setattr__(self, "relator_offsets", tuple(offs))
+        self.relator_offsets = tuple(offs)
 
     @cached_property
     def fox_rows(self) -> List[FoxRow]:
@@ -159,18 +158,17 @@ class _BundleDatum:
         return _fox_rows(self.base, self.coefficients)
 
 
-@dataclass(frozen=True)
 class TorusBundleSpec(_BundleDatum):
     """A Z^m-fibre bundle datum over a presented base: the action theta of
     the base generators on the fibre, the translation of each generator's
     lift, and the fibre offset of each relator."""
 
-    base: Presentation
-    coefficients: LinearRep
-    translations: Mapping[str, Vector]
-    relator_offsets: Tuple[Vector, ...] = ()
-
-    def __post_init__(self) -> None:
+    def __init__(self, base: Presentation, coefficients: LinearRep,
+                 translations: Mapping[str, Vector], relator_offsets: Tuple[Vector, ...] = ()):
+        self.base = base
+        self.coefficients = coefficients
+        self.translations = translations
+        self.relator_offsets = relator_offsets
         m = self.fibre_rank
         self._check((self.coefficients.assignment, self.translations), _zero(m))
         for v in (*(self.translations[g] for g in self.base.generators), *self.relator_offsets):
@@ -196,15 +194,14 @@ class TorusBundleSpec(_BundleDatum):
         return VERDICT_NO_SECTION if self.fibre_rank == 2 else VERDICT_NO_SPLITTING
 
 
-@dataclass(frozen=True)
 class KbBundleSpec(_BundleDatum):
     """A Klein-bottle-fibre bundle datum over a presented base."""
 
-    base: Presentation
-    action_cocycle: Mapping[str, Tuple[KbAut, KbElement]]
-    relator_offsets: Tuple[KbElement, ...] = ()
-
-    def __post_init__(self) -> None:
+    def __init__(self, base: Presentation, action_cocycle: Mapping[str, Tuple[KbAut, KbElement]],
+                 relator_offsets: Tuple[KbElement, ...] = ()):
+        self.base = base
+        self.action_cocycle = action_cocycle
+        self.relator_offsets = relator_offsets
         self._check((self.action_cocycle,), KbElement.identity())
 
     nonzero_verdict = VERDICT_NO_SECTION
@@ -243,8 +240,7 @@ class KbBundleSpec(_BundleDatum):
 BundleSpec = Union[TorusBundleSpec, KbBundleSpec]
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     lifted: bool
     s_of_r: Tuple[Vector, ...]
     jw_generators: Tuple[Vector, ...]
@@ -331,8 +327,7 @@ def coinvariants(fibre_rank: int, mats: Sequence[IntMatrix]) -> AbelianGroup:
     return cokernel(_action_block(fibre_rank, mats))
 
 
-@dataclass(frozen=True)
-class Lemma2Report:
+class Lemma2Report(NamedTuple):
     is_isomorphic: bool
     group_ab: AbelianGroup
     expected: AbelianGroup

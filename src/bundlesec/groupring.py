@@ -25,8 +25,7 @@ compose, invert and take powers in closed form.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple, TypeVar
 
 from .words import Word
 from .zlinalg import IntMatrix, Vector
@@ -45,14 +44,12 @@ def evaluate_word(w: Word, image: Callable[[str, int], T], mul: Callable[[T, T],
     return out
 
 
-@dataclass(frozen=True)
 class LinearRep:
     """Assignment of a GL(m, Z) matrix to each generator."""
 
-    assignment: Mapping[str, IntMatrix]
-    dim: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, assignment: Mapping[str, IntMatrix], dim: int):
+        self.assignment = assignment
+        self.dim = dim
         # one elimination per matrix both checks it and inverts it
         inverses: Dict[str, IntMatrix] = {}
         for g, m in self.assignment.items():
@@ -62,7 +59,7 @@ class LinearRep:
                 inverses[g] = m.inverse_unimodular()
             except ValueError:
                 raise ValueError(f"matrix for {g!r} is not invertible over Z") from None
-        object.__setattr__(self, "_inverses", inverses)
+        self._inverses = inverses
 
     def matrix(self, gen: str, sign: int = 1) -> IntMatrix:
         if gen not in self.assignment:
@@ -157,8 +154,7 @@ def evaluate_linear(e: FreeRingElement, rep: LinearRep) -> IntMatrix:
 # --- Klein-bottle group model -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class KbElement:
+class KbElement(NamedTuple):
     """x^a y^b in the Klein-bottle group < x, y | x y x^-1 y >."""
 
     a: int
@@ -190,7 +186,6 @@ def kb_center_component(p: KbElement) -> int:
     return p.a // 2
 
 
-@dataclass(frozen=True)
 class KbAut:
     """The automorphism x |-> x^eps y^q, y |-> y^eta of the Klein-bottle
     group, eps and eta each +-1: every automorphism has this form.
@@ -198,13 +193,17 @@ class KbAut:
     eps is the +-1 by which it scales the centre, generated by x^2.
     """
 
-    eps: int
-    q: int
-    eta: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, eps: int, q: int, eta: int):
+        self.eps = eps
+        self.q = q
+        self.eta = eta
         if self.eps not in (1, -1) or self.eta not in (1, -1):
             raise ValueError("eps and eta must be +-1")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KbAut):
+            return NotImplemented
+        return (self.eps, self.q, self.eta) == (other.eps, other.q, other.eta)
 
     @staticmethod
     def identity() -> "KbAut":

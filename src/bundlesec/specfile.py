@@ -21,15 +21,15 @@ exceed MAX_ENTRY_BITS bits.
 
 A header is one bracketed word naming one of the four sections, in any case;
 any other word is an error, and other bracketed text is section content.
-Lines starting with '#' are comments; blank lines are ignored.
+Lines starting with '#' are comments; blank lines are ignored.  Only a
+newline ends a line.
 Cohomology inputs reuse the same layout without the [cocycle] section.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .extensions import (_ENTRY_CAP, MAX_ENTRY_BITS, KbBundleSpec, MalformedSpec,
                          TorusBundleSpec, _over_cap)
@@ -38,8 +38,7 @@ from .words import Presentation, parse_presentation
 from .zlinalg import IntMatrix
 
 
-@dataclass(frozen=True)
-class BundleFile:
+class BundleFile(NamedTuple):
     base: Presentation
     fibre_kind: str  # "torus" | "kb"
     fibre_rank: int
@@ -175,7 +174,9 @@ def parse_bundle_file(text: str) -> BundleFile:
     sections: Dict[str, List[str]] = {}
     base_lines: List[str] = []  # the [base] lines in place, every other line blank
     current: Optional[str] = None
-    for raw in text.splitlines():
+    # only a newline ends a line, as in the presentation parser, which reads
+    # a vertical tab or a form feed as a space
+    for raw in text.split("\n"):
         base_lines.append("")
         line = raw.split("#", 1)[0].strip()
         if not line:

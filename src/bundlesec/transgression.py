@@ -20,8 +20,7 @@ the k = 1 extension yields +1 on both routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from .groupring import fox_jacobian
 from .words import Word, commutator
@@ -151,8 +150,7 @@ def check_composition(row: Sequence[LaurentElement],
     return tuple(row)
 
 
-@dataclass(frozen=True)
-class CentralExtensionSpec:
+class CentralExtensionSpec(NamedTuple):
     """The central extension with relators u^-k [x,y], [u,x], [u,y]."""
 
     k: int

@@ -5,7 +5,6 @@ Words are stored as freely reduced tuples of (generator name, sign) letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from .zlinalg import AbelianGroup, IntMatrix, cokernel
@@ -40,14 +39,19 @@ def reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
 class Word:
     """A word in a free group on named generators, freely reduced on construction."""
 
-    letters: Tuple[Letter, ...]
+    def __init__(self, letters: Iterable[Letter]):
+        self.letters = reduce_letters(letters)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", reduce_letters(self.letters))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     @staticmethod
     def identity() -> "Word":
@@ -88,14 +92,12 @@ def exponent_sum(w: Word, gen: str) -> int:
     return sum(s for g, s in w.letters if g == gen)
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite presentation: generator names and relator words."""
 
-    generators: Tuple[str, ...]
-    relators: Tuple[Word, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, generators: Tuple[str, ...], relators: Tuple[Word, ...]):
+        self.generators = generators
+        self.relators = relators
         known = set(self.generators)
         if len(known) != len(self.generators):
             raise ValueError("duplicate generator names")
@@ -128,13 +130,18 @@ def abelianization(p: Presentation) -> AbelianGroup:
 #   factor       := name ("^" integer)? | "[" name "," name "]"
 #
 # comm(a b ; c d) expands to the four commutators [a,c],[a,d],[b,c],[b,d].
+# "comm" is a reserved word: it cannot name a generator.
 
 
-@dataclass
 class _Token:
-    kind: str  # NAME INT PUNCT
-    text: str
-    offset: int  # of the token's first character in the text
+    # one is made per token: a slotted class builds faster than a NamedTuple,
+    # whose __new__ is a Python function
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        self.kind = kind  # NAME INT PUNCT
+        self.text = text
+        self.offset = offset  # of the token's first character in the text
 
 
 _PUNCT = {"<", ">", "|", ",", ";", "^", "[", "]", "(", ")"}

@@ -14,7 +14,6 @@ read, and a cokernel reads U only the first time something projects into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -26,20 +25,23 @@ class InvariantError(AssertionError):
     """An internal consistency check failed: a bug, never a property of the input."""
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Immutable dense integer matrix, row-major."""
 
-    rows: int
-    cols: int
-    data: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, rows: int, cols: int, data: Tuple[Tuple[int, ...], ...]):
+        self.rows = rows
+        self.cols = cols
+        self.data = data
         if len(self.data) != self.rows:
             raise ValueError("row count mismatch")
         for row in self.data:
             if len(row) != self.cols:
                 raise ValueError("column count mismatch")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -187,7 +189,6 @@ def _replay(n: int, ops: Sequence[Op]) -> IntMatrix:
     return IntMatrix(n, n, tuple(tuple(row) for row in rows))
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
     """U @ M @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
 
@@ -197,9 +198,10 @@ class SmithDecomposition:
     M read U and V, and the diagonal reads neither.
     """
 
-    D: IntMatrix
-    row_ops: Tuple[Op, ...]
-    col_ops: Tuple[Op, ...]
+    def __init__(self, D: IntMatrix, row_ops: Tuple[Op, ...], col_ops: Tuple[Op, ...]):
+        self.D = D
+        self.row_ops = row_ops
+        self.col_ops = col_ops
 
     @cached_property
     def U(self) -> IntMatrix:
@@ -338,7 +340,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                               tuple(row_ops), tuple(col_ops))
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
     """Finitely generated abelian group in invariant-factor form.
 
@@ -351,11 +352,10 @@ class AbelianGroup:
     lattice is Z^(factor count), and the projection is the identity.
     """
 
-    invariant_factors: Tuple[int, ...]
-    make_projection: Optional[Callable[[], IntMatrix]] = field(
-        default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, invariant_factors: Tuple[int, ...],
+                 make_projection: Optional[Callable[[], IntMatrix]] = None):
+        self.invariant_factors = invariant_factors
+        self.make_projection = make_projection
         fs = self.invariant_factors
         for f in fs:
             if f < 0 or f == 1:

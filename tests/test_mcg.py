@@ -1,6 +1,5 @@
 """Mapping-class computations, validated against the cellular oracle."""
 
-import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundlesec import cli
-from bundlesec.extensions import coinvariants, h1_h2_base, obstruction_class
+from bundlesec.extensions import TorusBundleSpec, coinvariants, h1_h2_base, obstruction_class
 from bundlesec.groupring import LinearRep
 from bundlesec.mcg import (
     CURVE_VECTORS,
@@ -223,8 +222,8 @@ def _endo_report():
 
 def _with_monodromy(mats):
     spec = endo_spec()
-    return dataclasses.replace(
-        spec, coefficients=LinearRep(dict(zip(spec.base.generators, mats)), RANK))
+    return TorusBundleSpec(spec.base, LinearRep(dict(zip(spec.base.generators, mats)), RANK),
+                           spec.translations, spec.relator_offsets)
 
 
 def test_endo_relation():

@@ -48,6 +48,8 @@ TRACER_PINNED = {
     "groupring.FreeRingElement.__sub__": "groupring.fox_derivative",
     "groupring.FreeRingElement.__mul__": "groupring.fox_derivative",
     "words.Word.identity": "groupring.fox_derivative",
+    # words key the formal ring's dicts
+    "words.Word.__hash__": "groupring.fox_derivative",
     "groupring.evaluate_linear": "groupring.evaluate_linear",
     "zlinalg.IntMatrix.zeros": "groupring.evaluate_linear",
     "zlinalg.IntMatrix.__add__": "groupring.evaluate_linear",
@@ -67,6 +69,9 @@ TRACER_PINNED = {
 }
 
 OTHER_ALLOWED = {
+    "words.Word.__eq__":
+        "merges equal words as keys of a FreeRingElement; the Fox terms of a reduced word "
+        "are distinct prefixes, so only tests compare words",
     "extensions.lemma2_check.<locals>.lift":
         "builds the projection of lemma 2's groups, which the CLI never reads (it prints "
         "str() of them) and test_lemma2_differential's lattice-equality check does",

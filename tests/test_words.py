@@ -99,6 +99,12 @@ def test_a_duplicate_generator_is_named_at_its_repetition():
     assert str(err.value) == "duplicate generator 'x' (line 2, column 3)"
 
 
+def test_comm_is_a_reserved_word():
+    with pytest.raises(ParseError) as err:
+        parse_presentation("< comm, a | a >")
+    assert str(err.value) == "expected a generator name (line 1, column 3)"
+
+
 def test_integer_tokens_are_decimal_digits():
     # '²' is a digit that int() refuses: it is no integer token
     with pytest.raises(ParseError) as err:

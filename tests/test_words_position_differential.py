@@ -60,9 +60,16 @@ def _texts(seed=25, count=COUNT):
 TEXTS = list(_texts())
 
 
+def _fields(parsed):
+    """A presentation, or a bundle file with its base, as values that compare by value."""
+    if isinstance(parsed, specfile.BundleFile):
+        return parsed._replace(base=_fields(parsed.base))
+    return parsed.generators, parsed.relators
+
+
 def _outcome(parse, text):
     try:
-        return parse(text)
+        return _fields(parse(text))
     except ParseError as exc:
         return f"ParseError: {exc}"
     except (ValueError, specfile.MalformedSpec) as exc:
