@@ -7,7 +7,8 @@ envelope, prints it (as JSON with --json, else as the Output's text lines)
 and maps errors to exit codes.  Every report is complete before any is
 printed, so a failing run prints none.  Reports are deterministic.
 transgress and endo import their modules (transgression, mcg) when they run,
-so no other command loads them.
+so no other command loads them; json is imported only to print a --json
+report and by transgress, so a text-mode run never loads it.
 Each input's sha256 is that of the file's bytes, from CPython's built-in
 SHA-256, so no OpenSSL is loaded.
 Exit codes: 0 success (any mathematical verdict), 2 missing or unreadable
@@ -25,7 +26,6 @@ one stderr line).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import stat
@@ -185,6 +185,8 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_transgress(k: Optional[int], range_text: Optional[str]) -> List[Output]:
+    import json
+
     from .transgression import CentralExtensionSpec, transgress, xi_star
 
     # argparse sets exactly one of k and range_text
@@ -345,6 +347,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INTERNAL
     for out in outputs:
         if args.json:
+            import json
+
             report = {"schema_version": SCHEMA_VERSION, "command": args.command,
                       "inputs": out.inputs, "result": out.result, "verdict": out.verdict}
             print(json.dumps(report, indent=2))

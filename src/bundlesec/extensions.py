@@ -13,6 +13,9 @@ Each base relator r is walked once per spec, by the Fox pass over the
 coefficient module A: it gives theta(r) and the block row
 B_r = [theta(d r / d x)]_x, an m x m|X| matrix.  The pass runs on flat
 row-major tuples of m^2 ints, and only theta(r) and B_r become ``IntMatrix``.
+A letter costs one m x m product: for 1 <= m <= KERNEL_MAX_RANK a
+straight-line function generated for that rank at its first pass, and above
+that a generic product, since generated code grows as m^3.
 The B_r stacked are delta2 : A^X -> A^R.  For a torus fibre s(r) is theta(r)
 times the offset plus B_r t, where t is the lifts' translations in generator
 order (the crossed-homomorphism form of Fox calculus), so changing the
@@ -33,9 +36,10 @@ cokernel is the fibre coinvariants.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
+from math import isqrt
 from operator import add, mul, sub
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .groupring import (
     KbAut,
@@ -93,20 +97,58 @@ def _flat_sub(a: Vector, b: Vector) -> Vector:
     return tuple(map(sub, a, b))
 
 
+# largest fibre rank with a generated product; its source and compile time
+# grow as m^3 (rank 8, the Jacobian of a genus-4 fibre, compiles in a few ms)
+KERNEL_MAX_RANK = 8
+
+
+@cache
+def _product_kernel(m: int) -> Callable[[Vector, Vector], Vector]:
+    """The product of two flat row-major m x m matrices as one straight-line
+    function, ``k(p, q)``, compiled once per rank on first use.
+
+    Its source is made from integer indices alone, and its file name
+    ``<fox product m=...>`` tells the ranks apart in a profile.
+    """
+    if not 1 <= m <= KERNEL_MAX_RANK:
+        raise ValueError(f"no generated product for rank {m}")
+    cells = range(m * m)
+    entries = (" + ".join(f"a{i + k}*b{k * m + j}" for k in range(m))
+               for i in range(0, m * m, m) for j in range(m))
+    source = (f"def k(p, q):\n"
+              f"    {', '.join(f'a{c}' for c in cells)}, = p\n"
+              f"    {', '.join(f'b{c}' for c in cells)}, = q\n"
+              f"    return ({', '.join(entries)},)\n")
+    namespace: dict = {}
+    exec(compile(source, f"<fox product m={m}>", "exec"), namespace)
+    return namespace["k"]
+
+
+def _generic_product(p: Vector, q: Vector) -> Vector:
+    """The product of two flat row-major square matrices, by rows of p and
+    columns of q: the product of the ranks above KERNEL_MAX_RANK."""
+    m = isqrt(len(q))
+    cols = [q[j::m] for j in range(m)]
+    return tuple(sum(map(mul, p[k:k + m], col)) for k in range(0, m * m, m) for col in cols)
+
+
 def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
     """(theta(r), B_r) for every base relator r, from one Fox pass each, where
     B_r is the m x m|X| block row [theta(d r / d x)]_x in generator order.
 
     The pass runs on flat row-major tuples of m^2 ints.  Each generator's
-    image, for both signs, is kept once as the tuple of its columns, so a
-    letter costs one product of a flat prefix by those columns and builds no
-    IntMatrix; only theta(r) and B_r become IntMatrix.  Every entry is
-    capped at MAX_ENTRY_BITS: on the running prefix at each letter, so that
-    large entries stop the pass early, and on the pass's output.
+    image, for both signs, is made flat once per spec, so a letter costs one
+    product of the flat prefix by that image and builds no IntMatrix; only
+    theta(r) and B_r become IntMatrix.  The product is the generated
+    ``_product_kernel(m)`` when m <= KERNEL_MAX_RANK, else
+    ``_generic_product``.  Every entry is capped at MAX_ENTRY_BITS: on the
+    running prefix at each letter, so that large entries stop the pass
+    early, and on the pass's output.
     """
     m = module.dim
     starts = range(0, m * m, m)
-    images = {(g, s): tuple(zip(*module.matrix(g, s).data))
+    product = _product_kernel(m) if 1 <= m <= KERNEL_MAX_RANK else _generic_product
+    images = {(g, s): tuple(c for row in module.matrix(g, s).data for c in row)
               for g in base.generators for s in (1, -1)}
     eye = tuple(int(i == j) for i in range(m) for j in range(m))
     zero = (0,) * (m * m)
@@ -114,8 +156,8 @@ def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
     for i, r in enumerate(base.relators, 1):
         too_big = f"relator {i} evaluates to an entry of more than {MAX_ENTRY_BITS} bits"
 
-        def capped_mul(p: Vector, cols: Tuple[Vector, ...]) -> Vector:
-            out = tuple(sum(map(mul, p[k:k + m], col)) for k in starts for col in cols)
+        def capped_mul(p: Vector, q: Vector) -> Vector:
+            out = product(p, q)
             if _over_cap(out):
                 raise MalformedSpec(too_big)
             return out

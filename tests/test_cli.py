@@ -437,15 +437,18 @@ _CAP_RELATORS = {
 }
 
 
-@pytest.mark.parametrize("command", ["split-check", "cohomology"])
-@pytest.mark.parametrize("where", sorted(_CAP_RELATORS))
-@pytest.mark.parametrize("n, code", [(_CAP_N, 4), (_CAP_N - 1, 0)], ids=["over", "at"])
-def test_fox_bit_cap_boundary(tmp_path, capsys, command, where, n, code):
+def _assert_cap_boundary(tmp_path, capsys, command, where, n, code, rank):
+    # theta(u) and theta(v) padded with an identity block to the given rank
     from bundlesec import cli
 
+    def padded(corner):
+        rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        rows[0][1] = corner
+        return " ; ".join(" ".join(map(str, row)) for row in rows)
+
     path = tmp_path / "cap.bundle"
-    path.write_text(f"[base]\n< u, v | {_CAP_RELATORS[where]} >\n[fibre]\ntorus 2\n"
-                    f"[action]\nu = 1 {n} ; 0 1\nv = 1 0 ; 0 1\n")
+    path.write_text(f"[base]\n< u, v | {_CAP_RELATORS[where]} >\n[fibre]\ntorus {rank}\n"
+                    f"[action]\nu = {padded(n)}\nv = {padded(0)}\n")
     assert cli.main(["--json", command, str(path)]) == code
     out, err = capsys.readouterr()
     if code:
@@ -454,6 +457,26 @@ def test_fox_bit_cap_boundary(tmp_path, capsys, command, where, n, code):
     else:
         assert err == ""
         assert json.loads(out)["command"] == command
+
+
+@pytest.mark.parametrize("command", ["split-check", "cohomology"])
+@pytest.mark.parametrize("where", sorted(_CAP_RELATORS))
+@pytest.mark.parametrize("n, code", [(_CAP_N, 4), (_CAP_N - 1, 0)], ids=["over", "at"])
+def test_fox_bit_cap_boundary(tmp_path, capsys, command, where, n, code):
+    _assert_cap_boundary(tmp_path, capsys, command, where, n, code, 2)
+
+
+# rank 8 runs the largest generated product, rank 10 the generic one
+@pytest.mark.parametrize("rank", [8, 10])
+@pytest.mark.parametrize("command", ["split-check", "cohomology"])
+@pytest.mark.parametrize("where", sorted(_CAP_RELATORS))
+@pytest.mark.parametrize("n, code", [(_CAP_N, 4), (_CAP_N - 1, 0)], ids=["over", "at"])
+def test_fox_bit_cap_boundary_at_the_largest_kernel_rank_and_above(
+        tmp_path, capsys, command, where, n, code, rank):
+    from bundlesec.extensions import KERNEL_MAX_RANK
+
+    assert KERNEL_MAX_RANK == 8
+    _assert_cap_boundary(tmp_path, capsys, command, where, n, code, rank)
 
 
 def _wide_spec(genus, rank):

@@ -4,12 +4,25 @@ formal derivatives of ``fox_reference`` evaluated term by term, and s(r)
 against the letter-by-letter affine fold.
 
 Bases have one to three relators over three generators, with letters of both
-signs; the modules are GL(m, Z) actions of rank 1 to 4 and the 1 x 1
-centre modules of Klein-bottle fibres."""
+signs; the modules are GL(m, Z) actions of rank 1 to 10, on both sides of
+KERNEL_MAX_RANK, and the 1 x 1 centre modules of Klein-bottle fibres.  The
+generated product of each rank up to KERNEL_MAX_RANK is also checked alone
+against the generic product, on seeded entries of up to 1,024 bits."""
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bundlesec.extensions import KbBundleSpec, TorusBundleSpec, _fox_rows, s_of_r
+from bundlesec.extensions import (
+    KERNEL_MAX_RANK,
+    KbBundleSpec,
+    TorusBundleSpec,
+    _fox_rows,
+    _generic_product,
+    _product_kernel,
+    s_of_r,
+)
 from bundlesec.groupring import KB_AUT_NAMES, KbElement, LinearRep
 from bundlesec.words import Presentation, Word
 from bundlesec.zlinalg import IntMatrix
@@ -28,7 +41,7 @@ relators = st.lists(st.tuples(st.sampled_from(GENS), st.sampled_from((1, -1))),
                     max_size=16).map(Word)
 bases = st.lists(relators, min_size=1, max_size=3).map(
     lambda rels: Presentation(GENS, tuple(rels)))
-ranks = st.integers(min_value=1, max_value=4)
+ranks = st.integers(min_value=1, max_value=10)
 
 
 def _actions(m):
@@ -88,3 +101,29 @@ def test_s_of_r_matches_the_affine_fold(base, lifts):
     for i, (r, offset) in enumerate(zip(base.relators, offsets)):
         assert s_of_r(spec, i) == affine_multiply(evaluate_affine(r, rep, translations),
                                                   (eye, offset))
+
+
+def _rows(flat, m):
+    return [flat[k:k + m] for k in range(0, m * m, m)]
+
+
+@pytest.mark.parametrize("m", range(1, KERNEL_MAX_RANK + 1))
+def test_the_generated_product_equals_the_generic_product(m):
+    rng = random.Random(m)
+    big = 2 ** 1023
+    kernel = _product_kernel(m)
+    assert kernel.__code__.co_filename == f"<fox product m={m}>"
+    for bound in (1, 5, big):
+        for _ in range(20):
+            p = tuple(rng.randint(-big, big) for _ in range(m * m))
+            q = tuple(rng.randint(-bound, bound) for _ in range(m * m))
+            out = kernel(p, q)
+            assert out == _generic_product(p, q)
+            product = IntMatrix.from_rows(_rows(p, m)) @ IntMatrix.from_rows(_rows(q, m))
+            assert out == sum(product.data, ())
+
+
+@pytest.mark.parametrize("m", [0, KERNEL_MAX_RANK + 1])
+def test_no_product_is_generated_outside_ranks_1_to_the_bound(m):
+    with pytest.raises(ValueError, match=f"rank {m}"):
+        _product_kernel(m)
