@@ -44,8 +44,9 @@ except ImportError:
 
 from .extensions import MalformedSpec, TorusBundleSpec, h1_h2_base, lemma2_check
 from .extensions import VERDICT_NO_SECTION, VERDICT_SPLITS, coinvariants, obstruction_class
-from .specfile import _quote, parse_bundle_file
-from .words import MAX_RELATOR_LETTERS, ParseError, abelianization, parse_presentation, position
+from .specfile import parse_bundle_file
+from .words import (MAX_RELATOR_LETTERS, ParseError, _quote, abelianization, parse_presentation,
+                    position)
 from .zlinalg import InvariantError
 
 SCHEMA_VERSION = 1

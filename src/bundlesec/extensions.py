@@ -51,7 +51,7 @@ from .groupring import (
     kb_inverse,
     kb_pair_multiply,
 )
-from .words import Presentation, Word
+from .words import Presentation, Word, _quote
 from .zlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -148,8 +148,7 @@ def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
     m = module.dim
     starts = range(0, m * m, m)
     product = _product_kernel(m) if 1 <= m <= KERNEL_MAX_RANK else _generic_product
-    images = {(g, s): tuple(c for row in module.matrix(g, s).data for c in row)
-              for g in base.generators for s in (1, -1)}
+    images = {(g, s): sum(module.matrix(g, s).data, ()) for g in base.generators for s in (1, -1)}
     eye = tuple(int(i == j) for i in range(m) for j in range(m))
     zero = (0,) * (m * m)
     rows = []
@@ -446,7 +445,10 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
     is a saturated sublattice of C^1 = A^X, so C^1 / im delta1 is
     H^1 + C^1 / ker delta2 with the second summand free.  H^1 therefore has
     the torsion of coker delta1 (the pivots >= 2 of delta1) and rank
-    m|X| - rank delta1 - rank delta2.
+    m|X| - rank delta1 - rank delta2.  delta1 and its transpose, m x m|X|,
+    have the same pivots, and the wide transpose is the cheaper to reduce.
+    A relator that the module does not kill is named, clipped to
+    QUOTE_CHARS characters.
     """
     m = module.dim
     gens = base.generators
@@ -454,18 +456,17 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
     rows = _fox_rows(base, module)
     for r, (value, _) in zip(rels, rows):
         if not value.is_identity():
-            raise MalformedSpec(f"module matrices do not kill the relator {r}")
+            raise MalformedSpec(f"module matrices do not kill the relator {_quote(str(r), str)}")
 
-    # delta1 (m|X| x m): the blocks theta(x) - I of the action block stacked
-    block = _action_block(m, [module.matrix(x) for x in gens])
-    d1 = IntMatrix(m * len(gens), m, tuple(row[k:k + m] for k in range(0, block.cols, m)
-                                           for row in block.data))
+    # delta1^T (m x m|X|): the blocks (theta(x) - I)^T = theta(x)^T - I side by side
+    d1t = _action_block(m, [module.matrix(x).transpose() for x in gens])
+    d1 = d1t.transpose()
 
     d2 = _delta2(rows, m, len(gens))
     if any(any(row) for row in (d2 @ d1).data):
         raise InvariantError("delta2 . delta1 != 0")
 
-    dec1 = smith_normal_form(d1)
+    dec1 = smith_normal_form(d1t)
     dec2 = smith_normal_form(d2)
     torsion = tuple(d for d in dec1.diagonal() if d >= 2)
     return (AbelianGroup(torsion + (0,) * (d2.cols - dec1.rank - dec2.rank)),

@@ -50,15 +50,20 @@ class LinearRep:
     def __init__(self, assignment: Mapping[str, IntMatrix], dim: int):
         self.assignment = assignment
         self.dim = dim
-        # one elimination per matrix both checks it and inverts it
+        # one elimination per distinct matrix both checks it and inverts it;
+        # it also gives the inverse's own inverse, so an inverse pair costs one
+        known: Dict[Tuple[Vector, ...], IntMatrix] = {}
         inverses: Dict[str, IntMatrix] = {}
         for g, m in self.assignment.items():
             if m.rows != self.dim or m.cols != self.dim:
                 raise ValueError(f"matrix for {g!r} has wrong size")
-            try:
-                inverses[g] = m.inverse_unimodular()
-            except ValueError:
-                raise ValueError(f"matrix for {g!r} is not invertible over Z") from None
+            if m.data not in known:
+                try:
+                    known[m.data] = m.inverse_unimodular()
+                except ValueError:
+                    raise ValueError(f"matrix for {g!r} is not invertible over Z") from None
+                known.setdefault(known[m.data].data, m)
+            inverses[g] = known[m.data]
         self._inverses = inverses
 
     def matrix(self, gen: str, sign: int = 1) -> IntMatrix:

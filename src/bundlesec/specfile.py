@@ -29,12 +29,12 @@ Cohomology inputs reuse the same layout without the [cocycle] section.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .extensions import (_ENTRY_CAP, MAX_ENTRY_BITS, KbBundleSpec, MalformedSpec,
                          TorusBundleSpec, _over_cap)
 from .groupring import KB_AUT_NAMES, KbAut, KbElement, LinearRep, kb_multiply
-from .words import Presentation, parse_presentation
+from .words import Presentation, _quote, parse_presentation
 from .zlinalg import IntMatrix
 
 
@@ -84,18 +84,6 @@ class BundleFile(NamedTuple):
         offsets = tuple(kb_element_from_word(self.cocycle_lines.get(i, "1"))
                         for i in range(1, len(self.base.relators) + 1))
         return KbBundleSpec(self.base, pairs, offsets)
-
-
-# the most characters of a file's text that an error message quotes
-QUOTE_CHARS = 60
-
-
-def _quote(text: str, show: Callable[[str], str] = repr) -> str:
-    """show(text), clipped to its first QUOTE_CHARS characters and its length,
-    so that an error about a long line is still one short line."""
-    if len(text) <= QUOTE_CHARS:
-        return show(text)
-    return f"{show(text[:QUOTE_CHARS])}... ({len(text)} characters)"
 
 
 def _parse_ints(tokens: Sequence[str], bad: str) -> Tuple[int, ...]:

@@ -5,7 +5,7 @@ Words are stored as freely reduced tuples of (generator name, sign) letters.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 from .zlinalg import AbelianGroup, IntMatrix, cokernel
 
@@ -15,6 +15,17 @@ Letter = Tuple[str, int]
 # parser checks it before it expands each power, so a huge exponent is a
 # ParseError instead of a tuple of millions of letters.
 MAX_RELATOR_LETTERS = 10_000
+
+# the most characters of input text, or of a word, that an error message quotes
+QUOTE_CHARS = 60
+
+
+def _quote(text: str, show: Callable[[str], str] = repr) -> str:
+    """show(text), clipped to its first QUOTE_CHARS characters and its length,
+    so that an error about a long line or word is still one short line."""
+    if len(text) <= QUOTE_CHARS:
+        return show(text)
+    return f"{show(text[:QUOTE_CHARS])}... ({len(text)} characters)"
 
 
 class ParseError(ValueError):

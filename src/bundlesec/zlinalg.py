@@ -61,7 +61,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        cols = tuple(zip(*other.data)) if other.rows else ((),) * other.cols
+        cols = other.columns()
         return IntMatrix(self.rows, other.cols, tuple(
             tuple(sum(map(mul, row, col)) for col in cols) for row in self.data))
 
@@ -79,15 +79,15 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(tuple(-a for a in r) for r in self.data))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.data[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        return IntMatrix(self.cols, self.rows, self.columns())
 
     def column(self, j: int) -> Vector:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def columns(self) -> Tuple[Vector, ...]:
-        return tuple(self.column(j) for j in range(self.cols))
+        """The columns, by one zip of the rows; a matrix with no rows has
+        cols empty columns."""
+        return tuple(zip(*self.data)) if self.rows else ((),) * self.cols
 
     def apply(self, v: Sequence[int]) -> Vector:
         if len(v) != self.cols:

@@ -26,6 +26,9 @@ CASES = (
     # -1 does not kill u: the message formats the relator word
     (4, ["cohomology", "{tmp}/unkilled.bundle"], "unkilled.bundle",
      b"[base]\n< u | u >\n[fibre]\ntorus 1\n[action]\nu = -1\n"),
+    # a relator of 1,201 letters that -1 does not kill: the message clips the word
+    (4, ["cohomology", "{tmp}/unkilled_long.bundle"], "unkilled_long.bundle",
+     b"[base]\n< u, v | " + b"u v " * 600 + b"u >\n[fibre]\ntorus 1\n[action]\nu = -1\nv = 1\n"),
     (4, ["split-check", "{tmp}/repeated_offset.bundle"], "repeated_offset.bundle",
      b"[base]\n< u, v | [u,v] >\n[fibre]\ntorus 1\n[action]\nu = 1\nv = 1\n"
      b"[cocycle]\noffset 1 = 1\noffset 1 = 2\n"),

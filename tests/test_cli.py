@@ -217,6 +217,21 @@ def test_cohomology_of_a_module_that_misses_the_relator_exits_4(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_an_unkilled_long_relator_is_quoted_in_60_characters(tmp_path, capsys):
+    from bundlesec import cli
+
+    word = "u v " * 600 + "u"
+    bad = tmp_path / "long.bundle"
+    bad.write_text(f"[base]\n< u, v | {word} >\n[fibre]\ntorus 1\n[action]\nu = -1\nv = 1\n")
+    assert cli.main(["cohomology", str(bad)]) == 4
+    assert capsys.readouterr() == (
+        "", f"error: module matrices do not kill the relator {word[:60]}... (2401 characters)\n")
+    # a word of at most 60 characters is named whole, as before
+    bad.write_text("[base]\n< u | u >\n[fibre]\ntorus 1\n[action]\nu = -1\n")
+    assert cli.main(["cohomology", str(bad)]) == 4
+    assert capsys.readouterr() == ("", "error: module matrices do not kill the relator u\n")
+
+
 TORUS_HEAD = "[base]\n< u, v | [u,v] >\n[fibre]\ntorus 2\n"
 
 

@@ -1,0 +1,21 @@
+"""tools/genus_axis.py runs on this checkout and prints one table row per
+grid point, each with a time for every column."""
+
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_genus_axis_prints_one_row_per_grid_point():
+    out = subprocess.run([sys.executable, "-B", "tools/genus_axis.py", "--repeat", "1"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    header = lines[1].strip("|").split("|")
+    rows = [line.strip("|").split("|") for line in lines[3:]]
+    assert [row[0].strip() for row in rows] == ["5, 8", "8, 12", "12, 16"]
+    for row in rows:
+        assert len(row) == len(header)
+        assert all(float(cell) > 0 for cell in row[1:])

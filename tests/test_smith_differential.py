@@ -89,9 +89,10 @@ def test_smith_normal_form_logs_the_reference_operations_at_genus_12_rank_16(mon
     lemma2_check(base, module, offsets)
     reference_lemma2_check(base, module, offsets)
     shapes = [(m.rows, m.cols) for m in seen]
-    assert shapes.count((16, 384)) == 2  # delta2, and lemma 2's action block
+    # delta1 is reduced in its wide layout, as its 16 x 384 transpose
+    assert shapes.count((16, 384)) == 3  # delta1^T, delta2, and lemma 2's action block
     assert shapes.count((40, 385)) == 2  # the reference, with and without the offsets
-    assert len(shapes) == 7  # delta1 and lemma 2's two small matrices besides
+    assert len(shapes) == 7  # lemma 2's two small matrices besides
     for m in seen:
         _assert_same_elimination(m)
 

@@ -180,9 +180,7 @@ def test_non_invertible_matrix_is_rejected():
         parse_bundle_file(TORUS_TEXT.replace("u = 1 0 ; 0 1", "u = 2 0 ; 0 1")).to_spec()
 
 
-def test_building_a_torus_spec_runs_one_elimination_per_matrix(monkeypatch):
-    import pathlib
-
+def _count_eliminations(monkeypatch):
     from bundlesec.zlinalg import IntMatrix
 
     calls = {"determinant": 0, "inverse_unimodular": 0}
@@ -194,16 +192,36 @@ def test_building_a_torus_spec_runs_one_elimination_per_matrix(monkeypatch):
             return _method(self)
 
         monkeypatch.setattr(IntMatrix, name, counted)
+    return calls
+
+
+def test_building_a_torus_spec_runs_one_elimination_per_distinct_matrix(monkeypatch):
+    import pathlib
+
+    calls = _count_eliminations(monkeypatch)
     path = pathlib.Path(__file__).resolve().parent.parent / "specs" / "heisenberg_torus.bundle"
     spec = parse_bundle_file(path.read_text()).to_spec()
-    # the inverse of each action matrix is its unimodularity check
-    assert calls == {"determinant": 0, "inverse_unimodular": 2}
+    # the inverse of each distinct action matrix is its unimodularity check:
+    # u = v = I is one matrix
+    assert calls == {"determinant": 0, "inverse_unimodular": 1}
     assert spec.coefficients.matrix("u", -1).is_identity()
-    assert calls["inverse_unimodular"] == 2
+    assert spec.coefficients.matrix("v", -1).is_identity()
+    assert calls["inverse_unimodular"] == 1
+
+
+def test_an_inverse_pair_of_action_matrices_runs_one_elimination(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    text = ("[base]\n< u, v | [u,v] >\n[fibre]\ntorus 2\n"
+            "[action]\nu = 1 3 ; 0 1\nv = 1 -3 ; 0 1\n")
+    rep = parse_bundle_file(text).to_spec().coefficients
+    # theta(v) = theta(u)^-1: u's elimination gives both inverses
+    assert calls == {"determinant": 0, "inverse_unimodular": 1}
+    assert rep.matrix("u", -1) == rep.matrix("v")
+    assert rep.matrix("v", -1) == rep.matrix("u")
 
 
 def test_short_text_is_quoted_whole():
-    from bundlesec.specfile import QUOTE_CHARS, _quote
+    from bundlesec.words import QUOTE_CHARS, _quote
 
     text = "x" * QUOTE_CHARS
     assert _quote(text) == repr(text)

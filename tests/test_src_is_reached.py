@@ -60,6 +60,8 @@ TRACER_PINNED = {
     "extensions.semidirect_presentation": "extensions.semidirect_presentation",
     "extensions.semidirect_presentation.<locals>.fibre_word":
         "extensions.semidirect_presentation",
+    # columns() zips the rows; only the word-level reference reads one column
+    "zlinalg.IntMatrix.column": "extensions.semidirect_presentation",
     "zlinalg.IntMatrix.determinant": "zlinalg.IntMatrix.determinant",
     "zlinalg.kernel_basis": "zlinalg.kernel_basis",
     "zlinalg.SmithDecomposition.kernel_basis": "zlinalg.kernel_basis",

@@ -214,6 +214,22 @@ def test_smith_decomposition_replays_u_and_v_on_every_shape():
         assert is_unimodular(dec.U) and is_unimodular(dec.V)
 
 
+def test_columns_and_transpose_keep_every_shape():
+    import random
+    rng = random.Random(12)
+    for r in range(4):
+        for c in range(4):
+            m = _random_matrix(rng, r, c)
+            cols = m.columns()
+            assert cols == tuple(m.column(j) for j in range(c))
+            t = m.transpose()
+            assert (t.rows, t.cols, t.data) == (c, r, cols)
+            assert t.transpose() == m
+    # no rows: cols empty columns, so a product through a zero inner size is zero
+    assert IntMatrix(0, 3, ()).columns() == ((), (), ())
+    assert IntMatrix(2, 0, ((), ())) @ IntMatrix(0, 3, ()) == IntMatrix.zeros(2, 3)
+
+
 def _elementary_product(rng, n, steps):
     """A random product of elementary GL(n, Z) matrices."""
     if n == 0:
