@@ -7,8 +7,7 @@ Submodules:
 * ``groupring``     — word evaluation, Fox derivatives, affine lifts, the Klein-bottle group
 * ``extensions``    — the relator obstruction and the abelianization test
 * ``transgression`` — the transgression over Z^2: one zig-zag over four Fox rows
-* ``mcg``           — mapping classes as 6x6 matrices on H_1 (each generator
-                      checked once against the form) and the genus-3 example
+* ``mcg``           — the genus-3 example as bundle text, which ``endo`` checks
 * ``specfile``      — the sectioned bundle-file format
 * ``cli``           — command-line front end
 

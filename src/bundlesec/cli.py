@@ -6,6 +6,8 @@ per file), and prints nothing.  main alone wraps each in the one report
 envelope, prints it (as JSON with --json, else as the Output's text lines)
 and maps errors to exit codes.  Every report is complete before any is
 printed, so a failing run prints none.  Reports are deterministic.
+endo is split-check of the genus-3 example's bundle text, mcg.ENDO_SPEC,
+labelled endo, with the text's sha256 as its input.
 transgress and endo import their modules (transgression, mcg) when they run,
 so no other command loads them; json is imported only to print a --json
 report and by transgress, so a text-mode run never loads it.
@@ -42,14 +44,13 @@ except ImportError:
     except ImportError:  # a build without built-in hashes
         from hashlib import sha256
 
-from .extensions import MalformedSpec, TorusBundleSpec, h1_h2_base, lemma2_check
-from .extensions import VERDICT_NO_SECTION, VERDICT_SPLITS, coinvariants, obstruction_class
+from .extensions import MalformedSpec, TorusBundleSpec, h1_h2_base, lemma2_check, obstruction_class
 from .specfile import parse_bundle_file
 from .words import (MAX_RELATOR_LETTERS, ParseError, _quote, abelianization, parse_presentation,
                     position)
 from .zlinalg import InvariantError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_NO_FILE = 2
@@ -116,13 +117,13 @@ def cmd_abelianize(path: str) -> List[Output]:
                    [f"{path}: abelianization {group} (rank {group.rank})"])]
 
 
-def _split_check_one(path: str) -> Output:
-    text, digest = _read(path)
+def _split_check_text(label: str, text: str, inputs: Dict) -> Output:
+    """The split-check report of a bundle text, its lines headed by label."""
     spec = parse_bundle_file(text).to_spec()
     obstruction = obstruction_class(spec)
     ob = obstruction.to_json_dict()
     lines = [
-        f"{path}: {obstruction.verdict}",
+        f"{label}: {obstruction.verdict}",
         f"  s(r) = {ob['s_of_r']}",
         f"  quotient = {ob['quotient']}, class = {ob['class']}",
     ]
@@ -140,8 +141,12 @@ def _split_check_one(path: str) -> Output:
         lines.append(
             f"  abelianization test: pi^ab = {check.group_ab}, expected {check.expected}, "
             f"{'isomorphic' if check.is_isomorphic else 'NOT isomorphic'}")
-    return Output({"path": path, "sha256": digest}, {"obstruction": ob, "lemma2": lemma2},
-                  obstruction.verdict, lines)
+    return Output(inputs, {"obstruction": ob, "lemma2": lemma2}, obstruction.verdict, lines)
+
+
+def _split_check_one(path: str) -> Output:
+    text, digest = _read(path)
+    return _split_check_text(path, text, {"path": path, "sha256": digest})
 
 
 def cmd_split_check(paths: Sequence[str]) -> List[Output]:
@@ -151,7 +156,7 @@ def cmd_split_check(paths: Sequence[str]) -> List[Output]:
 def cmd_cohomology(path: str) -> List[Output]:
     text, digest = _read(path)
     bundle = parse_bundle_file(text)
-    if bundle.fibre_kind != "torus":
+    if bundle.fibre_kind == "kb":
         raise MalformedSpec("cohomology supports torus-module coefficients only")
     h1, h2 = h1_h2_base(bundle.base, bundle.torus_action())
     return [Output({"path": path, "sha256": digest}, {"h1": str(h1), "h2": str(h2)},
@@ -214,65 +219,10 @@ def cmd_transgress(k: Optional[int], range_text: Optional[str]) -> List[Output]:
     return [Output(inputs, {"cases": rows}, verdict, lines)]
 
 
-def _genus3_verdict(coords: Sequence[int]) -> str:
-    # the fibre is a genus-3 surface group, so a nonzero class rules out a section
-    return VERDICT_NO_SECTION if any(coords) else VERDICT_SPLITS
-
-
 def cmd_endo() -> List[Output]:
-    from .mcg import (CURVE_VECTORS, KB_VARIANT_GENERATORS, RANK, TORUS_PULLBACK_GENERATORS,
-                      endo_spec, lantern_check)
+    from .mcg import ENDO_SPEC
 
-    spec = endo_spec()
-    mats = [spec.coefficients.matrix(g) for g in spec.base.generators]
-    lantern = lantern_check()
-    # theta(r) from the Fox pass is the commutator product of the six matrices
-    obstruction = obstruction_class(spec)
-    relation = obstruction.lifted
-    group = obstruction.quotient
-    (coords,) = obstruction.class_coordinates
-    verdict = _genus3_verdict(coords)
-    # the Klein-bottle variant and its pullback keep the coinvariants: over the
-    # Klein bottle the pipeline would give H^2 with the orientation twist
-    b1 = CURVE_VECTORS["b1"]
-    kb_group = coinvariants(RANK, KB_VARIANT_GENERATORS)
-    kb_coords = kb_group.project(b1)
-    kb_verdict = _genus3_verdict(kb_coords)
-    tp_group = coinvariants(RANK, TORUS_PULLBACK_GENERATORS)
-    tp_coords = tp_group.project(b1)
-    result = {
-        "monodromy": [[list(row) for row in m.data] for m in mats],
-        "lantern": lantern,
-        "relation": relation,
-        "coinvariants": str(group),
-        "class_of_g": list(coords),
-        "kb_variant": {
-            "coinvariants": str(kb_group),
-            "class_of_g": list(kb_coords),
-            "verdict": kb_verdict,
-        },
-        "torus_pullback_info": {
-            "coinvariants": str(tp_group),
-            "class_of_g": list(tp_coords),
-        },
-    }
-    lines = ["monodromy matrices:"]
-    for i, m in enumerate(mats, 1):
-        lines.append(f"  generator {i}:")
-        for row in m.data:
-            lines.append("    " + " ".join(f"{e:3d}" for e in row))
-    lines += [
-        f"lantern relation on H_1: {'holds' if lantern else 'FAILS'}",
-        f"commutator product is identity: {'holds' if relation else 'FAILS'}",
-        f"coinvariants: {group}",
-        f"class of [b1]: {list(coords)}",
-        f"verdict: {verdict}",
-        f"Klein-bottle base variant: coinvariants {kb_group}, "
-        f"class {list(kb_coords)}, verdict {kb_verdict}",
-        f"torus pullback (informational): coinvariants {tp_group}, "
-        f"class {list(tp_coords)}",
-    ]
-    return [Output({"sha256": _digest(b"endo")}, result, verdict, lines)]
+    return [_split_check_text("endo", ENDO_SPEC, {"sha256": _digest(ENDO_SPEC.encode())})]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--range", dest="range_text", metavar="A..B", default=None)
     p.set_defaults(run=lambda args: cmd_transgress(args.k, args.range_text))
 
-    p = sub.add_parser("endo", help="the genus-3 homology obstruction example")
+    p = sub.add_parser("endo", help="split-check of the genus-3 example (bundlesec.mcg)")
     p.set_defaults(run=lambda args: cmd_endo())
     return parser
 

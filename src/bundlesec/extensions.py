@@ -8,6 +8,9 @@ of x is (theta(x), t_x)), and one fibre offset per base relator: the
 presented extension is (fibre x| F(X)) / << r . offset^-1 >>.  A Klein-bottle
 bundle lifts each generator to an automorphism and a fibre element.  The
 obstruction s(r) is the fibre value of the relator word under the lifts.
+A closed surface of genus h enters as its H_1 = Z^2h, a torus datum: its
+class is that of the extension of the base by H_1, whose splitting a
+section would force, so only a nonzero class is a verdict on the bundle.
 
 Each base relator r is walked once per spec, by the Fox pass over the
 coefficient module A: it gives theta(r) and the block row
@@ -65,6 +68,7 @@ VERDICT_SPLITS = "SPLITS"
 VERDICT_NO_SECTION = "NO_SECTION"
 VERDICT_NO_SPLITTING = "NO_SPLITTING"
 VERDICT_ACTION_DOES_NOT_LIFT = "ACTION_DOES_NOT_LIFT"
+VERDICT_JACOBIAN_SPLITS = "JACOBIAN_SPLITS"
 
 
 class MalformedSpec(ValueError):
@@ -179,6 +183,7 @@ class _BundleDatum:
     base: Presentation
     coefficients: LinearRep
     relator_offsets: Tuple
+    zero_verdict = VERDICT_SPLITS
 
     def _check(self, lifts: Sequence[Mapping[str, object]], zero_offset: object) -> None:
         """Check that the base has a relator, that each of the lifts' mappings
@@ -235,6 +240,15 @@ class TorusBundleSpec(_BundleDatum):
         return VERDICT_NO_SECTION if self.fibre_rank == 2 else VERDICT_NO_SPLITTING
 
 
+class SurfaceBundleSpec(TorusBundleSpec):
+    """A closed-surface-fibre datum read on H_1 of the fibre, Z^2h: the torus
+    datum of the extension of the base by H_1.  A nonzero class rules out a
+    section; a zero class only says that this H_1 extension splits."""
+
+    nonzero_verdict = VERDICT_NO_SECTION
+    zero_verdict = VERDICT_JACOBIAN_SPLITS
+
+
 class KbBundleSpec(_BundleDatum):
     """A Klein-bottle-fibre bundle datum over a presented base."""
 
@@ -284,7 +298,6 @@ BundleSpec = Union[TorusBundleSpec, KbBundleSpec]
 class ObstructionReport(NamedTuple):
     lifted: bool
     s_of_r: Tuple[Vector, ...]
-    jw_generators: Tuple[Vector, ...]
     quotient: AbelianGroup
     class_coordinates: Tuple[Vector, ...]
     verdict: str
@@ -293,7 +306,6 @@ class ObstructionReport(NamedTuple):
         return {
             "lifted": self.lifted,
             "s_of_r": [list(v) for v in self.s_of_r],
-            "jw": [list(v) for v in self.jw_generators],
             "quotient": str(self.quotient),
             "class": [list(v) for v in self.class_coordinates],
             "verdict": self.verdict,
@@ -315,7 +327,8 @@ def s_of_r(spec: TorusBundleSpec, relator_index: int = 0) -> Tuple[IntMatrix, Ve
 
 def jw_submodule(spec: BundleSpec) -> Tuple[Vector, ...]:
     """Generators of J_w . (coefficient module): the columns of every block row
-    B_r = [theta(d r / d x)]_x."""
+    B_r = [theta(d r / d x)]_x.  No command reports them: over more than one
+    relator they do not span delta2's image, whose cokernel is the quotient."""
     return tuple(col for _, block_row in spec.fox_rows for col in block_row.columns())
 
 
@@ -334,16 +347,11 @@ def obstruction_class(spec: BundleSpec) -> ObstructionReport:
     columns span J_w, so the quotient is A / J_w.
     """
     lifted, svecs, joined = spec.relator_values()
-    jw = jw_submodule(spec)
     quotient = cokernel(_delta2(spec.fox_rows, spec.coefficients.dim, len(spec.base.generators)))
     coords = () if joined is None else (quotient.project(joined),)
-    if not lifted:
-        verdict = VERDICT_ACTION_DOES_NOT_LIFT
-    elif not any(coords[0]):
-        verdict = VERDICT_SPLITS
-    else:
-        verdict = spec.nonzero_verdict
-    return ObstructionReport(lifted, svecs, jw, quotient, coords, verdict)
+    verdict = (VERDICT_ACTION_DOES_NOT_LIFT if not lifted
+               else spec.nonzero_verdict if any(coords[0]) else spec.zero_verdict)
+    return ObstructionReport(lifted, svecs, quotient, coords, verdict)
 
 
 def _action_block(m: int, mats: Sequence[IntMatrix]) -> IntMatrix:
@@ -357,15 +365,6 @@ def _action_block(m: int, mats: Sequence[IntMatrix]) -> IntMatrix:
             row[len(row) - m + i] -= 1
         rows.append(tuple(row))
     return IntMatrix(m, m * len(mats), tuple(rows))
-
-
-def coinvariants(fibre_rank: int, mats: Sequence[IntMatrix]) -> AbelianGroup:
-    """Largest quotient of Z^rank on which all the matrices act trivially:
-    the cokernel of [theta(x) - I]_x."""
-    for m in mats:
-        if m.rows != fibre_rank or m.cols != fibre_rank:
-            raise ValueError("matrix size does not match the fibre rank")
-    return cokernel(_action_block(fibre_rank, mats))
 
 
 class Lemma2Report(NamedTuple):

@@ -5,7 +5,7 @@ A bundle file has four sections::
     [base]
     < u, v | [u,v] >
     [fibre]
-    torus 2            # or: kb
+    torus 2            # or: surface 1, kb
     [action]
     u = 1 0 ; 0 1      # matrix rows for a torus fibre
     v = alpha          # automorphism word for a Klein-bottle fibre
@@ -14,10 +14,13 @@ A bundle file has four sections::
     offset 1 = 1 0     # fibre offset of the 1st base relator (optional)
 
 A torus datum is theta plus a translation per generator and an offset per
-relator (zero by default).  A [cocycle] key that names a base generator is
-that generator's translation, even one named 'offset'; any other key
-'offset' or 'offset N' is the offset of relator 1 or N.  No integer may
-exceed MAX_ENTRY_BITS bits.
+relator (zero by default).  A 'surface h' datum is the torus datum of H_1 of
+the genus-h fibre, Z^2h in the basis (b_1..b_h, a_1..a_h) with <a_i, b_i> = 1:
+each distinct [action] matrix must scale J = [[0, -I], [I, 0]] by +-1, and J
+is built only once the matrices have been read at their size.  A [cocycle]
+key that names a base generator is that generator's translation, even one
+named 'offset'; any other key 'offset' or 'offset N' is the offset of
+relator 1 or N.  No integer may exceed MAX_ENTRY_BITS bits.
 
 A header is one bracketed word naming one of the four sections, in any case;
 any other word is an error, and other bracketed text is section content.
@@ -32,7 +35,7 @@ import re
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .extensions import (_ENTRY_CAP, MAX_ENTRY_BITS, KbBundleSpec, MalformedSpec,
-                         TorusBundleSpec, _over_cap)
+                         SurfaceBundleSpec, TorusBundleSpec, _over_cap)
 from .groupring import KB_AUT_NAMES, KbAut, KbElement, LinearRep, kb_multiply
 from .words import Presentation, _quote, parse_presentation
 from .zlinalg import IntMatrix
@@ -40,7 +43,7 @@ from .zlinalg import IntMatrix
 
 class BundleFile(NamedTuple):
     base: Presentation
-    fibre_kind: str  # "torus" | "kb"
+    fibre_kind: str  # "torus" | "surface" | "kb"
     fibre_rank: int
     action_lines: Dict[str, str]
     # values by base generator name, and relator offsets by relator index
@@ -51,14 +54,17 @@ class BundleFile(NamedTuple):
         rank = self.fibre_rank
         mats = {g: _parse_matrix(self._action_line(g), rank) for g in self.base.generators}
         try:
-            return LinearRep(mats, rank)
+            action = LinearRep(mats, rank)
         except ValueError as exc:
             raise MalformedSpec(str(exc)) from exc
+        if self.fibre_kind == "surface":
+            _check_form(mats, rank)
+        return action
 
     def to_spec(self):
-        if self.fibre_kind == "torus":
-            return self._torus_spec()
-        return self._kb_spec()
+        if self.fibre_kind == "kb":
+            return self._kb_spec()
+        return self._torus_spec()
 
     def _action_line(self, g: str) -> str:
         if g not in self.action_lines:
@@ -74,7 +80,8 @@ class BundleFile(NamedTuple):
                         for g in self.base.generators}
         offsets = tuple(_parse_vector(self.cocycle_lines.get(i, ""), rank)
                         for i in range(1, len(self.base.relators) + 1))
-        return TorusBundleSpec(self.base, action, translations, offsets)
+        spec_class = SurfaceBundleSpec if self.fibre_kind == "surface" else TorusBundleSpec
+        return spec_class(self.base, action, translations, offsets)
 
     def _kb_spec(self) -> KbBundleSpec:
         pairs: Dict[str, Tuple[KbAut, KbElement]] = {
@@ -140,6 +147,21 @@ def kb_element_from_word(text: str) -> KbElement:
     return out
 
 
+def _check_form(mats: Dict[str, IntMatrix], rank: int) -> None:
+    """Each distinct matrix m must scale the intersection form J by +-1:
+    m^T J m = J (orientation kept) or -J (reversed)."""
+    h = rank // 2
+    form = IntMatrix(rank, rank, tuple(
+        tuple(-1 if j == i + h else 1 if j == i - h else 0 for j in range(rank))
+        for i in range(rank)))
+    signs = (form, -form)
+    checked = set()
+    for g, m in mats.items():
+        if m.data not in checked and m.transpose() @ form @ m not in signs:
+            raise MalformedSpec(f"matrix for {g!r} does not scale the intersection form by +-1")
+        checked.add(m.data)
+
+
 def _parse_matrix(text: str, rank: int) -> IntMatrix:
     # an empty row would read as `rank` zeros: refuse it before any row is
     # built, so that a matrix costs no more than the entries its text spells
@@ -153,6 +175,8 @@ def _parse_matrix(text: str, rank: int) -> IntMatrix:
 
 
 _SECTIONS = ("base", "fibre", "action", "cocycle")
+# the fibre kinds read on Z^m, each with what its number gives (m = 2 * genus)
+_FIBRE_SIZES = {"torus": "rank", "surface": "genus"}
 # a header is one bracketed word; other bracketed text, such as a relator
 # line "[a1,b1] [a2,b2]", is content of the current section
 _SECTION_HEADER = re.compile(r"\[\s*(\w+)\s*\]")
@@ -195,12 +219,14 @@ def parse_bundle_file(text: str) -> BundleFile:
     if not fibre_words:
         raise MalformedSpec("[fibre] section is empty")
     kind = fibre_words[0].lower()
-    if kind == "torus":
+    if kind in _FIBRE_SIZES:
+        size = _FIBRE_SIZES[kind]
         if len(fibre_words) != 2:
-            raise MalformedSpec("expected: torus <rank>")
-        (rank,) = _parse_ints(fibre_words[1:], "torus rank must be an integer")
-        if rank < 1:
-            raise MalformedSpec("torus rank must be positive")
+            raise MalformedSpec(f"expected: {kind} <{size}>")
+        (n,) = _parse_ints(fibre_words[1:], f"{kind} {size} must be an integer")
+        if n < 1:
+            raise MalformedSpec(f"{kind} {size} must be positive")
+        rank = n if kind == "torus" else 2 * n  # H_1 of a genus-n surface is Z^2n
     elif kind == "kb":
         rank = 1  # rank of the centre
     else:

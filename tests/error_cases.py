@@ -43,6 +43,18 @@ CASES = (
     (4, ["split-check", "{tmp}/kb_empty_action_exponent.bundle"],
      "kb_empty_action_exponent.bundle",
      b"[base]\n< u, v | [u,v] >\n[fibre]\nkb\n[action]\nu = alpha^\nv = id\n"),
+    # a surface fibre: a genus that is not a positive integer, a matrix not of
+    # size 2h, and one that does not scale the intersection form by +-1
+    (4, ["split-check", "{tmp}/surface_genus_0.bundle"], "surface_genus_0.bundle",
+     b"[base]\n< u, v | [u,v] >\n[fibre]\nsurface 0\n[action]\nu = 1\nv = 1\n"),
+    (4, ["split-check", "{tmp}/surface_genus_x.bundle"], "surface_genus_x.bundle",
+     b"[base]\n< u, v | [u,v] >\n[fibre]\nsurface x\n[action]\nu = 1\nv = 1\n"),
+    (4, ["cohomology", "{tmp}/surface_wrong_size.bundle"], "surface_wrong_size.bundle",
+     b"[base]\n< u, v | [u,v] >\n[fibre]\nsurface 1\n[action]\n"
+     b"u = 1 0 0 ; 0 1 0 ; 0 0 1\nv = 1 0 0 ; 0 1 0 ; 0 0 1\n"),
+    (4, ["split-check", "{tmp}/surface_off_the_form.bundle"], "surface_off_the_form.bundle",
+     b"[base]\n< u, v | [u,v] >\n[fibre]\nsurface 2\n[action]\n"
+     b"u = 1 0 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1\nv = 1 1 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1\n"),
     # a valid file first (written below): an error in a later file prints no report at all
     (2, ["split-check", "{tmp}/offset_generator.bundle", "{tmp}/missing.bundle"], None, None),
     (4, ["split-check", "{tmp}/offset_generator.bundle", "{tmp}/no_relator.pres"], None, None),

@@ -22,9 +22,12 @@ from bundlesec.groupring import LinearRep
 from bundlesec.words import Word, parse_presentation
 from bundlesec.zlinalg import IntMatrix, smith_normal_form
 from fox_reference import FreeRingElement, fox_derivative
+from lemma2_reference import coinvariants
+from mcg_reference import CURVE_VECTORS, LANTERN_PRODUCT, RANK, REFLECTION
 from smith_reference import is_unimodular
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
+TEST_SPECS = pathlib.Path(__file__).resolve().parent / "specs"
 
 
 def run_cli_json(*args):
@@ -89,29 +92,27 @@ def test_criterion_4_transgression_identity():
 
 def test_criterion_5_endo_example():
     report, elapsed = run_cli_json("endo")
-    result = report["result"]
-    assert result["lantern"] is True
-    assert result["relation"] is True
-    assert result["coinvariants"] == "Z/2 + Z/2 + Z/2 + Z/2"
-    assert any(c != 0 for c in result["class_of_g"])
+    ob = report["result"]["obstruction"]
+    assert ob["lifted"] is True
+    assert ob["quotient"] == "Z/2 + Z/2 + Z/2 + Z/2"
+    assert ob["class"] == [[1, 0, 0, 0]]
+    assert report["result"]["lemma2"]["is_isomorphic"] is False
     assert report["verdict"] == "NO_SECTION"
     assert elapsed < 5.0
-    _passline(5, "genus-3 example: lantern + relation hold, coinvariants "
-                 f"(Z/2)^4, class nonzero, NO_SECTION ({elapsed:.3f}s)")
+    _passline(5, "genus-3 example: relation holds, quotient (Z/2)^4, class nonzero, "
+                 f"NO_SECTION ({elapsed:.3f}s)")
 
 
 def test_criterion_6_kb_base_variant():
-    from bundlesec.extensions import coinvariants
-    from bundlesec.mcg import CURVE_VECTORS, KB_VARIANT_GENERATORS, RANK
-
-    report, elapsed = run_cli_json("endo")
-    variant = report["result"]["kb_variant"]
-    group = coinvariants(RANK, KB_VARIANT_GENERATORS)
+    report, elapsed = run_cli_json("split-check", str(TEST_SPECS / "genus3_klein_base.bundle"))
+    ob = report["result"]["obstruction"]
+    # x -> R, the reflection, and y -> P = t_x0 t_y0 t_z0; H^2 over the
+    # Klein bottle is the coinvariants of -R and P (the orientation twist)
+    group = coinvariants(RANK, [-REFLECTION, LANTERN_PRODUCT])
     coords = group.project(CURVE_VECTORS["b1"])
-    assert variant["coinvariants"] == str(group)
-    assert variant["class_of_g"] == list(coords)
-    assert any(c != 0 for c in coords)
-    assert variant["verdict"] == "NO_SECTION"
+    assert ob["quotient"] == str(group) == "Z^3 + Z/2"
+    assert ob["class"] == [list(coords)] == [[1, 0, 0, 0]]
+    assert report["verdict"] == "NO_SECTION"
     assert elapsed < 1.0
     _passline(6, f"Klein-bottle base variant: class of g nonzero in {group}, "
                  f"NO_SECTION ({elapsed:.3f}s)")

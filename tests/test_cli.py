@@ -27,7 +27,7 @@ def test_abelianize_reports_rank_two():
     assert out.returncode == 0
     report = json.loads(out.stdout)
     assert report["result"]["rank"] == 2
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
 
 
 def test_split_check_verdicts():
@@ -78,11 +78,15 @@ def test_endo_command():
     assert out.returncode == 0
     report = json.loads(out.stdout)
     assert report["verdict"] == "NO_SECTION"
-    assert report["result"]["lantern"] is True
-    assert report["result"]["relation"] is True
-    assert report["result"]["coinvariants"] == "Z/2 + Z/2 + Z/2 + Z/2"
-    assert any(c != 0 for c in report["result"]["class_of_g"])
-    assert len(report["result"]["monodromy"]) == 6
+    assert report["command"] == "endo"
+    assert sorted(report["result"]) == ["lemma2", "obstruction"]
+    ob = report["result"]["obstruction"]
+    assert ob["lifted"] is True
+    assert ob["quotient"] == "Z/2 + Z/2 + Z/2 + Z/2"
+    assert ob["class"] == [[1, 0, 0, 0]]
+    assert "jw" not in ob
+    text = run_cli("endo").stdout
+    assert text.splitlines()[0] == "endo: NO_SECTION"
 
 
 def test_reports_are_byte_identical():
@@ -122,7 +126,9 @@ def test_exit_code_malformed_spec(tmp_path):
 
 
 def test_a_failing_run_prints_no_report(tmp_path, capsys):
-    # every hostile input, a split-check whose second file fails among them
+    # every hostile input, a split-check whose second file fails among them,
+    # prints no report; each one of a bad input prints one error line (a
+    # usage error, exit 5, has argparse's usage line above it)
     import error_cases
     from bundlesec import cli
 
@@ -130,8 +136,9 @@ def test_a_failing_run_prints_no_report(tmp_path, capsys):
     for (code, *_), argv in zip(error_cases.CASES, argvs, strict=True):
         for flags in ([], ["--json"]):
             assert cli.main([*flags, *argv]) == code, argv
-            out, _ = capsys.readouterr()
+            out, err = capsys.readouterr()
             assert (out == "") == (code != 0), argv
+            assert len(err.splitlines()) == (code != 0) or code == 5, argv
 
 
 def test_a_misspelled_section_header_exits_4(tmp_path, capsys):
@@ -342,6 +349,16 @@ def test_empty_action_rows_exit_4_fast(tmp_path, command):
     path.write_text("[base]\n< u, v | [u,v] >\n[fibre]\ntorus 2000\n"
                     f"[action]\nu = {rows}\nv = {rows}\n")
     _exits_4_fast([command, str(path)], "has an empty row")
+
+
+@pytest.mark.parametrize("command", ["split-check", "cohomology"])
+def test_a_surface_genus_of_hundreds_of_digits_exits_4_fast(tmp_path, command):
+    # the matrix text shows its size before any vector or form of rank 2h is built
+    genus = "9" * 300
+    path = tmp_path / "huge_genus.bundle"
+    path.write_text(f"[base]\n< u, v | [u,v] >\n[fibre]\nsurface {genus}\n"
+                    "[action]\nu = 1 0 ; 0 1\nv = 1 0 ; 0 1\n")
+    _exits_4_fast([command, str(path)], "does not have")
 
 
 @pytest.mark.parametrize("request_args", [

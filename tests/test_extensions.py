@@ -11,7 +11,6 @@ from bundlesec.extensions import (
     VERDICT_NO_SECTION,
     VERDICT_NO_SPLITTING,
     VERDICT_SPLITS,
-    coinvariants,
     h1_h2_base,
     jw_submodule,
     lemma2_check,
@@ -31,6 +30,7 @@ from bundlesec.groupring import (
 )
 from bundlesec.words import Word, parse_presentation
 from bundlesec.zlinalg import IntMatrix
+from lemma2_reference import coinvariants
 
 TORUS = parse_presentation("< u, v | [u,v] >")
 I2 = IntMatrix.identity(2)

@@ -1,34 +1,44 @@
-"""Mapping-class computations, validated against the cellular oracle."""
+"""The genus-3 example: the curve model of ``mcg_reference`` validated
+against the cellular oracle, and ``endo``, the split-check of the bundle text
+``bundlesec.mcg.ENDO_SPEC``, checked against the matrices that model
+rebuilds and against the fibre coinvariants."""
 
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundlesec import cli
-from bundlesec.extensions import TorusBundleSpec, coinvariants, h1_h2_base, obstruction_class
-from bundlesec.groupring import LinearRep
-from bundlesec.mcg import (
+from bundlesec.extensions import SurfaceBundleSpec, h1_h2_base, obstruction_class
+from bundlesec.mcg import ENDO_SPEC
+from bundlesec.specfile import parse_bundle_file
+from bundlesec.words import parse_presentation
+from bundlesec.zlinalg import IntMatrix
+
+from cellular_oracle import build_model, curve_classes
+from lemma2_reference import coinvariants
+from mcg_reference import (
     CURVE_VECTORS,
     HYPERELLIPTIC,
-    KB_VARIANT_GENERATORS,
+    LANTERN_PRODUCT,
     LANTERN_TWISTS,
     PAIRING,
     RANK,
     REFLECTION,
-    TORUS_PULLBACK_GENERATORS,
+    bundle_text,
     endo_monodromy,
-    endo_spec,
     form_sign,
     lantern_check,
     transvection,
 )
-from bundlesec.zlinalg import IntMatrix
-
-from cellular_oracle import build_model, curve_classes
 from smith_reference import from_columns, is_unimodular
+
+SPECS = Path(__file__).resolve().parent / "specs"
+ENDO_BASE = "< x1, y1, x2, y2, x3, y3 | [x1,y1] [x2,y2] [x3,y3] >"
+KLEIN_BASE = "< x, y | x y x^-1 y >"
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +118,7 @@ def test_shipped_pairing_matches_oracle(oracle):
     assert pulled in (PAIRING, -PAIRING)
 
 
-# --- module under test ----------------------------------------------------------
+# --- the reference model ---------------------------------------------------------
 
 
 def test_model_invariants():
@@ -213,66 +223,87 @@ def test_lantern_negative_control():
     assert not lantern_check(wrong)
 
 
-def _endo_report():
+def _endo_report(*argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        assert cli.main(["--json", "endo"]) == 0
+        assert cli.main(["--json", *(argv or ["endo"])]) == 0
     return json.loads(buf.getvalue())
 
 
-def _with_monodromy(mats):
-    spec = endo_spec()
-    return TorusBundleSpec(spec.base, LinearRep(dict(zip(spec.base.generators, mats)), RANK),
-                           spec.translations, spec.relator_offsets)
+def _endo_spec(mats=None):
+    if mats is None:
+        return parse_bundle_file(ENDO_SPEC).to_spec()
+    action = dict(zip(parse_presentation(ENDO_BASE).generators, mats))
+    return parse_bundle_file(bundle_text(ENDO_BASE, 3, action, CURVE_VECTORS["b1"])).to_spec()
+
+
+def test_the_endo_spec_file_holds_the_text_in_mcg():
+    assert (SPECS / "genus3_endo.bundle").read_bytes() == ENDO_SPEC.encode()
+
+
+def test_the_endo_spec_is_rebuilt_from_the_curves():
+    # the six matrices are those the curve model gives, the translations
+    # are zero and the offset is b1, on a genus-3 surface fibre
+    spec = _endo_spec()
+    assert isinstance(spec, SurfaceBundleSpec)
+    mats = [spec.coefficients.matrix(g) for g in spec.base.generators]
+    assert tuple(mats) == endo_monodromy()
+    base = parse_presentation(ENDO_BASE)
+    assert (spec.base.generators, spec.base.relators) == (base.generators, base.relators)
+    assert all(t == (0,) * RANK for t in spec.translations.values())
+    assert spec.relator_offsets == (CURVE_VECTORS["b1"],)
+    for m in mats:
+        assert form_sign(m) == 1
 
 
 def test_endo_relation():
     # theta of the surface relator, from the Fox pass, is the commutator
     # product [m1,m2][m3,m4][m5,m6]
-    spec = endo_spec()
-    mats = [spec.coefficients.matrix(g) for g in spec.base.generators]
-    assert tuple(mats) == endo_monodromy()
-    assert len(mats) == 6
-    assert obstruction_class(spec).lifted
-    for m in mats:
-        assert form_sign(m) == 1
+    assert obstruction_class(_endo_spec()).lifted
 
 
 def test_endo_relation_negative_control():
     mats = list(endo_monodromy())
     # a twist along a curve meeting x0 does not commute with t_x0
     mats[1] = transvection((0, 0, 0, 1, 0, 0))
-    assert not obstruction_class(_with_monodromy(mats)).lifted
+    report = obstruction_class(_endo_spec(mats))
+    assert not report.lifted
+    assert report.verdict == "ACTION_DOES_NOT_LIFT"
 
 
 def test_endo_verdict():
     report = _endo_report()
-    assert report["result"]["coinvariants"] == "Z/2 + Z/2 + Z/2 + Z/2"
-    assert any(c != 0 for c in report["result"]["class_of_g"])
+    ob = report["result"]["obstruction"]
+    assert ob["quotient"] == "Z/2 + Z/2 + Z/2 + Z/2"
+    assert ob["class"] == [[1, 0, 0, 0]]
     assert report["verdict"] == "NO_SECTION"
+    # lemma 2 agrees: a split extension would have the twin's abelianization
+    assert report["result"]["lemma2"]["is_isomorphic"] is False
+
+
+def test_endo_is_split_check_of_the_spec_file():
+    endo = _endo_report()
+    split = _endo_report("split-check", str(SPECS / "genus3_endo.bundle"))
+    assert endo["result"] == split["result"]
+    assert endo["verdict"] == split["verdict"]
+    assert endo["inputs"] == {"sha256": split["inputs"]["sha256"]}
 
 
 def test_endo_verdict_from_the_relator_obstruction():
-    # endo decides the genus-3 base with theta the six monodromy matrices
-    # and the offset b1 through obstruction_class; the second route is the
-    # coinvariants of H_1 under the monodromy and the class of [b1] there
-    spec = endo_spec()
+    # the pipeline decides the genus-3 base with theta the six monodromy
+    # matrices and the offset b1; the second route is the coinvariants of H_1
+    # under the monodromy and the class of [b1] there
+    spec = _endo_spec()
     report = obstruction_class(spec)
     assert report.lifted
     assert report.quotient.invariant_factors == (2, 2, 2, 2)
     assert report.class_coordinates == ((1, 0, 0, 0),)
     assert h1_h2_base(spec.base, spec.coefficients)[1].invariant_factors == (2, 2, 2, 2)
-    # a rank-6 torus is no surface group, so the pipeline's own verdict is
-    # the group-level one; endo names NO_SECTION itself
-    assert report.verdict == "NO_SPLITTING"
-    # the program's report against the coinvariants route
+    # a surface fibre: a nonzero class rules out a section
+    assert report.verdict == "NO_SECTION"
     group = coinvariants(RANK, list(LANTERN_TWISTS + (HYPERELLIPTIC,)))
-    coords = group.project(CURVE_VECTORS["b1"])
-    printed = _endo_report()
-    assert printed["result"]["coinvariants"] == str(group) == "Z/2 + Z/2 + Z/2 + Z/2"
-    assert printed["result"]["class_of_g"] == list(coords) == [1, 0, 0, 0]
-    assert printed["result"]["relation"] is True
-    assert printed["verdict"] == "NO_SECTION"
+    assert str(report.quotient) == str(group) == "Z/2 + Z/2 + Z/2 + Z/2"
+    assert group.project(CURVE_VECTORS["b1"]) == (1, 0, 0, 0)
 
 
 def test_jacobian_obstruction_generating_set_independence():
@@ -298,39 +329,38 @@ def test_jacobian_obstruction_minus_identity():
     assert all(c == 0 for c in coords)
 
 
-def test_kb_base_variant():
-    product = LANTERN_TWISTS[0] @ LANTERN_TWISTS[1] @ LANTERN_TWISTS[2]
-    assert KB_VARIANT_GENERATORS == (product, REFLECTION)
-    group = coinvariants(RANK, KB_VARIANT_GENERATORS)
-    coords = group.project(CURVE_VECTORS["b1"])
-    assert any(c != 0 for c in coords)
-    printed = _endo_report()["result"]["kb_variant"]
-    assert printed == {"coinvariants": str(group), "class_of_g": list(coords),
-                       "verdict": "NO_SECTION"}
-    # mod-2 count: the quotient has order 32 here
-    order = 1
-    for f in group.invariant_factors:
-        order *= f
-    assert order == 32
+def _klein(x, y):
+    return parse_bundle_file(bundle_text(KLEIN_BASE, 3, {"x": x, "y": y},
+                                         CURVE_VECTORS["b1"])).to_spec()
 
 
-def test_torus_pullback_is_informational():
-    product = LANTERN_TWISTS[0] @ LANTERN_TWISTS[1] @ LANTERN_TWISTS[2]
-    assert TORUS_PULLBACK_GENERATORS == (
-        product @ REFLECTION @ product @ REFLECTION.inverse_unimodular(),)
-    group = coinvariants(RANK, TORUS_PULLBACK_GENERATORS)
-    coords = group.project(CURVE_VECTORS["b1"])
-    # the single pulled-back generator acts trivially on H_1
-    assert group.invariant_factors == (0,) * RANK
-    assert any(c != 0 for c in coords)
-    assert _endo_report()["result"]["torus_pullback_info"] == {
-        "coinvariants": str(group), "class_of_g": list(coords)}
+def test_the_klein_base_variant_is_the_twisted_coinvariants():
+    # x -> R (the reflection, which reverses the form) and y -> P, the
+    # lantern product; over the Klein bottle, w(x) = -1 and w(y) = 1, and
+    # H^2 is A / <(w(x) R - I) A, (P - I) A>: the coinvariants of -R and P
+    spec = parse_bundle_file((SPECS / "genus3_klein_base.bundle").read_text()).to_spec()
+    assert [spec.coefficients.matrix(g) for g in ("x", "y")] == [REFLECTION, LANTERN_PRODUCT]
+    assert spec.relator_offsets == (CURVE_VECTORS["b1"],)
+    assert (form_sign(REFLECTION), form_sign(LANTERN_PRODUCT)) == (-1, 1)
+    report = obstruction_class(spec)
+    twisted = coinvariants(RANK, [-REFLECTION, LANTERN_PRODUCT])
+    assert str(report.quotient) == str(twisted) == "Z^3 + Z/2"
+    assert report.class_coordinates == (twisted.project(CURVE_VECTORS["b1"]),) == ((1, 0, 0, 0),)
+    assert report.verdict == "NO_SECTION"
+    assert obstruction_class(_klein(REFLECTION, LANTERN_PRODUCT)).verdict == "NO_SECTION"
+
+
+def test_the_swapped_klein_base_assignment_does_not_lift():
+    # P R P^-1 R is not the identity on H_1
+    report = obstruction_class(_klein(LANTERN_PRODUCT, REFLECTION))
+    assert not report.lifted
+    assert report.verdict == "ACTION_DOES_NOT_LIFT"
 
 
 def test_coinvariant_order_hand_count():
     # mod 2 the twists contribute span{x0, y0, z0} with x0+y0+z0 = 0, so the
     # quotient of (Z/2)^6 has order 2^4
-    group = obstruction_class(endo_spec()).quotient
+    group = obstruction_class(_endo_spec()).quotient
     order = 1
     for f in group.invariant_factors:
         order *= f

@@ -57,6 +57,8 @@ TRACER_PINNED = {
     # the affine Fox pass subtracts IntMatrix values at inverse letters
     "zlinalg.IntMatrix.__sub__": "groupring.evaluate_affine",
     "groupring.LinearRep.evaluate_word": "groupring.LinearRep.evaluate_word",
+    # no report has listed J_w since schema 2
+    "extensions.jw_submodule": "extensions.jw_submodule",
     "extensions.semidirect_presentation": "extensions.semidirect_presentation",
     "extensions.semidirect_presentation.<locals>.fibre_word":
         "extensions.semidirect_presentation",
@@ -97,6 +99,8 @@ def _exercises():
         "groupring.evaluate_affine":
             lambda: groupring.evaluate_affine(r, rep, {"u": (1, 0), "v": (0, 1)}),
         "groupring.LinearRep.evaluate_word": lambda: rep.evaluate_word(r),
+        "extensions.jw_submodule": lambda: extensions.jw_submodule(
+            extensions.TorusBundleSpec(base, rep, {"u": (0, 0), "v": (0, 0)})),
         "extensions.semidirect_presentation":
             lambda: extensions.semidirect_presentation(base, rep, offsets=[(1, 0)]),
         "zlinalg.IntMatrix.determinant": m.determinant,

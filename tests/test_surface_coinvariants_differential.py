@@ -6,8 +6,8 @@ with each sign, and the Fox derivatives span the augmentation ideal times the
 module: J_w A = sum_x (theta(x) - I) A.  So H^2 = A / delta2 A^X is the
 coinvariants, whether or not the action kills the relator, and once it does,
 the class of S = (s(r)) vanishes exactly when the offset's coinvariants class
-does (the translations move S inside delta2 A^X).  ``endo`` relies on this for
-its genus-3 bundle.
+does (the translations move S inside delta2 A^X).  ``endo``'s genus-3 bundle
+is one such case.
 
 A seeded generator writes the cases: genus 1 to 4, rank-6 actions that are
 products of 0-3 homology transvections of random vectors (or their inverses),
@@ -35,18 +35,28 @@ relator can lift) and a random x^a y^b, with a central offset x^2k.  The
 quotient is the coinvariants of the +-1 centre actions: Z/2 if some
 generator acts by -1, Z otherwise; a lifted class vanishes exactly when s(r)
 does in them.  The mutant drops the last block of delta2.
+
+Surface fibres are read from bundle files: a ``surface h`` fibre, h = 1 to
+4, over the same words, with rank-2h actions that are products of 0-3
+transvections of the 2h-dim form, a quarter of them times the reflection
+that reverses it, and offsets as above.  The quotient is the coinvariants,
+and a lifted case is ``NO_SECTION`` exactly when its class is nonzero and
+``JACOBIAN_SPLITS`` otherwise.
 """
 
 import random
 from functools import reduce
 from operator import matmul
 
-from bundlesec.extensions import KbBundleSpec, TorusBundleSpec, coinvariants, obstruction_class
-from bundlesec.extensions import VERDICT_ACTION_DOES_NOT_LIFT, VERDICT_NO_SECTION, VERDICT_SPLITS
+from bundlesec.extensions import KbBundleSpec, SurfaceBundleSpec, TorusBundleSpec, obstruction_class
+from bundlesec.extensions import (VERDICT_ACTION_DOES_NOT_LIFT, VERDICT_JACOBIAN_SPLITS,
+                                  VERDICT_NO_SECTION, VERDICT_SPLITS)
 from bundlesec.groupring import KB_AUT_NAMES, KbElement, LinearRep
-from bundlesec.mcg import RANK, transvection
+from bundlesec.specfile import parse_bundle_file
 from bundlesec.words import Presentation, Word, parse_presentation
 from bundlesec.zlinalg import IntMatrix, cokernel
+from lemma2_reference import coinvariants
+from mcg_reference import RANK, bundle_text, reflection, transvection
 from test_h1_h2_differential import _elementary_product
 
 SEED = 20
@@ -54,23 +64,27 @@ CASES = 200
 EYE = IntMatrix.identity(RANK)
 
 
-def _vector(rng, bound):
-    return tuple(rng.randint(-bound, bound) for _ in range(RANK))
+def _vector(rng, bound, rank=RANK):
+    return tuple(rng.randint(-bound, bound) for _ in range(rank))
 
 
-def _twist_product(rng):
+def _twist_product(rng, rank=RANK):
     """A product of 0-3 transvections of random vectors, each possibly inverted."""
-    out = EYE
+    out = IntMatrix.identity(rank)
     for _ in range(rng.randint(0, 3)):
-        t = transvection(_vector(rng, 2))
+        t = transvection(_vector(rng, 2, rank))
         out = out @ (t.inverse_unimodular() if rng.random() < 0.5 else t)
     return out
 
 
-def _surface_base(genus):
+def _surface_word(genus):
     gens = ", ".join(f"x{i}, y{i}" for i in range(1, genus + 1))
     relator = " ".join(f"[x{i},y{i}]" for i in range(1, genus + 1))
-    return parse_presentation(f"< {gens} | {relator} >")
+    return f"< {gens} | {relator} >"
+
+
+def _surface_base(genus):
+    return parse_presentation(_surface_word(genus))
 
 
 def _cases():
@@ -243,3 +257,47 @@ def test_the_kb_quotient_is_the_centre_coinvariants_on_surface_words():
         mutant = cokernel(IntMatrix(1, len(row) - 1, (row[:-1],)))
         caught += mutant.invariant_factors != group.invariant_factors
     assert caught > 0
+
+
+def _surface_fibre_cases():
+    rng = random.Random(SEED)
+    for _ in range(CASES):
+        word, h = _surface_word(rng.randint(1, 4)), rng.randint(1, 4)
+        rank = 2 * h
+        gens = parse_presentation(word).generators
+        lifts = rng.random() < 0.5
+        theta = {}
+        for g in gens:
+            theta[g] = (IntMatrix.identity(rank) if lifts and g.startswith("y")
+                        else _twist_product(rng, rank))
+            if g.startswith("x") and rng.random() < 0.25:
+                theta[g] = theta[g] @ reflection(rank)
+        if rng.random() < 0.5:
+            offset = _vector(rng, 3, rank)
+        else:
+            v = _vector(rng, 3, rank)
+            offset = tuple(a - b for a, b in zip(theta[rng.choice(gens)].apply(v), v))
+        translations = {g: _vector(rng, 2, rank) for g in gens if rng.random() < 0.5}
+        yield parse_bundle_file(bundle_text(word, h, theta, offset, translations)).to_spec()
+
+
+SURFACE_CASE_LIST = list(_surface_fibre_cases())
+
+
+def test_surface_fibres_give_the_coinvariants_and_name_the_zero_class():
+    verdicts = set()
+    for spec in SURFACE_CASE_LIST:
+        assert isinstance(spec, SurfaceBundleSpec)
+        report = obstruction_class(spec)
+        group = coinvariants(spec.fibre_rank, _action(spec))
+        assert report.lifted == _kills_the_relator(spec)
+        assert report.quotient.invariant_factors == group.invariant_factors
+        if report.lifted:
+            nonzero = any(group.project(spec.relator_offsets[0]))
+            assert any(report.class_coordinates[0]) == nonzero
+            assert report.verdict == (VERDICT_NO_SECTION if nonzero else VERDICT_JACOBIAN_SPLITS)
+        else:
+            assert report.verdict == VERDICT_ACTION_DOES_NOT_LIFT
+        verdicts.add((spec.fibre_rank, report.verdict))
+    assert verdicts == {(2 * h, v) for h in range(1, 5) for v in (
+        VERDICT_ACTION_DOES_NOT_LIFT, VERDICT_NO_SECTION, VERDICT_JACOBIAN_SPLITS)}

@@ -16,8 +16,10 @@ changed error message shows as one listed difference.
 Each checkout runs in its own interpreter, started with ``-B`` so that no
 bytecode cache is written into it.
 
-Exits 0 when every report is identical, 1 otherwise, listing the first
-differences.
+Each count is printed twice: raw, and after normalising the differences that
+the schema-2 reports announce (``ANNOUNCED``) on both sides.  Exits 0 when
+every report is identical after normalising, 1 otherwise, listing the first
+differences that remain.
 """
 
 from __future__ import annotations
@@ -25,15 +27,26 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, Tuple
 
 SEEDS = (1, 2, 3)
 SHOWN_DIFFERENCES = 10
+
+#: The report changes of schema 2, set aside by the normalised comparison:
+#: the JSON keys at these paths are dropped from every report, and the
+#: commands named are compared by exit code and verdict only.
+ANNOUNCED = {
+    "dropped_keys": (("schema_version",), ("result", "obstruction", "jw")),
+    "verdict_only": ("endo",),
+}
+# a text report's verdict is its first verdict word
+_VERDICT = re.compile(r"\b(SPLITS|JACOBIAN_SPLITS|NO_SECTION|NO_SPLITTING|ACTION_DOES_NOT_LIFT)\b")
 
 
 def _run_worker(checkout: Path, workdir: Path, argvs: Sequence[Sequence[str]]) -> list:
@@ -63,13 +76,50 @@ def _worker(src: str) -> None:
     json.dump(results, sys.stdout)
 
 
-def _differences(parent: Path, change: Path, workdir: Path, argvs: list, where: str) -> list:
-    """(where, command, parent's result, change's result) for each argv whose
-    results differ."""
+def _normalised(argv: Sequence[str], result: list) -> list:
+    """result with the ANNOUNCED differences taken out."""
+    code, out, err = result
+    command = next((a for a in argv if not a.startswith("--")), "")
+    if command in ANNOUNCED["verdict_only"]:
+        if "--json" in argv:
+            verdicts = [report.get("verdict") for report in _json_reports(out)]
+        else:
+            verdicts = _VERDICT.findall(out)[:1]
+        return [code, verdicts]
+    if "--json" not in argv or code != 0:
+        return result
+    reports = _json_reports(out)
+    for report in reports:
+        for *path, key in ANNOUNCED["dropped_keys"]:
+            node = report
+            for step in path:
+                node = node.get(step) if isinstance(node, dict) else None
+            if isinstance(node, dict):
+                node.pop(key, None)
+    return [code, reports, err]
+
+
+def _json_reports(out: str) -> list:
+    """The JSON reports printed one after another."""
+    decoder, space = json.JSONDecoder(), json.decoder.WHITESPACE
+    reports, at = [], space.match(out, 0).end()
+    while at < len(out):
+        report, at = decoder.raw_decode(out, at)
+        reports.append(report)
+        at = space.match(out, at).end()
+    return reports
+
+
+def _differences(parent: Path, change: Path, workdir: Path, argvs: list,
+                 where: str) -> Tuple[int, list]:
+    """(raw count of results that differ, and (where, command, parent's result,
+    change's result) for each argv whose results differ after normalising)."""
     before = _run_worker(parent, workdir, argvs)
     after = _run_worker(change, workdir, argvs)
-    return [(where, " ".join(a), x, y) for a, x, y in zip(argvs, before, after, strict=True)
-            if x != y]
+    pairs = list(zip(argvs, before, after, strict=True))
+    raw = sum(x != y for _, x, y in pairs)
+    return raw, [(where, " ".join(a), x, y) for a, x, y in pairs
+                 if _normalised(a, x) != _normalised(a, y)]
 
 
 def _golden_argvs() -> list:
@@ -92,35 +142,35 @@ def main(argv: Sequence[str] | None = None) -> int:
     import error_cases
     import workloads
 
-    total, differences = 0, []
+    differences: list = []
+    # [reports, identical raw, identical normalised] per kind of report
+    counts = {kind: [0, 0, 0] for kind in ("workload", "golden", "error")}
+
+    def compare(kind: str, workdir: Path, argvs: list, where: str) -> str:
+        raw, found = _differences(parent, change, workdir, argvs, where)
+        differences.extend(found)
+        n = len(argvs)
+        for i, same in enumerate((n, n - raw, n - len(found))):
+            counts[kind][i] += same
+        return f"{n - raw}/{n} raw, {n - len(found)}/{n} normalised"
+
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory(prefix="same-reports-") as tmp:
                 workdir = Path(tmp)
                 ops = workloads.build(workload, seed, workdir, change / "specs")
                 argvs = [argv for op in ops for argv in (op.argv, op.argv[1:])]
-                found = _differences(parent, change, workdir, argvs, f"{workload} seed {seed}")
-            print(f"{workload} seed {seed}: {len(argvs) - len(found)}/{len(argvs)} "
-                  "reports identical")
-            total += len(argvs)
-            differences += found
-    workload_same = total - len(differences)
-
-    goldens = _golden_argvs()
-    found = _differences(parent, change, change, goldens, "golden")
-    golden_same = len(goldens) - len(found)
-    differences += found
-    print(f"golden commands: {golden_same}/{len(goldens)} reports identical")
-
+                where = f"{workload} seed {seed}"
+                print(f"{where}: {compare('workload', workdir, argvs, where)} reports identical")
+    golden = compare("golden", change, _golden_argvs(), "golden")
+    print(f"golden commands: {golden} reports identical")
     with tempfile.TemporaryDirectory(prefix="same-reports-") as tmp:
-        errors = error_cases.write_inputs(Path(tmp))
-        found = _differences(parent, change, Path(tmp), errors, "error")
-    error_same = len(errors) - len(found)
-    differences += found
-    print(f"error inputs: {error_same}/{len(errors)} error reports identical")
-    print(f"all: {workload_same}/{total} workload reports, {golden_same}/{len(goldens)} "
-          f"golden reports and {error_same}/{len(errors)} error reports identical (exit "
-          "code, stdout and stderr; workload and golden reports each with --json and as text)")
+        error = compare("error", Path(tmp), error_cases.write_inputs(Path(tmp)), "error")
+    print(f"error inputs: {error} error reports identical")
+    summary = "; ".join(f"{kind} reports {raw}/{n} raw, {same}/{n} normalised"
+                        for kind, (n, raw, same) in counts.items())
+    print(f"all: {summary} identical (exit code, stdout and stderr; workload and golden "
+          "reports each with --json and as text)")
     for where, command, x, y in differences[:SHOWN_DIFFERENCES]:
         print(f"differs: {where}: bundlesec {command}\n"
               f"  parent: {x!r:.300}\n  change: {y!r:.300}")
