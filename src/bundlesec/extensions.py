@@ -16,9 +16,10 @@ Each base relator r is walked once per spec, by the Fox pass over the
 coefficient module A: it gives theta(r) and the block row
 B_r = [theta(d r / d x)]_x, an m x m|X| matrix.  The pass runs on flat
 row-major tuples of m^2 ints, and only theta(r) and B_r become ``IntMatrix``.
-A letter costs one m x m product: for 1 <= m <= KERNEL_MAX_RANK a
-straight-line function generated for that rank at its first pass, and above
-that a generic product, since generated code grows as m^3.
+A letter costs one m x m product, which also caps its entries: for
+1 <= m <= KERNEL_MAX_RANK a straight-line function generated for that
+rank at its first pass, and above that a generic product, since generated
+code grows as m^3.
 The B_r stacked are delta2 : A^X -> A^R.  For a torus fibre s(r) is theta(r)
 times the offset plus B_r t, where t is the lifts' translations in generator
 order (the crossed-homomorphism form of Fox calculus), so changing the
@@ -101,6 +102,11 @@ def _flat_sub(a: Vector, b: Vector) -> Vector:
     return tuple(map(sub, a, b))
 
 
+class _OverCap(Exception):
+    """Raised by a product of the Fox pass when an entry of its output has
+    more than MAX_ENTRY_BITS bits; ``_fox_rows`` names the relator."""
+
+
 # largest fibre rank with a generated product; its source and compile time
 # grow as m^3 (rank 8, the Jacobian of a genus-4 fibre, compiles in a few ms)
 KERNEL_MAX_RANK = 8
@@ -109,7 +115,10 @@ KERNEL_MAX_RANK = 8
 @cache
 def _product_kernel(m: int) -> Callable[[Vector, Vector], Vector]:
     """The product of two flat row-major m x m matrices as one straight-line
-    function, ``k(p, q)``, compiled once per rank on first use.
+    function, ``k(p, q)``, compiled once per rank on first use.  It raises
+    ``_OverCap`` when an entry of the product has more than MAX_ENTRY_BITS
+    bits, so that the Fox pass caps its running prefix with no call of its
+    own per letter.
 
     Its source is made from integer indices alone, and its file name
     ``<fox product m=...>`` tells the ranks apart in a profile.
@@ -119,35 +128,44 @@ def _product_kernel(m: int) -> Callable[[Vector, Vector], Vector]:
     cells = range(m * m)
     entries = (" + ".join(f"a{i + k}*b{k * m + j}" for k in range(m))
                for i in range(0, m * m, m) for j in range(m))
+    # each entry is compared with the cap as it stands in a local: cheaper
+    # than max and min of the tuple at every rank up to the bound
     source = (f"def k(p, q):\n"
               f"    {', '.join(f'a{c}' for c in cells)}, = p\n"
               f"    {', '.join(f'b{c}' for c in cells)}, = q\n"
-              f"    return ({', '.join(entries)},)\n")
-    namespace: dict = {}
+              + "".join(f"    c{c} = {entry}\n" for c, entry in zip(cells, entries))
+              + f"    if {' and '.join(f'LO <= c{c} <= HI' for c in cells)}:\n"
+              f"        return ({', '.join(f'c{c}' for c in cells)},)\n"
+              f"    raise OverCap\n")
+    namespace: dict = {"LO": -_ENTRY_CAP, "HI": _ENTRY_CAP, "OverCap": _OverCap}
     exec(compile(source, f"<fox product m={m}>", "exec"), namespace)
     return namespace["k"]
 
 
 def _generic_product(p: Vector, q: Vector) -> Vector:
     """The product of two flat row-major square matrices, by rows of p and
-    columns of q: the product of the ranks above KERNEL_MAX_RANK."""
+    columns of q: the product of the ranks above KERNEL_MAX_RANK.  Like the
+    generated product, it raises ``_OverCap`` on an entry over the cap."""
     m = isqrt(len(q))
     cols = [q[j::m] for j in range(m)]
-    return tuple(sum(map(mul, p[k:k + m], col)) for k in range(0, m * m, m) for col in cols)
+    out = tuple(sum(map(mul, p[k:k + m], col)) for k in range(0, m * m, m) for col in cols)
+    if _over_cap(out):
+        raise _OverCap
+    return out
 
 
 def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
     """(theta(r), B_r) for every base relator r, from one Fox pass each, where
     B_r is the m x m|X| block row [theta(d r / d x)]_x in generator order.
 
-    The pass runs on flat row-major tuples of m^2 ints.  Each generator's
-    image, for both signs, is made flat once per spec, so a letter costs one
-    product of the flat prefix by that image and builds no IntMatrix; only
-    theta(r) and B_r become IntMatrix.  The product is the generated
-    ``_product_kernel(m)`` when m <= KERNEL_MAX_RANK, else
-    ``_generic_product``.  Every entry is capped at MAX_ENTRY_BITS: on the
-    running prefix at each letter, so that large entries stop the pass
-    early, and on the pass's output.
+    The pass runs on flat row-major tuples of m^2 ints.  Each letter's image
+    is made flat once per spec, in a table that the pass reads in C, so a
+    letter costs one product of the flat prefix by that image and one flat
+    sum, and builds no IntMatrix; only theta(r) and B_r become IntMatrix.
+    The product is the generated ``_product_kernel(m)`` when
+    m <= KERNEL_MAX_RANK, else ``_generic_product``.  Every entry is capped
+    at MAX_ENTRY_BITS: by the product on the running prefix at each letter,
+    so that large entries stop the pass early, and here on the blocks.
     """
     m = module.dim
     starts = range(0, m * m, m)
@@ -157,19 +175,16 @@ def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
     zero = (0,) * (m * m)
     rows = []
     for i, r in enumerate(base.relators, 1):
-        too_big = f"relator {i} evaluates to an entry of more than {MAX_ENTRY_BITS} bits"
-
-        def capped_mul(p: Vector, q: Vector) -> Vector:
-            out = product(p, q)
-            if _over_cap(out):
-                raise MalformedSpec(too_big)
-            return out
-
-        value, jac = fox_jacobian(r, base.generators, lambda g, s: images[g, s], capped_mul,
-                                  eye, zero, _flat_add, _flat_sub)
-        blocks = [jac[x] for x in base.generators]
-        if _over_cap(value) or any(map(_over_cap, blocks)):
-            raise MalformedSpec(too_big)
+        try:
+            # theta(r) is the eye or the last product, which capped it
+            value, jac = fox_jacobian(r, base.generators, images.__getitem__, product,
+                                      eye, zero, _flat_add, _flat_sub)
+            blocks = [jac[x] for x in base.generators]
+            if any(map(_over_cap, blocks)):
+                raise _OverCap
+        except _OverCap:
+            raise MalformedSpec(
+                f"relator {i} evaluates to an entry of more than {MAX_ENTRY_BITS} bits") from None
         block_row = tuple(tuple(c for b in blocks for c in b[k:k + m]) for k in starts)
         rows.append((IntMatrix(m, m, tuple(value[k:k + m] for k in starts)),
                      IntMatrix(m, m * len(blocks), block_row)))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple, TypeVar
 
-from .words import Word
+from .words import Letter, Word
 from .zlinalg import IntMatrix, Vector
 
 T = TypeVar("T")
@@ -76,30 +76,34 @@ class LinearRep:
         return evaluate_word(w, self.matrix, IntMatrix.__matmul__, IntMatrix.identity(self.dim))
 
 
-def fox_jacobian(w: Word, gens: Sequence[str], image: Callable[[str, int], U],
+def fox_jacobian(w: Word, gens: Sequence[str], image: Callable[[Letter], U],
                  mul: Callable[[T, U], T], one: T, zero: T,
                  add: Callable[[T, T], T] = operator.add,
                  sub: Callable[[T, T], T] = operator.sub) -> Tuple[T, Dict[str, T]]:
     """The value of w in a ring together with its Fox derivatives
     d w / d gen for every gen in gens, from one left-to-right pass.
 
-    The ring is given by image, mul, add, sub, one and zero.  Letters map to
-    units by image(gen, sign), which mul(P, image(gen, sign)) multiplies on
-    the right of a ring element P; the image may be any form of the unit that
-    mul reads.  Derivatives are summed with add and sub, by default the
-    ring's own + and -.  With P the running prefix value, a letter gen^+1
-    adds P to the entry of gen and then moves P to P image(gen); a letter
-    gen^-1 first moves P to P image(gen)^-1 and then subtracts it.  The
-    final P is the value of w.  Generators absent from w get zero.
+    The ring is given by image, mul, add, sub, one and zero.  A letter
+    (gen, sign) maps to a unit by image(letter), which mul(P, image(letter))
+    multiplies on the right of a ring element P; the image may be any form of
+    the unit that mul reads.  A table's ``__getitem__`` is the usual image:
+    it is called in C and costs the pass no Python frame per letter.
+    Derivatives are summed with add and sub, by default the ring's own + and
+    -.  With P the running prefix value, a letter gen^+1 adds P to the entry
+    of gen and then moves P to P image(gen); a letter gen^-1 first moves P to
+    P image(gen)^-1 and then subtracts it.  The final P is the value of w.
+    Generators absent from w get zero.  An exception that mul raises ends
+    the pass.
     """
     jac = {g: zero for g in gens}
     prefix = one
-    for g, s in w.letters:
+    for letter in w.letters:
+        g, s = letter
         if s == 1:
             jac[g] = add(jac[g], prefix)
-            prefix = mul(prefix, image(g, s))
+            prefix = mul(prefix, image(letter))
         else:
-            prefix = mul(prefix, image(g, s))
+            prefix = mul(prefix, image(letter))
             jac[g] = sub(jac[g], prefix)
     return prefix, jac
 
@@ -111,7 +115,8 @@ def evaluate_affine(w: Word, rep: LinearRep, translations: Mapping[str, Vector]
     Lifts multiply by (A, t)(B, s) = (AB, t + A s), so the value is
     (theta(w), sum_x theta(d w / d x) t_x): one Fox pass over theta gives both.
     """
-    value, jac = fox_jacobian(w, translations, rep.matrix, IntMatrix.__matmul__,
+    images = {letter: rep.matrix(*letter) for letter in w.letters}
+    value, jac = fox_jacobian(w, translations, images.__getitem__, IntMatrix.__matmul__,
                               IntMatrix.identity(rep.dim), IntMatrix.zeros(rep.dim, rep.dim))
     parts = [(0,) * rep.dim] + [jac[g].apply(t) for g, t in translations.items()]
     return value, tuple(map(sum, zip(*parts)))
@@ -141,9 +146,9 @@ class FreeRingElement(Dict[Word, int]):
 def fox_derivative(w: Word, gen: str) -> FreeRingElement:
     """d w / d gen in the group ring: the Fox pass with each letter sent to itself."""
     gens = {g for g, _ in w.letters} | {gen}
-    _, jac = fox_jacobian(w, gens, lambda g, s: FreeRingElement({Word.gen(g, s): 1}),
-                          FreeRingElement.__mul__, FreeRingElement({Word.identity(): 1}),
-                          FreeRingElement())
+    images = {letter: FreeRingElement({Word.gen(*letter): 1}) for letter in w.letters}
+    _, jac = fox_jacobian(w, gens, images.__getitem__, FreeRingElement.__mul__,
+                          FreeRingElement({Word.identity(): 1}), FreeRingElement())
     return jac[gen]
 
 

@@ -32,7 +32,8 @@ Cohomology inputs reuse the same layout without the [cocycle] section.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .extensions import (_ENTRY_CAP, MAX_ENTRY_BITS, KbBundleSpec, MalformedSpec,
                          SurfaceBundleSpec, TorusBundleSpec, _over_cap)
@@ -93,15 +94,16 @@ class BundleFile(NamedTuple):
         return KbBundleSpec(self.base, pairs, offsets)
 
 
-def _parse_ints(tokens: Sequence[str], bad: str) -> Tuple[int, ...]:
-    """The integers the tokens spell, or MalformedSpec(bad) if one is no
-    integer (int()'s own limit of 4,300 digits included).  No integer of a
-    file may outgrow the Fox pass's entry cap or the digits a report prints:
-    the first token over MAX_ENTRY_BITS bits is named."""
+def _parse_ints(tokens: Sequence[str], bad: Callable[[], str]) -> Tuple[int, ...]:
+    """The integers the tokens spell, or MalformedSpec(bad()) if one is no
+    integer (int()'s own limit of 4,300 digits included), so that the message
+    is built only when it is raised.  No integer of a file may outgrow the Fox
+    pass's entry cap or the digits a report prints: the first token over
+    MAX_ENTRY_BITS bits is named."""
     try:
         ints = tuple(map(int, tokens))
     except ValueError as exc:
-        raise MalformedSpec(bad) from exc
+        raise MalformedSpec(bad()) from exc
     if ints and _over_cap(ints):
         token = next(t for t, n in zip(tokens, ints) if abs(n) > _ENTRY_CAP)
         raise MalformedSpec(f"integer {_quote(token)} has more than {MAX_ENTRY_BITS} bits")
@@ -112,7 +114,7 @@ def _parse_vector(text: str, rank: int) -> Tuple[int, ...]:
     text = text.strip()
     if not text:
         return tuple(0 for _ in range(rank))
-    vec = _parse_ints(text.split(), f"bad integer vector {_quote(text)}")
+    vec = _parse_ints(text.split(), lambda: f"bad integer vector {_quote(text)}")
     if len(vec) != rank:
         raise MalformedSpec(f"vector {_quote(text)} does not have length {rank}")
     return vec
@@ -126,7 +128,7 @@ def _kb_powers(tokens: List[str], names: Dict[str, Any], kind: str) -> Iterator[
         if name not in names:
             raise MalformedSpec(f"unknown Klein-bottle {kind} {_quote(name)}")
         (n,) = _parse_ints([exp if caret else "1"],
-                           f"bad exponent in Klein-bottle token {_quote(token)}")
+                           lambda: f"bad exponent in Klein-bottle token {_quote(token)}")
         yield names[name], n
 
 
@@ -149,7 +151,7 @@ def kb_element_from_word(text: str) -> KbElement:
 
 def _check_form(mats: Dict[str, IntMatrix], rank: int) -> None:
     """Each distinct matrix m must scale the intersection form J by +-1:
-    m^T J m = J (orientation kept) or -J (reversed)."""
+    m^T J m = J (orientation kept) or -J (reversed), by one product each."""
     h = rank // 2
     form = IntMatrix(rank, rank, tuple(
         tuple(-1 if j == i + h else 1 if j == i - h else 0 for j in range(rank))
@@ -157,7 +159,11 @@ def _check_form(mats: Dict[str, IntMatrix], rank: int) -> None:
     signs = (form, -form)
     checked = set()
     for g, m in mats.items():
-        if m.data not in checked and m.transpose() @ form @ m not in signs:
+        if m.data in checked:
+            continue
+        # J m: the row blocks of m swapped, the new top block negated
+        jm = IntMatrix(rank, rank, tuple(tuple(-x for x in row) for row in m.data[h:]) + m.data[:h])
+        if m.transpose() @ jm not in signs:
             raise MalformedSpec(f"matrix for {g!r} does not scale the intersection form by +-1")
         checked.add(m.data)
 
@@ -223,7 +229,7 @@ def parse_bundle_file(text: str) -> BundleFile:
         size = _FIBRE_SIZES[kind]
         if len(fibre_words) != 2:
             raise MalformedSpec(f"expected: {kind} <{size}>")
-        (n,) = _parse_ints(fibre_words[1:], f"{kind} {size} must be an integer")
+        (n,) = _parse_ints(fibre_words[1:], lambda: f"{kind} {size} must be an integer")
         if n < 1:
             raise MalformedSpec(f"{kind} {size} must be positive")
         rank = n if kind == "torus" else 2 * n  # H_1 of a genus-n surface is Z^2n
@@ -252,7 +258,7 @@ def _assignments(section: str, lines: List[str], base: Presentation) -> Dict[Uni
             duplicate = f"duplicate [{section}] line for {_quote(key)}"
         elif section == "cocycle" and key.startswith("offset"):
             index = key[len("offset"):].strip() or "1"
-            (key,) = _parse_ints([index], f"bad relator index in {_quote(key)}")
+            (key,) = _parse_ints([index], lambda: f"bad relator index in {_quote(key)}")
             if not 1 <= key <= len(base.relators):
                 raise MalformedSpec(f"offset index {key} out of range")
             duplicate = f"duplicate offset for relator {key}"

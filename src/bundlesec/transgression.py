@@ -9,7 +9,8 @@ extensions pi_k = < u, x, y | u^-k [x,y], [u,x], [u,y] > of Z^2 by Z:
   reads four Fox rows, each relator walked once by the ring-generic Fox pass
   ``groupring.fox_jacobian``: the row of [x,y] over (x, y) and the rows of
   u^-k [x,y], [u,x], [u,y] over (u, x, y).  Each row is checked against
-  d1 = q(g) - 1 by ``check_composition``;
+  d1 = q(g) - 1 by ``check_composition``.  The three rows that do not depend
+  on k are walked and checked once, on import; a call walks u^-k [x,y];
 * ``xi_star`` evaluates the base relator word through the section lifts in
   the group itself (via the nilpotent normal form u^m x^a y^b), with a loop
   of its own so that the two routes share no code.
@@ -115,25 +116,24 @@ _X = Word.gen("x")
 _Y = Word.gen("y")
 _U = Word.gen("u")
 _BASE_RELATOR = commutator(_X, _Y)
+_UX = commutator(_U, _X)
+_UY = commutator(_U, _Y)
 _IMAGES: Dict[str, Monomial] = {"x": (1, 0), "y": (0, 1), "u": (0, 0)}
 _XY = ("x", "y")
 _UXY = ("u", "x", "y")
-
-
-def _laurent_image(gen: str, sign: int) -> LaurentElement:
-    a, b = _IMAGES[gen]
-    return LaurentElement.monomial(sign * a, sign * b)
-
+# the Fox pass's image of each letter (gen, sign) in the Laurent ring
+_LETTER_IMAGES: Dict[Tuple[str, int], LaurentElement] = {
+    (g, s): LaurentElement.monomial(s * a, s * b) for g, (a, b) in _IMAGES.items() for s in (1, -1)}
 
 # d1 of both resolutions, tensored down: p1^g -> q(g) - 1 (zero for u)
-_D1: Dict[str, LaurentElement] = {g: _laurent_image(g, 1) - LaurentElement.one()
+_D1: Dict[str, LaurentElement] = {g: _LETTER_IMAGES[g, 1] - LaurentElement.one()
                                   for g in _UXY}
 
 
 def _fox_row(w: Word, gens: Sequence[str]) -> Tuple[LaurentElement, ...]:
     """The images of d w / d gen in the Laurent ring (x -> x, y -> y, u -> 1),
     one entry per generator, from one Fox pass."""
-    _, jac = fox_jacobian(w, gens, _laurent_image, LaurentElement.__mul__,
+    _, jac = fox_jacobian(w, gens, _LETTER_IMAGES.__getitem__, LaurentElement.__mul__,
                           LaurentElement.one(), LaurentElement.zero())
     return tuple(jac[g] for g in gens)
 
@@ -150,13 +150,20 @@ def check_composition(row: Sequence[LaurentElement],
     return tuple(row)
 
 
+# the rows that do not depend on k, each walked and checked once: [x,y] over
+# (x, y) in the base resolution, and [u,x], [u,y] over (u, x, y) in the
+# extension's
+_BASE_ROW = check_composition(_fox_row(_BASE_RELATOR, _XY), _XY)
+_COMMUTING_ROWS = tuple(check_composition(_fox_row(w, _UXY), _UXY) for w in (_UX, _UY))
+
+
 class CentralExtensionSpec(NamedTuple):
     """The central extension with relators u^-k [x,y], [u,x], [u,y]."""
 
     k: int
 
     def relators(self) -> Tuple[Word, Word, Word]:
-        return Word.gen("u", -self.k) * _BASE_RELATOR, commutator(_U, _X), commutator(_U, _Y)
+        return Word.gen("u", -self.k) * _BASE_RELATOR, _UX, _UY
 
 
 def transgress(spec: CentralExtensionSpec) -> int:
@@ -167,17 +174,17 @@ def transgress(spec: CentralExtensionSpec) -> int:
     vanish.  The (0,1) component is reduced modulo the boundary of p2^r to a
     multiple of p1^u, then augmented; the boundaries of p2^s, p2^t only
     shift the coefficient by the augmentation ideal, so the integer is well
-    defined.
+    defined.  Only the row of r = u^-k [x,y] depends on k, so it is the one
+    relator walked here.
     """
-    c_x, c_y = check_composition(_fox_row(_BASE_RELATOR, _XY), _XY)
-    rows = [check_composition(_fox_row(rho, _UXY), _UXY) for rho in spec.relators()]
+    c_x, c_y = _BASE_ROW
+    r_u, r_x, r_y = check_composition(_fox_row(spec.relators()[0], _UXY), _UXY)
     # (1,0): d'(c2) (x) 1 and, with the sign (-1)^1, -c1^x (x) d''(p1^y)
     # and c1^y (x) d''(p1^x)
     if not ((c_x + _D1["y"]).is_zero() and (c_y - _D1["x"]).is_zero()):
         raise InvariantError("the canonical element is not a cycle modulo filtration")
     # (0,1): d'(c1^y) (x) p1^x - d'(c1^x) (x) p1^y, with no p1^u term
     v_x, v_y = _D1["y"], -_D1["x"]
-    r_u, r_x, r_y = rows[0]
     lam = laurent_divide(v_x, r_x)
     if v_y != lam * r_y:
         raise InvariantError("relator boundary cannot absorb the fibre-free part")

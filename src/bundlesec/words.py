@@ -15,6 +15,7 @@ Letter = Tuple[str, int]
 # parser checks it before it expands each power, so a huge exponent is a
 # ParseError instead of a tuple of millions of letters.
 MAX_RELATOR_LETTERS = 10_000
+_TOO_LONG = f"relator longer than {MAX_RELATOR_LETTERS} letters"
 
 # the most characters of input text, or of a word, that an error message quotes
 QUOTE_CHARS = 60
@@ -99,10 +100,6 @@ def commutator(a: Word, b: Word) -> Word:
     return a * b * a.inverse() * b.inverse()
 
 
-def exponent_sum(w: Word, gen: str) -> int:
-    return sum(s for g, s in w.letters if g == gen)
-
-
 class Presentation:
     """A finite presentation: generator names and relator words."""
 
@@ -121,10 +118,13 @@ class Presentation:
                     raise ValueError(f"relator uses unknown generator {g!r}")
 
     def exponent_matrix(self) -> IntMatrix:
-        """Rows indexed by generators, columns by relators."""
-        return IntMatrix.from_rows([
-            [exponent_sum(r, g) for r in self.relators] for g in self.generators
-        ])
+        """Rows indexed by generators, columns by relators: the exponent sum of
+        each generator in each relator, from one pass over the relator."""
+        row_of = {g: [0] * len(self.relators) for g in self.generators}
+        for j, r in enumerate(self.relators):
+            for g, s in r.letters:
+                row_of[g][j] += s
+        return IntMatrix.from_rows(list(row_of.values()))
 
 
 def abelianization(p: Presentation) -> AbelianGroup:
@@ -144,16 +144,9 @@ def abelianization(p: Presentation) -> AbelianGroup:
 # "comm" is a reserved word: it cannot name a generator.
 
 
-class _Token:
-    # one is made per token: a slotted class builds faster than a NamedTuple,
-    # whose __new__ is a Python function
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind = kind  # NAME INT PUNCT
-        self.text = text
-        self.offset = offset  # of the token's first character in the text
-
+# A token is a (kind, text, offset) tuple: kind is NAME, COMM, INT, PUNCT or
+# EOF, and offset is that of its first character in the text.
+Token = Tuple[str, str, int]
 
 _PUNCT = {"<", ">", "|", ",", ";", "^", "[", "]", "(", ")"}
 
@@ -163,11 +156,15 @@ def position(text: str, offset: int) -> Tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
+def _tokenize(text: str) -> List[Token]:
+    """The tokens of text, ending in one EOF token, as plain tuples: a tuple
+    is built in C, where a token object would cost a Python call per token.
+    A comment that ends the text puts the EOF token at its '#'."""
+    tokens: List[Token] = []
+    append = tokens.append
     i = 0
     n = len(text)
-    end = n  # where the end of input sits: at the '#' of a comment that ends the text
+    end = n
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -185,7 +182,7 @@ def _tokenize(text: str) -> List[_Token]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            tokens.append(_Token("COMM" if word == "comm" else "NAME", word, i))
+            append(("COMM" if word == "comm" else "NAME", word, i))
             i = j
             continue
         # isdecimal, not isdigit: int() refuses a digit such as '²'
@@ -193,15 +190,15 @@ def _tokenize(text: str) -> List[_Token]:
             j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("INT", text[i:j], i))
+            append(("INT", text[i:j], i))
             i = j
             continue
         if ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, i))
+            append(("PUNCT", ch, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", *position(text, i))
-    tokens.append(_Token("EOF", "", end))
+    append(("EOF", "", end))
     return tokens
 
 
@@ -211,21 +208,21 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def error(self, message: str, tok: _Token) -> ParseError:
-        return ParseError(message, *position(self.text, tok.offset))
+    def error(self, message: str, tok: Token) -> ParseError:
+        return ParseError(message, *position(self.text, tok[2]))
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> Token:
         tok = self.next()
-        if tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok)
+        if tok[1] != text:
+            raise self.error(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok)
         return tok
 
     def parse(self) -> Presentation:
@@ -233,79 +230,81 @@ class _Parser:
         generators: List[str] = []
         known = set()
         while True:
-            tok = self.next()
-            if tok.kind != "NAME":
+            kind, name, _ = tok = self.next()
+            if kind != "NAME":
                 raise self.error("expected a generator name", tok)
-            if tok.text in known:
-                raise self.error(f"duplicate generator {tok.text!r}", tok)
-            known.add(tok.text)
-            generators.append(tok.text)
+            if name in known:
+                raise self.error(f"duplicate generator {name!r}", tok)
+            known.add(name)
+            generators.append(name)
             sep = self.next()
-            if sep.text == ",":
+            if sep[1] == ",":
                 continue
-            if sep.text == "|":
+            if sep[1] == "|":
                 break
             raise self.error("expected ',' or '|' after generator", sep)
         relators: List[Word] = []
-        if self.peek().text == ">":
+        if self.peek()[1] == ">":
             self.next()
         else:
             while True:
                 relators.extend(self.parse_relator(known))
                 sep = self.next()
-                if sep.text == ",":
+                if sep[1] == ",":
                     continue
-                if sep.text == ">":
+                if sep[1] == ">":
                     break
                 raise self.error("expected ',' or '>' after relator", sep)
         tok = self.next()
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             raise self.error("trailing input after presentation", tok)
         return Presentation(tuple(generators), tuple(relators))
 
     def parse_relator(self, known: set) -> List[Word]:
-        if self.peek().kind == "COMM":
+        tokens = self.tokens
+        start = i = self.pos
+        if tokens[i][0] == "COMM":
             return self.parse_comm(known)
         letters: List[Letter] = []
-        parsed_any = False
+        # a factor per turn, read at the local index i; only a commutator
+        # factor hands the index to the methods and takes it back
         while True:
-            tok = self.peek()
-            if tok.text == "[":
-                self.next()
+            kind, name, _ = tok = tokens[i]
+            if kind == "NAME":
+                i += 1
+                exponent = 1
+                etok = tok
+                if tokens[i][1] == "^":
+                    etok = tokens[i + 1]
+                    i += 2
+                    if etok[0] != "INT":
+                        raise self.error("expected an integer exponent", etok)
+                    try:
+                        exponent = int(etok[1])
+                    except ValueError:  # more digits than int() converts
+                        raise self.error("exponent too large", etok) from None
+                if name not in known:
+                    raise self.error(f"unknown generator {name!r} in relator", tok)
+                count = abs(exponent)
+                if len(letters) + count > MAX_RELATOR_LETTERS:
+                    raise self.error(_TOO_LONG, etok)
+                letters += [(name, 1 if exponent > 0 else -1)] * count
+            elif name == "[":
+                self.pos = i + 1
                 a = self.parse_name(known)
                 self.expect(",")
                 b = self.parse_name(known)
                 self.expect("]")
-                self.check_length(len(letters) + 4, tok)
+                i = self.pos
+                if len(letters) + 4 > MAX_RELATOR_LETTERS:
+                    raise self.error(_TOO_LONG, tok)
                 letters += ((a, 1), (b, 1), (a, -1), (b, -1))
-                parsed_any = True
-            elif tok.kind == "NAME":
-                self.next()
-                exponent = 1
-                etok = tok
-                if self.peek().text == "^":
-                    self.next()
-                    etok = self.next()
-                    if etok.kind != "INT":
-                        raise self.error("expected an integer exponent", etok)
-                    try:
-                        exponent = int(etok.text)
-                    except ValueError:  # more digits than int() converts
-                        raise self.error("exponent too large", etok) from None
-                if tok.text not in known:
-                    raise self.error(f"unknown generator {tok.text!r} in relator", tok)
-                self.check_length(len(letters) + abs(exponent), etok)
-                letters += [(tok.text, 1 if exponent > 0 else -1)] * abs(exponent)
-                parsed_any = True
             else:
                 break
-        if not parsed_any:
-            raise self.error("expected a relator", self.peek())
+        if i == start:
+            raise self.error("expected a relator", tok)
+        self.pos = i
         return [Word(letters)]
-
-    def check_length(self, count: int, tok: _Token) -> None:
-        if count > MAX_RELATOR_LETTERS:
-            raise self.error(f"relator longer than {MAX_RELATOR_LETTERS} letters", tok)
 
     def parse_comm(self, known: set) -> List[Word]:
         self.next()  # comm
@@ -318,21 +317,21 @@ class _Parser:
 
     def parse_namelist(self, known: set, stop: str) -> List[str]:
         names = []
-        while self.peek().text != stop:
+        while self.peek()[1] != stop:
             names.append(self.parse_name(known))
-            if self.peek().text == ",":
+            if self.peek()[1] == ",":
                 self.next()
         if not names:
             raise self.error("expected at least one generator name", self.peek())
         return names
 
     def parse_name(self, known: set) -> str:
-        tok = self.next()
-        if tok.kind != "NAME":
+        kind, name, _ = tok = self.next()
+        if kind != "NAME":
             raise self.error("expected a generator name", tok)
-        if tok.text not in known:
-            raise self.error(f"unknown generator {tok.text!r} in relator", tok)
-        return tok.text
+        if name not in known:
+            raise self.error(f"unknown generator {name!r} in relator", tok)
+        return name
 
 
 def parse_presentation(text: str) -> Presentation:

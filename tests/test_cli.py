@@ -587,8 +587,11 @@ def _perturbed_laurent_row(monkeypatch):
     fox_row = transgression._fox_row
 
     def perturbed(w, gens):
+        # a unit added to the entry of the last generator, whose d1 is not
+        # zero; the rows that do not depend on k were walked on import, so
+        # only the row a call walks is perturbed
         row = fox_row(w, gens)
-        return (row[0] + transgression.LaurentElement.one(),) + row[1:]
+        return row[:-1] + (row[-1] + transgression.LaurentElement.one(),)
 
     monkeypatch.setattr(transgression, "_fox_row", perturbed)
 

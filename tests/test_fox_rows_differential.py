@@ -7,7 +7,8 @@ Bases have one to three relators over three generators, with letters of both
 signs; the modules are GL(m, Z) actions of rank 1 to 10, on both sides of
 KERNEL_MAX_RANK, and the 1 x 1 centre modules of Klein-bottle fibres.  The
 generated product of each rank up to KERNEL_MAX_RANK is also checked alone
-against the generic product, on seeded entries of up to 1,024 bits."""
+against the generic product, on seeded entries of up to 1,024 bits: the two
+agree on every product under the entry cap, and both raise above it."""
 
 import random
 
@@ -16,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from bundlesec.extensions import (
     KERNEL_MAX_RANK,
+    MAX_ENTRY_BITS,
     KbBundleSpec,
     TorusBundleSpec,
+    _OverCap,
     _fox_rows,
     _generic_product,
     _product_kernel,
@@ -113,14 +116,24 @@ def test_the_generated_product_equals_the_generic_product(m):
     big = 2 ** 1023
     kernel = _product_kernel(m)
     assert kernel.__code__.co_filename == f"<fox product m={m}>"
-    for bound in (1, 5, big):
+    outcomes = set()
+    # entries of 1,000 bits keep every product under the cap at every rank
+    for p_bound, bound in ((big, 1), (big, 5), (big, big), (2 ** 1000, 5)):
         for _ in range(20):
-            p = tuple(rng.randint(-big, big) for _ in range(m * m))
+            p = tuple(rng.randint(-p_bound, p_bound) for _ in range(m * m))
             q = tuple(rng.randint(-bound, bound) for _ in range(m * m))
-            out = kernel(p, q)
-            assert out == _generic_product(p, q)
             product = IntMatrix.from_rows(_rows(p, m)) @ IntMatrix.from_rows(_rows(q, m))
-            assert out == sum(product.data, ())
+            flat = sum(product.data, ())
+            over = max(map(abs, flat)).bit_length() > MAX_ENTRY_BITS
+            outcomes.add(over)
+            if over:
+                # both refuse an entry of more than MAX_ENTRY_BITS bits
+                for multiply in (kernel, _generic_product):
+                    with pytest.raises(_OverCap):
+                        multiply(p, q)
+            else:
+                assert kernel(p, q) == _generic_product(p, q) == flat
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("m", [0, KERNEL_MAX_RANK + 1])

@@ -13,6 +13,7 @@ from bundlesec.words import (
     parse_presentation,
     reduce_letters,
 )
+from words_reference import exponent_sum
 
 letters = st.lists(
     st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))), max_size=20)
@@ -158,3 +159,12 @@ def test_exponent_matrix_shape():
     assert m.rows == 2 and m.cols == 2
     assert m.column(0) == (2, 0)
     assert m.column(1) == (0, 0)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(letters.map(Word), max_size=4))
+def test_exponent_matrix_matches_one_exponent_sum_per_generator(relators):
+    p = Presentation(("a", "b", "c"), tuple(relators))
+    m = p.exponent_matrix()
+    assert (m.rows, m.cols) == (3, len(relators))
+    assert m.data == tuple(tuple(exponent_sum(r, g) for r in relators) for g in p.generators)

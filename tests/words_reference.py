@@ -1,4 +1,5 @@
-"""Reference tokenizer for the differential test of the presentation parser.
+"""Reference routes for the words module: the tokenizer for the differential
+test of the presentation parser, and exponent sums one generator at a time.
 
 This is the tokenizer the program used before its tokens held a character
 offset: ``_tokenize`` below is that code as it stood, counting the line and
@@ -6,23 +7,18 @@ column of every token as it walks the text.  ``ReferenceParser`` runs the
 program's own grammar (``words._Parser``) over these tokens and places each
 error at the token's counted line and column, so that the program's
 ``position`` can be checked against the walk, quirks included: when a comment
-ends the text, the end of input sits at its '#'.
+ends the text, the end of input sits at its '#'.  The grammar reads a token
+as a (kind, text, place) tuple; here the place is the counted (line, column)
+where the program's tokens hold a character offset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
-from bundlesec.words import ParseError, _Parser
+from bundlesec.words import ParseError, Word, _Parser
 
-
-@dataclass
-class _Token:
-    kind: str  # NAME INT PUNCT
-    text: str
-    line: int
-    col: int
+_Token = Tuple[str, str, Tuple[int, int]]  # kind (NAME INT PUNCT), text, (line, col)
 
 
 _PUNCT = {"<", ">", "|", ",", ";", "^", "[", "]", "(", ")"}
@@ -57,7 +53,7 @@ def _tokenize(text: str) -> List[_Token]:
             kind = "NAME"
             if word == "comm":
                 kind = "COMM"
-            tokens.append(_Token(kind, word, line, start_col))
+            tokens.append((kind, word, (line, start_col)))
             col += j - i
             i = j
             continue
@@ -66,17 +62,17 @@ def _tokenize(text: str) -> List[_Token]:
             j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("INT", text[i:j], line, start_col))
+            tokens.append(("INT", text[i:j], (line, start_col)))
             col += j - i
             i = j
             continue
         if ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, line, start_col))
+            tokens.append(("PUNCT", ch, (line, start_col)))
             col += 1
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    tokens.append(("EOF", "", (line, col)))
     return tokens
 
 
@@ -89,4 +85,9 @@ class ReferenceParser(_Parser):
         self.pos = 0
 
     def error(self, message: str, tok: _Token) -> ParseError:
-        return ParseError(message, tok.line, tok.col)
+        return ParseError(message, *tok[2])
+
+
+def exponent_sum(w: Word, gen: str) -> int:
+    """The exponent sum of gen in w, by its own pass over w."""
+    return sum(s for g, s in w.letters if g == gen)
