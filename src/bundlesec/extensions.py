@@ -12,14 +12,10 @@ A closed surface of genus h enters as its H_1 = Z^2h, a torus datum: its
 class is that of the extension of the base by H_1, whose splitting a
 section would force, so only a nonzero class is a verdict on the bundle.
 
-Each base relator r is walked once per spec, by the Fox pass over the
-coefficient module A: it gives theta(r) and the block row
-B_r = [theta(d r / d x)]_x, an m x m|X| matrix.  The pass runs on flat
-row-major tuples of m^2 ints, and only theta(r) and B_r become ``IntMatrix``.
-A letter costs one m x m product, which also caps its entries: for
-1 <= m <= KERNEL_MAX_RANK a straight-line function generated for that
-rank at its first pass, and above that a generic product, since generated
-code grows as m^3.
+Each base relator r is walked once per spec, by the Fox pass of the base's
+cochain complex over the coefficient module A, ``BaseComplex``: it gives
+theta(r) and the block row B_r = [theta(d r / d x)]_x, an m x m|X| matrix.
+A letter costs one m x m product, which also caps its entries.
 The B_r stacked are delta2 : A^X -> A^R.  For a torus fibre s(r) is theta(r)
 times the offset plus B_r t, where t is the lifts' translations in generator
 order (the crossed-homomorphism form of Fox calculus), so changing the
@@ -80,8 +76,6 @@ def _zero(n: int) -> Vector:
     return tuple(0 for _ in range(n))
 
 
-FoxRow = Tuple[IntMatrix, IntMatrix]
-
 # bit length allowed in theta(r), its blocks and the running prefix of the
 # pass; a hyperbolic action raised to a long power passes it long before a
 # Smith form of the blocks would end
@@ -104,7 +98,7 @@ def _flat_sub(a: Vector, b: Vector) -> Vector:
 
 class _OverCap(Exception):
     """Raised by a product of the Fox pass when an entry of its output has
-    more than MAX_ENTRY_BITS bits; ``_fox_rows`` names the relator."""
+    more than MAX_ENTRY_BITS bits; ``BaseComplex`` names the relator."""
 
 
 # largest fibre rank with a generated product; its source and compile time
@@ -154,12 +148,16 @@ def _generic_product(p: Vector, q: Vector) -> Vector:
     return out
 
 
-def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
-    """(theta(r), B_r) for every base relator r, from one Fox pass each, where
-    B_r is the m x m|X| block row [theta(d r / d x)]_x in generator order.
+class BaseComplex:
+    """The base's presentation cochain complex over the module A up to degree
+    2, read by split-check and cohomology alike: ``fox_rows``, (theta(r), B_r)
+    for each base relator r from one Fox pass, B_r the m x m|X| block row
+    [theta(d r / d x)]_x in generator order; ``delta2`` : A^X -> A^R, the B_r
+    stacked; ``h2``, its cokernel A^R / delta2 A^X, from its one Smith form.
+    delta2 and h2 are made when first read.
 
     The pass runs on flat row-major tuples of m^2 ints.  Each letter's image
-    is made flat once per spec, in a table that the pass reads in C, so a
+    is made flat once per complex, in a table that the pass reads in C, so a
     letter costs one product of the flat prefix by that image and one flat
     sum, and builds no IntMatrix; only theta(r) and B_r become IntMatrix.
     The product is the generated ``_product_kernel(m)`` when
@@ -167,33 +165,45 @@ def _fox_rows(base: Presentation, module: LinearRep) -> List[FoxRow]:
     at MAX_ENTRY_BITS: by the product on the running prefix at each letter,
     so that large entries stop the pass early, and here on the blocks.
     """
-    m = module.dim
-    starts = range(0, m * m, m)
-    product = _product_kernel(m) if 1 <= m <= KERNEL_MAX_RANK else _generic_product
-    images = {(g, s): sum(module.matrix(g, s).data, ()) for g in base.generators for s in (1, -1)}
-    eye = tuple(int(i == j) for i in range(m) for j in range(m))
-    zero = (0,) * (m * m)
-    rows = []
-    for i, r in enumerate(base.relators, 1):
-        try:
-            # theta(r) is the eye or the last product, which capped it
-            value, jac = fox_jacobian(r, base.generators, images.__getitem__, product,
-                                      eye, zero, _flat_add, _flat_sub)
-            blocks = [jac[x] for x in base.generators]
-            if any(map(_over_cap, blocks)):
-                raise _OverCap
-        except _OverCap:
-            raise MalformedSpec(
-                f"relator {i} evaluates to an entry of more than {MAX_ENTRY_BITS} bits") from None
-        block_row = tuple(tuple(c for b in blocks for c in b[k:k + m]) for k in starts)
-        rows.append((IntMatrix(m, m, tuple(value[k:k + m] for k in starts)),
-                     IntMatrix(m, m * len(blocks), block_row)))
-    return rows
+
+    def __init__(self, base: Presentation, module: LinearRep):
+        m = module.dim
+        starts = range(0, m * m, m)
+        product = _product_kernel(m) if 1 <= m <= KERNEL_MAX_RANK else _generic_product
+        images = {(g, s): sum(module.matrix(g, s).data, ()) for g in base.generators
+                  for s in (1, -1)}
+        eye = tuple(int(i == j) for i in range(m) for j in range(m))
+        zero = (0,) * (m * m)
+        self.fox_rows: List[Tuple[IntMatrix, IntMatrix]] = []
+        self._width = m * len(base.generators)  # of delta2
+        for i, r in enumerate(base.relators, 1):
+            try:
+                # theta(r) is the eye or the last product, which capped it
+                value, jac = fox_jacobian(r, base.generators, images.__getitem__, product,
+                                          eye, zero, _flat_add, _flat_sub)
+                blocks = [jac[x] for x in base.generators]
+                if any(map(_over_cap, blocks)):
+                    raise _OverCap
+            except _OverCap:
+                raise MalformedSpec(f"relator {i} evaluates to an entry of more than "
+                                    f"{MAX_ENTRY_BITS} bits") from None
+            block_row = tuple(tuple(c for b in blocks for c in b[k:k + m]) for k in starts)
+            self.fox_rows.append((IntMatrix(m, m, tuple(value[k:k + m] for k in starts)),
+                                  IntMatrix(m, self._width, block_row)))
+
+    @cached_property
+    def delta2(self) -> IntMatrix:
+        data = tuple(row for _, block_row in self.fox_rows for row in block_row.data)
+        return IntMatrix(len(data), self._width, data)
+
+    @cached_property
+    def h2(self) -> AbelianGroup:
+        return cokernel(self.delta2)
 
 
 class _BundleDatum:
     """What the torus and Klein-bottle data share: the base, the module A,
-    the checks on the lifts and offsets, and the Fox rows."""
+    the checks on the lifts and offsets, and the base's cochain complex."""
 
     base: Presentation
     coefficients: LinearRep
@@ -214,9 +224,9 @@ class _BundleDatum:
         self.relator_offsets = tuple(offs)
 
     @cached_property
-    def fox_rows(self) -> List[FoxRow]:
-        """The Fox row of each base relator, made once; s(r), J_w and delta2 read it."""
-        return _fox_rows(self.base, self.coefficients)
+    def complex(self) -> BaseComplex:
+        """The base's cochain complex over A, made once; s(r), J_w and the class read it."""
+        return BaseComplex(self.base, self.coefficients)
 
 
 class TorusBundleSpec(_BundleDatum):
@@ -335,7 +345,7 @@ def s_of_r(spec: TorusBundleSpec, relator_index: int = 0) -> Tuple[IntMatrix, Ve
     The matrix part must be the identity for the action to lift; the vector
     part is then the obstruction element in the fibre.
     """
-    value, block_row = spec.fox_rows[relator_index]
+    value, block_row = spec.complex.fox_rows[relator_index]
     t = tuple(c for x in spec.base.generators for c in spec.translations[x])
     return value, _flat_add(value.apply(spec.relator_offsets[relator_index]), block_row.apply(t))
 
@@ -344,13 +354,7 @@ def jw_submodule(spec: BundleSpec) -> Tuple[Vector, ...]:
     """Generators of J_w . (coefficient module): the columns of every block row
     B_r = [theta(d r / d x)]_x.  No command reports them: over more than one
     relator they do not span delta2's image, whose cokernel is the quotient."""
-    return tuple(col for _, block_row in spec.fox_rows for col in block_row.columns())
-
-
-def _delta2(rows: Sequence[FoxRow], m: int, n_gens: int) -> IntMatrix:
-    """delta2 : A^X -> A^R, the block rows B_r stacked (m|R| x m|X|)."""
-    return IntMatrix(m * len(rows), m * n_gens,
-                     tuple(row for _, block_row in rows for row in block_row.data))
+    return tuple(col for _, block_row in spec.complex.fox_rows for col in block_row.columns())
 
 
 def obstruction_class(spec: BundleSpec) -> ObstructionReport:
@@ -362,7 +366,7 @@ def obstruction_class(spec: BundleSpec) -> ObstructionReport:
     columns span J_w, so the quotient is A / J_w.
     """
     lifted, svecs, joined = spec.relator_values()
-    quotient = cokernel(_delta2(spec.fox_rows, spec.coefficients.dim, len(spec.base.generators)))
+    quotient = spec.complex.h2
     coords = () if joined is None else (quotient.project(joined),)
     verdict = (VERDICT_ACTION_DOES_NOT_LIFT if not lifted
                else spec.nonzero_verdict if any(coords[0]) else spec.zero_verdict)
@@ -455,36 +459,34 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
     delta1 : A -> A^X,  a |-> ((theta(x) - I) a)_x
     delta2 : A^X -> A^R, (a_x) |-> (sum_x theta(d r / d x) a_x)_r
 
-    H^2 is the cokernel of delta2.  H^1 is read from two diagonals: ker delta2
-    is a saturated sublattice of C^1 = A^X, so C^1 / im delta1 is
-    H^1 + C^1 / ker delta2 with the second summand free.  H^1 therefore has
-    the torsion of coker delta1 (the pivots >= 2 of delta1) and rank
-    m|X| - rank delta1 - rank delta2.  delta1 and its transpose, m x m|X|,
-    have the same pivots, and the wide transpose is the cheaper to reduce.
-    A relator that the module does not kill is named, clipped to
+    H^2 is the h2 of one ``BaseComplex``, the cokernel of its delta2.  H^1 is
+    read from two diagonals: ker delta2 is a saturated sublattice of
+    C^1 = A^X, so C^1 / im delta1 is H^1 + C^1 / ker delta2 with the second
+    summand free.  H^1 therefore has the torsion of coker delta1 (the pivots
+    >= 2 of delta1) and rank m|X| - rank delta1 - rank delta2, where
+    rank delta2 is m|R| less the rank of H^2.  delta1 and its transpose,
+    m x m|X|, have the same pivots, and the wide transpose is the cheaper to
+    reduce.  A relator that the module does not kill is named, clipped to
     QUOTE_CHARS characters.
     """
     m = module.dim
-    gens = base.generators
-    rels = base.relators
-    rows = _fox_rows(base, module)
-    for r, (value, _) in zip(rels, rows):
+    cx = BaseComplex(base, module)
+    for r, (value, _) in zip(base.relators, cx.fox_rows):
         if not value.is_identity():
             raise MalformedSpec(f"module matrices do not kill the relator {_quote(str(r), str)}")
 
     # delta1^T (m x m|X|): the blocks (theta(x) - I)^T = theta(x)^T - I side by side
-    d1t = _action_block(m, [module.matrix(x).transpose() for x in gens])
+    d1t = _action_block(m, [module.matrix(x).transpose() for x in base.generators])
     d1 = d1t.transpose()
 
-    d2 = _delta2(rows, m, len(gens))
+    d2 = cx.delta2
     if any(any(row) for row in (d2 @ d1).data):
         raise InvariantError("delta2 . delta1 != 0")
 
     dec1 = smith_normal_form(d1t)
-    dec2 = smith_normal_form(d2)
+    h2 = cx.h2
     torsion = tuple(d for d in dec1.diagonal() if d >= 2)
-    return (AbelianGroup(torsion + (0,) * (d2.cols - dec1.rank - dec2.rank)),
-            dec2.cokernel())
+    return AbelianGroup(torsion + (0,) * (d2.cols - dec1.rank - d2.rows + h2.rank)), h2
 
 
 def semidirect_presentation(

@@ -81,7 +81,8 @@ class BundleFile(NamedTuple):
                         for g in self.base.generators}
         offsets = tuple(_parse_vector(self.cocycle_lines.get(i, ""), rank)
                         for i in range(1, len(self.base.relators) + 1))
-        spec_class = SurfaceBundleSpec if self.fibre_kind == "surface" else TorusBundleSpec
+        # H_1 of a torus is the torus group: 'surface 1' is 'torus 2'
+        spec_class = TorusBundleSpec if self.fibre_kind == "torus" or rank == 2 else SurfaceBundleSpec
         return spec_class(self.base, action, translations, offsets)
 
     def _kb_spec(self) -> KbBundleSpec:

@@ -263,6 +263,24 @@ def test_no_section_is_still_success():
     assert "NO_SECTION" in out.stdout
 
 
+@pytest.mark.parametrize("offset, verdict", [("3 0", "SPLITS"), ("0 2", "NO_SECTION")])
+def test_a_surface_1_fibre_gives_the_torus_2_report(tmp_path, capsys, offset, verdict):
+    # H_1 of a torus is the torus group, so the H_1 extension is the extension
+    from bundlesec import cli
+
+    reports = []
+    for fibre in ("surface 1", "torus 2"):
+        path = tmp_path / f"{fibre.replace(' ', '')}.bundle"
+        path.write_text(f"[base]\n< x, y | [x,y] >\n[fibre]\n{fibre}\n"
+                        "[action]\nx = 1 1 ; 0 1\ny = 1 0 ; 0 1\n"
+                        f"[cocycle]\nx = 2 -1\ny = 1 5\noffset 1 = {offset}\n")
+        assert cli.main(["--json", "split-check", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        reports.append((report["result"], report["verdict"]))
+    assert reports[0] == reports[1]
+    assert reports[0][1] == verdict
+
+
 HUGE_EXPONENT_BASE = "< u, v | [u,v] u^3000000 u^-3000000 >"
 
 
@@ -570,15 +588,16 @@ def _perturbed_fox_rows(monkeypatch):
     from bundlesec import extensions
     from bundlesec.zlinalg import IntMatrix
 
-    fox_rows = extensions._fox_rows
+    init = extensions.BaseComplex.__init__
 
-    def perturbed(base, module):
-        # I added to every block of each block row
+    def perturbed(self, base, module):
+        # I added to every block of each block row of the complex
+        init(self, base, module)
         eyes = IntMatrix.from_rows([row * len(base.generators)
                                     for row in IntMatrix.identity(module.dim).data])
-        return [(value, block_row + eyes) for value, block_row in fox_rows(base, module)]
+        self.fox_rows = [(value, block_row + eyes) for value, block_row in self.fox_rows]
 
-    monkeypatch.setattr(extensions, "_fox_rows", perturbed)
+    monkeypatch.setattr(extensions.BaseComplex, "__init__", perturbed)
 
 
 def _perturbed_laurent_row(monkeypatch):
@@ -596,9 +615,17 @@ def _perturbed_laurent_row(monkeypatch):
     monkeypatch.setattr(transgression, "_fox_row", perturbed)
 
 
+def _perturbed_xi_star(monkeypatch):
+    from bundlesec import transgression
+
+    xi_star = transgression.xi_star
+    monkeypatch.setattr(transgression, "xi_star", lambda spec: xi_star(spec) + 1)
+
+
 @pytest.mark.parametrize("perturb, command", [
     (_perturbed_fox_rows, "cohomology"),
     (_perturbed_laurent_row, "transgress"),
+    (_perturbed_xi_star, "transgress"),
 ])
 def test_failed_internal_check_exits_6_in_one_line(tmp_path, monkeypatch, capsys,
                                                    perturb, command):

@@ -115,7 +115,8 @@ def _count_calls(monkeypatch, module, *names):
     return calls
 
 
-def test_split_check_walks_each_relator_once(monkeypatch, tmp_path):
+@pytest.mark.parametrize("command", ["split-check", "cohomology"])
+def test_split_check_walks_each_relator_once(monkeypatch, tmp_path, command):
     import io
     from contextlib import redirect_stdout
     from bundlesec import cli
@@ -126,8 +127,8 @@ def test_split_check_walks_each_relator_once(monkeypatch, tmp_path):
     from bundlesec import groupring
     calls = _count_calls(monkeypatch, groupring, "evaluate_word", "fox_jacobian")
     with redirect_stdout(io.StringIO()):
-        assert cli.main(["--json", "split-check", str(path)]) == 0
-    # s(r), J_w and theta(r) all come from one Fox pass per relator
+        assert cli.main(["--json", command, str(path)]) == 0
+    # s(r), J_w, theta(r) and delta2 all come from one Fox pass per relator
     assert calls == {"evaluate_word": 0, "fox_jacobian": 2}
 
 
@@ -156,7 +157,7 @@ def test_fox_pass_builds_no_int_matrix_per_letter(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(IntMatrix, "__init__", counted)
-            extensions._fox_rows(base, module)
+            extensions.BaseComplex(base, module)
         return len(built)
 
     # theta(r) and the block row, for each relator: nothing per letter or

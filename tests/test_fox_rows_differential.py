@@ -1,7 +1,7 @@
-"""Differential check of the Fox pass that s(r), J_w and delta2 read:
-``extensions._fox_rows``, which runs on flat integer tuples, against the
-formal derivatives of ``fox_reference`` evaluated term by term, and s(r)
-against the letter-by-letter affine fold.
+"""Differential check of the Fox pass that s(r), J_w and delta2 read: the
+rows of ``extensions.BaseComplex``, whose pass runs on flat integer tuples,
+against the formal derivatives of ``fox_reference`` evaluated term by term,
+and s(r) against the letter-by-letter affine fold.
 
 Bases have one to three relators over three generators, with letters of both
 signs; the modules are GL(m, Z) actions of rank 1 to 10, on both sides of
@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 from bundlesec.extensions import (
     KERNEL_MAX_RANK,
     MAX_ENTRY_BITS,
+    BaseComplex,
     KbBundleSpec,
     TorusBundleSpec,
     _OverCap,
-    _fox_rows,
     _generic_product,
     _product_kernel,
     s_of_r,
@@ -56,7 +56,7 @@ def _vectors(m):
 
 
 def _assert_rows_match_the_reference(base, module):
-    rows = _fox_rows(base, module)
+    rows = BaseComplex(base, module).fox_rows
     assert len(rows) == len(base.relators)
     for r, (value, block_row) in zip(base.relators, rows):
         assert value == linear_value(r, module)
@@ -81,7 +81,7 @@ def test_fox_rows_of_a_klein_bottle_centre_match_the_formal_derivatives(base, au
     spec = KbBundleSpec(base, {g: (aut, KbElement.identity()) for g, aut in auts.items()})
     assert spec.coefficients.dim == 1
     _assert_rows_match_the_reference(base, spec.coefficients)
-    assert spec.fox_rows == _fox_rows(base, spec.coefficients)
+    assert spec.complex.fox_rows == BaseComplex(base, spec.coefficients).fox_rows
 
 
 def _lifts(m):

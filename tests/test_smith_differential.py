@@ -113,7 +113,7 @@ def _small_torus_specs(rng, count):
 
 def _pipeline_matrices(spec):
     m, gens = spec.fibre_rank, spec.base.generators
-    return (extensions._delta2(spec.fox_rows, m, len(gens)),
+    return (spec.complex.delta2,
             extensions._action_block(m, [spec.coefficients.matrix(g) for g in gens]))
 
 

@@ -9,7 +9,8 @@ every checkout gets the same matrices).  Each cell is the best of N
 in-process calls, in ms:
 
 * ``LinearRep``: building the module from its matrices, which inverts them;
-* the Fox pass (``extensions._fox_rows``): theta(r) and the block row B_r;
+* the Fox pass: building ``extensions.BaseComplex``, the base's cochain
+  complex, whose constructor makes theta(r) and the block row B_r;
 * the Smith forms of delta1 (m|X| x m, the blocks theta(x) - I stacked), of
   its transpose delta1^T (m x m|X|, the blocks (theta(x) - I)^T side by
   side; both have the same pivots) and of delta2 (the B_r stacked,
@@ -63,13 +64,13 @@ def _row(g: int, m: int, repeat: int) -> list:
     # (theta(x) - I)^T = theta(x)^T - I, so delta1^T is the action block of the transposes
     d1t = extensions._action_block(m, [mat.transpose() for mat in mats])
     d1 = d1t.transpose()
-    d2 = extensions._delta2(extensions._fox_rows(base, module), m, len(gens))
+    d2 = extensions.BaseComplex(base, module).delta2
     zero = {x: (0,) * m for x in gens}
     specs = iter([extensions.TorusBundleSpec(base, module, zero) for _ in range(repeat)])
     offsets = [tuple(range(-(m // 2), m - m // 2))]
     calls = (
         lambda: LinearRep(module.assignment, m),
-        lambda: extensions._fox_rows(base, module),
+        lambda: extensions.BaseComplex(base, module),
         lambda: smith_normal_form(d1),
         lambda: smith_normal_form(d1t),
         lambda: smith_normal_form(d2),

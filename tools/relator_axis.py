@@ -13,7 +13,8 @@ best of N in-process calls, in ms:
 
 * ``_tokenize``: the relator text's tokens;
 * ``parse_presentation``: the tokens read into a presentation;
-* the Fox pass (``extensions._fox_rows``): theta(r) and the block row B_r;
+* the Fox pass: building ``extensions.BaseComplex``, the base's cochain
+  complex, whose constructor makes theta(r) and the block row B_r;
 * ``lemma2_check`` with the file's offset;
 * a whole ``--json split-check`` of the file through ``cli.main``, its
   report discarded.
@@ -83,7 +84,7 @@ def _row(letters: int, m: int, repeat: int, scratch: Path) -> list:
     calls = (
         lambda: words._tokenize(pres),
         lambda: words.parse_presentation(pres),
-        lambda: extensions._fox_rows(spec.base, spec.coefficients),
+        lambda: extensions.BaseComplex(spec.base, spec.coefficients),
         lambda: extensions.lemma2_check(spec.base, spec.coefficients, spec.relator_offsets),
         split_check,
     )
