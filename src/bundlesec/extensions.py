@@ -51,7 +51,7 @@ from .groupring import (
     kb_inverse,
     kb_pair_multiply,
 )
-from .words import Presentation, Word, _quote
+from .words import Letter, Presentation, Word, _quote
 from .zlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -211,10 +211,8 @@ class _BundleDatum:
     zero_verdict = VERDICT_SPLITS
 
     def _check(self, lifts: Sequence[Mapping[str, object]], zero_offset: object) -> None:
-        """Check that the base has a relator, that each of the lifts' mappings
-        has every base generator and that there is one offset per relator."""
-        if not self.base.relators:
-            raise MalformedSpec("base presentation needs at least one relator")
+        """Check that each of the lifts' mappings has every base generator and
+        that there is one offset per relator: none over a free base, which splits."""
         for g in self.base.generators:
             if not all(g in lift for lift in lifts):
                 raise MalformedSpec(f"no lift for base generator {g!r}")
@@ -292,16 +290,21 @@ class KbBundleSpec(_BundleDatum):
         return LinearRep(
             {g: IntMatrix.from_rows([[aut.eps]]) for g, (aut, _) in self.action_cocycle.items()}, 1)
 
+    @cached_property
+    def lifts(self) -> Mapping[Letter, Tuple[KbElement, KbAut]]:
+        """The lift of each letter (gen, +-1) in fibre x| Aut(fibre), made
+        once, so that each automorphism is inverted once."""
+        table = {}
+        for g, (aut, k) in self.action_cocycle.items():
+            inv = aut.inverse()
+            table[g, 1] = k, aut
+            table[g, -1] = kb_inverse(inv.apply(k)), inv
+        return table
+
     def evaluate(self, w: Word) -> Tuple[KbElement, KbAut]:
         """Value of a base word under the lifts in fibre x| Aut(fibre)."""
-        def image(g: str, s: int) -> Tuple[KbElement, KbAut]:
-            aut, k = self.action_cocycle[g]
-            if s == 1:
-                return k, aut
-            inv = aut.inverse()
-            return kb_inverse(inv.apply(k)), inv
-
-        return evaluate_word(w, image, kb_pair_multiply, (KbElement.identity(), KbAut.identity()))
+        return evaluate_word(w, self.lifts.__getitem__, kb_pair_multiply,
+                             (KbElement.identity(), KbAut.identity()))
 
     def relator_values(self) -> Tuple[bool, Tuple[Vector, ...], Optional[Vector]]:
         """(lifted, s(r) per relator, S: the s(r) joined in relator order).
@@ -359,7 +362,7 @@ def jw_submodule(spec: BundleSpec) -> Tuple[Vector, ...]:
 
 def obstruction_class(spec: BundleSpec) -> ObstructionReport:
     """The class of S = (s(r))_r in H^2 = A^R / delta2 A^X, where A is the
-    coefficient module: one class for all the relators together.
+    coefficient module: one class for all the relators; a free base SPLITS.
 
     ``class`` holds the one projection of S, or nothing when a Klein-bottle
     value does not lift to the centre.  For one relator delta2 is B_r, whose
@@ -369,7 +372,8 @@ def obstruction_class(spec: BundleSpec) -> ObstructionReport:
     quotient = spec.complex.h2
     coords = () if joined is None else (quotient.project(joined),)
     verdict = (VERDICT_ACTION_DOES_NOT_LIFT if not lifted
-               else spec.nonzero_verdict if any(coords[0]) else spec.zero_verdict)
+               else spec.nonzero_verdict if any(coords[0])
+               else spec.zero_verdict if spec.base.relators else VERDICT_SPLITS)
     return ObstructionReport(lifted, svecs, quotient, coords, verdict)
 
 

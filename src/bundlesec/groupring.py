@@ -34,13 +34,13 @@ T = TypeVar("T")
 U = TypeVar("U")
 
 
-def evaluate_word(w: Word, image: Callable[[str, int], T], mul: Callable[[T, T], T], one: T) -> T:
+def evaluate_word(w: Word, image: Callable[[Letter], T], mul: Callable[[T, T], T], one: T) -> T:
     """Value of w in a group: the product, left to right from one, of the
-    images image(gen, sign) of its letters.  For a value in a ring together
-    with the Fox derivatives, use ``fox_jacobian``."""
+    images image(letter) of its (gen, sign) letters.  For a value in a ring
+    together with the Fox derivatives, use ``fox_jacobian``."""
     out = one
-    for g, s in w.letters:
-        out = mul(out, image(g, s))
+    for letter in w.letters:
+        out = mul(out, image(letter))
     return out
 
 
@@ -73,7 +73,8 @@ class LinearRep:
 
     def evaluate_word(self, w: Word) -> IntMatrix:
         """theta(w), by the fold ``evaluate_word``."""
-        return evaluate_word(w, self.matrix, IntMatrix.__matmul__, IntMatrix.identity(self.dim))
+        return evaluate_word(w, lambda letter: self.matrix(*letter), IntMatrix.__matmul__,
+                             IntMatrix.identity(self.dim))
 
 
 def fox_jacobian(w: Word, gens: Sequence[str], image: Callable[[Letter], U],

@@ -202,137 +202,109 @@ def _tokenize(text: str) -> List[Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _parse(tokens: List[Token], place: Callable[[Token], Tuple[int, int]]) -> Presentation:
+    """The presentation that tokens spell, read at one local index; a
+    ParseError names its token at place(tok), a (line, column)."""
+    known: dict = {}  # the generators, in order
 
-    def error(self, message: str, tok: Token) -> ParseError:
-        return ParseError(message, *position(self.text, tok[2]))
+    def fail(message: str, tok: Token) -> ParseError:
+        return ParseError(message, *place(tok))
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.next()
+    def expect(i: int, text: str) -> int:
+        tok = tokens[i]
         if tok[1] != text:
-            raise self.error(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok)
-        return tok
+            raise fail(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok)
+        return i + 1
 
-    def parse(self) -> Presentation:
-        self.expect("<")
-        generators: List[str] = []
-        known = set()
-        while True:
-            kind, name, _ = tok = self.next()
-            if kind != "NAME":
-                raise self.error("expected a generator name", tok)
-            if name in known:
-                raise self.error(f"duplicate generator {name!r}", tok)
-            known.add(name)
-            generators.append(name)
-            sep = self.next()
-            if sep[1] == ",":
-                continue
-            if sep[1] == "|":
-                break
-            raise self.error("expected ',' or '|' after generator", sep)
-        relators: List[Word] = []
-        if self.peek()[1] == ">":
-            self.next()
-        else:
-            while True:
-                relators.extend(self.parse_relator(known))
-                sep = self.next()
-                if sep[1] == ",":
-                    continue
-                if sep[1] == ">":
-                    break
-                raise self.error("expected ',' or '>' after relator", sep)
-        tok = self.next()
-        if tok[0] != "EOF":
-            raise self.error("trailing input after presentation", tok)
-        return Presentation(tuple(generators), tuple(relators))
-
-    def parse_relator(self, known: set) -> List[Word]:
-        tokens = self.tokens
-        start = i = self.pos
-        if tokens[i][0] == "COMM":
-            return self.parse_comm(known)
-        letters: List[Letter] = []
-        # a factor per turn, read at the local index i; only a commutator
-        # factor hands the index to the methods and takes it back
-        while True:
-            kind, name, _ = tok = tokens[i]
-            if kind == "NAME":
-                i += 1
-                exponent = 1
-                etok = tok
-                if tokens[i][1] == "^":
-                    etok = tokens[i + 1]
-                    i += 2
-                    if etok[0] != "INT":
-                        raise self.error("expected an integer exponent", etok)
-                    try:
-                        exponent = int(etok[1])
-                    except ValueError:  # more digits than int() converts
-                        raise self.error("exponent too large", etok) from None
-                if name not in known:
-                    raise self.error(f"unknown generator {name!r} in relator", tok)
-                count = abs(exponent)
-                if len(letters) + count > MAX_RELATOR_LETTERS:
-                    raise self.error(_TOO_LONG, etok)
-                letters += [(name, 1 if exponent > 0 else -1)] * count
-            elif name == "[":
-                self.pos = i + 1
-                a = self.parse_name(known)
-                self.expect(",")
-                b = self.parse_name(known)
-                self.expect("]")
-                i = self.pos
-                if len(letters) + 4 > MAX_RELATOR_LETTERS:
-                    raise self.error(_TOO_LONG, tok)
-                letters += ((a, 1), (b, 1), (a, -1), (b, -1))
-            else:
-                break
-        if i == start:
-            raise self.error("expected a relator", tok)
-        self.pos = i
-        return [Word(letters)]
-
-    def parse_comm(self, known: set) -> List[Word]:
-        self.next()  # comm
-        self.expect("(")
-        left = self.parse_namelist(known, stop=";")
-        self.expect(";")
-        right = self.parse_namelist(known, stop=")")
-        self.expect(")")
-        return [Word(((a, 1), (b, 1), (a, -1), (b, -1))) for a in left for b in right]
-
-    def parse_namelist(self, known: set, stop: str) -> List[str]:
-        names = []
-        while self.peek()[1] != stop:
-            names.append(self.parse_name(known))
-            if self.peek()[1] == ",":
-                self.next()
-        if not names:
-            raise self.error("expected at least one generator name", self.peek())
-        return names
-
-    def parse_name(self, known: set) -> str:
-        kind, name, _ = tok = self.next()
+    def known_name(i: int) -> str:
+        kind, name, _ = tok = tokens[i]
         if kind != "NAME":
-            raise self.error("expected a generator name", tok)
+            raise fail("expected a generator name", tok)
         if name not in known:
-            raise self.error(f"unknown generator {name!r} in relator", tok)
+            raise fail(f"unknown generator {name!r} in relator", tok)
         return name
+
+    def comm_names(i: int, stop: str) -> Tuple[List[str], int]:
+        names = []
+        while tokens[i][1] != stop:
+            names.append(known_name(i))
+            i += 1
+            if tokens[i][1] == ",":
+                i += 1
+        if not names:
+            raise fail("expected at least one generator name", tokens[i])
+        return names, i + 1
+
+    i = expect(0, "<")
+    while True:
+        kind, name, _ = tok = tokens[i]
+        if kind != "NAME":
+            raise fail("expected a generator name", tok)
+        if name in known:
+            raise fail(f"duplicate generator {name!r}", tok)
+        known[name] = None
+        sep = tokens[i + 1]
+        i += 2
+        if sep[1] == "|":
+            break
+        if sep[1] != ",":
+            raise fail("expected ',' or '|' after generator", sep)
+    relators: List[Word] = []
+    more = tokens[i][1] != ">"
+    while more:
+        if tokens[i][0] == "COMM":
+            i = expect(i + 1, "(")
+            left, i = comm_names(i, ";")
+            right, i = comm_names(i, ")")
+            relators += [Word(((a, 1), (b, 1), (a, -1), (b, -1))) for a in left for b in right]
+        else:
+            start = i
+            letters: List[Letter] = []
+            # a factor per turn
+            while True:
+                kind, name, _ = tok = tokens[i]
+                if kind == "NAME":
+                    i += 1
+                    exponent = 1
+                    etok = tok
+                    if tokens[i][1] == "^":
+                        etok = tokens[i + 1]
+                        i += 2
+                        if etok[0] != "INT":
+                            raise fail("expected an integer exponent", etok)
+                        try:
+                            exponent = int(etok[1])
+                        except ValueError:  # more digits than int() converts
+                            raise fail("exponent too large", etok) from None
+                    if name not in known:
+                        raise fail(f"unknown generator {name!r} in relator", tok)
+                    count = abs(exponent)
+                    if len(letters) + count > MAX_RELATOR_LETTERS:
+                        raise fail(_TOO_LONG, etok)
+                    letters += [(name, 1 if exponent > 0 else -1)] * count
+                elif name == "[":
+                    a = known_name(i + 1)
+                    i = expect(i + 2, ",")
+                    b = known_name(i)
+                    i = expect(i + 1, "]")
+                    if len(letters) + 4 > MAX_RELATOR_LETTERS:
+                        raise fail(_TOO_LONG, tok)
+                    letters += ((a, 1), (b, 1), (a, -1), (b, -1))
+                else:
+                    break
+            if i == start:
+                raise fail("expected a relator", tok)
+            relators.append(Word(letters))
+        more = tokens[i][1] == ","
+        if more:
+            i += 1
+    if tokens[i][1] != ">":
+        raise fail("expected ',' or '>' after relator", tokens[i])
+    i += 1
+    if tokens[i][0] != "EOF":
+        raise fail("trailing input after presentation", tokens[i])
+    return Presentation(tuple(known), tuple(relators))
 
 
 def parse_presentation(text: str) -> Presentation:
-    return _Parser(text).parse()
+    return _parse(_tokenize(text), lambda tok: position(text, tok[2]))

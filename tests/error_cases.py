@@ -12,7 +12,7 @@ CASES = (
     (2, ["abelianize", "{tmp}/missing.pres"], None, None),
     # a directory: not a missing file, but no file to read
     (2, ["split-check", "{tmp}"], None, None),
-    # no factor after '|': _Parser.error at the next token
+    # no factor after '|': _parse fails at the next token
     (3, ["abelianize", "{tmp}/no_relator.pres"], "no_relator.pres", b"< a | , >\n"),
     # a byte that is not UTF-8, placed by line and column
     (3, ["cohomology", "{tmp}/latin1.bundle"], "latin1.bundle", b"[base]\n< u \xe9 | u >\n"),

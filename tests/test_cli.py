@@ -263,6 +263,33 @@ def test_no_section_is_still_success():
     assert "NO_SECTION" in out.stdout
 
 
+def test_a_free_base_splits(tmp_path, capsys):
+    # every extension of a free group splits: no relator, no obstruction
+    from bundlesec import cli
+
+    torus = tmp_path / "free_torus.bundle"
+    torus.write_text("[base]\n< u, v | >\n[fibre]\ntorus 1\n[action]\nu = 1\nv = -1\n")
+    kb = tmp_path / "free_kb.bundle"
+    kb.write_text("[base]\n< a, b | >\n[fibre]\nkb\n[action]\na = id\nb = alpha\n")
+    # a genus-2 fibre: the class is zero, and over a free base that is SPLITS,
+    # not only JACOBIAN_SPLITS
+    surface = tmp_path / "free_surface.bundle"
+    surface.write_text("[base]\n< u, v | >\n[fibre]\nsurface 2\n[action]\n"
+                       "u = 1 0 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1\n"
+                       "v = 0 0 -1 0 ; 0 0 0 -1 ; 1 0 0 0 ; 0 1 0 0\n")
+    results = []
+    for path in (torus, kb, surface):
+        assert cli.main(["--json", "split-check", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "SPLITS"
+        assert report["result"]["obstruction"]["class"] == [[]]
+        results.append(report["result"])
+    assert results[0]["lemma2"]["is_isomorphic"] is True
+    assert cli.main(["--json", "cohomology", str(torus)]) == 0
+    h2 = json.loads(capsys.readouterr().out)["result"]["h2"]
+    assert results[0]["obstruction"]["quotient"] == h2 == "0"
+
+
 @pytest.mark.parametrize("offset, verdict", [("3 0", "SPLITS"), ("0 2", "NO_SECTION")])
 def test_a_surface_1_fibre_gives_the_torus_2_report(tmp_path, capsys, offset, verdict):
     # H_1 of a torus is the torus group, so the H_1 extension is the extension

@@ -226,6 +226,28 @@ def test_kb_evaluation_matches_a_letter_by_letter_product(w, aut_u, aut_v, k_u, 
     assert spec.evaluate(w) == (elem, aut)
 
 
+def test_kb_split_check_inverts_each_automorphism_at_most_once(monkeypatch, tmp_path):
+    import io
+    from contextlib import redirect_stdout
+    from bundlesec import cli
+
+    # the two relators hold u^-1 four times and v^-1 three times
+    path = tmp_path / "kb_inverse_letters.bundle"
+    path.write_text("[base]\n< u, v | [u,v] [u,v], u^-2 v u^2 v^-1 >\n[fibre]\nkb\n"
+                    "[action]\nu = gamma\nv = alpha\n[cocycle]\nu = x y\nv = y\n")
+    inverse = KbAut.inverse
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(KbAut, "inverse", counted)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["--json", "split-check", str(path)]) == 0
+    assert 0 < len(calls) <= 2
+
+
 # --- coinvariants and the abelianization test ------------------------------------
 
 
@@ -381,9 +403,10 @@ def test_semidirect_products_split(pair, c_u, c_v):
 
 
 def test_spec_validation():
-    with pytest.raises(MalformedSpec):
-        TorusBundleSpec(parse_presentation("< u, v | >"), LinearRep({"u": I2, "v": I2}, 2),
-                        {"u": (0, 0), "v": (0, 0)})
+    # a free base is a datum: it has no relator and so no offset
+    free = TorusBundleSpec(parse_presentation("< u, v | >"), LinearRep({"u": I2, "v": I2}, 2),
+                           {"u": (0, 0), "v": (0, 0)})
+    assert free.relator_offsets == ()
     with pytest.raises(MalformedSpec):
         _torus_spec(I2, I2, offset=(1,))
     with pytest.raises(MalformedSpec):

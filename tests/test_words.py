@@ -137,6 +137,39 @@ def test_relator_letter_cap():
     parse_presentation(f"< u | u^{MAX_RELATOR_LETTERS}, u^-{MAX_RELATOR_LETTERS} >")
 
 
+def test_a_commutator_counts_four_letters_against_the_cap():
+    n = MAX_RELATOR_LETTERS - 4
+    (relator,) = parse_presentation(f"< u, v | u^{n} [u,v] >").relators
+    assert len(relator.letters) == MAX_RELATOR_LETTERS
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"< u, v | u^{n + 1} [u,v] >")
+    assert str(err.value) == \
+        f"relator longer than {MAX_RELATOR_LETTERS} letters (line 1, column 17)"
+
+
+def test_a_bad_exponent_is_reported_before_an_unknown_generator():
+    for text, message in (
+            ("< x | q^y >", "expected an integer exponent (line 1, column 9)"),
+            ("< x | q^" + "9" * 5000 + " >", "exponent too large (line 1, column 9)"),
+            ("< x | q^2 >", "unknown generator 'q' in relator (line 1, column 7)")):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert str(err.value) == message
+
+
+def test_comm_pairs_each_left_name_with_each_right_name_in_turn():
+    p = parse_presentation("< a, b, c, d | comm(a b ; c d) >")
+    assert p.relators == tuple(commutator(Word.gen(x), Word.gen(y))
+                               for x, y in ("ac", "ad", "bc", "bd"))
+
+
+def test_an_empty_relator_is_a_parse_error():
+    for text, col in (("< a | , >", 7), ("< a | a, >", 10), ("< a | a,, a >", 9)):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert str(err.value) == f"expected a relator (line 1, column {col})", text
+
+
 def test_presentation_rejects_unknown_generators():
     with pytest.raises(ValueError):
         Presentation(("x",), (Word.gen("y"),))

@@ -19,7 +19,7 @@ import pytest
 
 from bundlesec import specfile
 from bundlesec.words import ParseError, parse_presentation
-from words_reference import ReferenceParser
+from words_reference import parse_reference
 
 NAMES = ("a", "b", "é", "a²", "b½", "éⅫ", "x_٣")
 SPACES = (" ", " ", "\n", "\x0b", "\r", "\t", "# note\n", "")
@@ -88,13 +88,13 @@ def test_the_inputs_reach_both_outcomes():
 def test_presentations_and_errors_match_the_reference_walk():
     for text in TEXTS:
         assert _outcome(parse_presentation, text) \
-            == _outcome(lambda t: ReferenceParser(t).parse(), text), repr(text)
+            == _outcome(parse_reference, text), repr(text)
 
 
 def test_a_base_in_a_bundle_file_matches_the_reference_walk(monkeypatch):
     texts = TEXTS[:COUNT // 4]
     with monkeypatch.context() as patch:
-        patch.setattr(specfile, "parse_presentation", lambda t: ReferenceParser(t).parse())
+        patch.setattr(specfile, "parse_presentation", parse_reference)
         expected = [_outcome(specfile.parse_bundle_file, _bundle(t)) for t in texts]
     for text, want in zip(texts, expected, strict=True):
         assert _outcome(specfile.parse_bundle_file, _bundle(text)) == want, repr(text)

@@ -3,8 +3,8 @@ test of the presentation parser, and exponent sums one generator at a time.
 
 This is the tokenizer the program used before its tokens held a character
 offset: ``_tokenize`` below is that code as it stood, counting the line and
-column of every token as it walks the text.  ``ReferenceParser`` runs the
-program's own grammar (``words._Parser``) over these tokens and places each
+column of every token as it walks the text.  ``parse_reference`` runs the
+program's own grammar (``words._parse``) over these tokens and places each
 error at the token's counted line and column, so that the program's
 ``position`` can be checked against the walk, quirks included: when a comment
 ends the text, the end of input sits at its '#'.  The grammar reads a token
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from bundlesec.words import ParseError, Word, _Parser
+from bundlesec.words import ParseError, Presentation, Word, _parse
 
 _Token = Tuple[str, str, Tuple[int, int]]  # kind (NAME INT PUNCT), text, (line, col)
 
@@ -76,16 +76,10 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
-class ReferenceParser(_Parser):
-    """words._Parser over the reference tokens, each error at the token's
+def parse_reference(text: str) -> Presentation:
+    """words._parse over the reference tokens, each error at the token's
     counted line and column."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def error(self, message: str, tok: _Token) -> ParseError:
-        return ParseError(message, *tok[2])
+    return _parse(_tokenize(text), lambda tok: tok[2])
 
 
 def exponent_sum(w: Word, gen: str) -> int:
