@@ -56,6 +56,7 @@ from .zlinalg import (
     AbelianGroup,
     IntMatrix,
     InvariantError,
+    SmithDecomposition,
     Vector,
     cokernel,
     smith_normal_form,
@@ -153,8 +154,8 @@ class BaseComplex:
     2, read by split-check and cohomology alike: ``fox_rows``, (theta(r), B_r)
     for each base relator r from one Fox pass, B_r the m x m|X| block row
     [theta(d r / d x)]_x in generator order; ``delta2`` : A^X -> A^R, the B_r
-    stacked; ``h2``, its cokernel A^R / delta2 A^X, from its one Smith form.
-    delta2 and h2 are made when first read.
+    stacked; ``smith``, delta2's one Smith form; ``h2``, its cokernel
+    A^R / delta2 A^X.  delta2, smith and h2 are made when first read.
 
     The pass runs on flat row-major tuples of m^2 ints.  Each letter's image
     is made flat once per complex, in a table that the pass reads in C, so a
@@ -197,8 +198,12 @@ class BaseComplex:
         return IntMatrix(len(data), self._width, data)
 
     @cached_property
+    def smith(self) -> SmithDecomposition:
+        return smith_normal_form(self.delta2)
+
+    @cached_property
     def h2(self) -> AbelianGroup:
-        return cokernel(self.delta2)
+        return self.smith.cokernel()
 
 
 class _BundleDatum:
@@ -364,17 +369,17 @@ def obstruction_class(spec: BundleSpec) -> ObstructionReport:
     """The class of S = (s(r))_r in H^2 = A^R / delta2 A^X, where A is the
     coefficient module: one class for all the relators; a free base SPLITS.
 
-    ``class`` holds the one projection of S, or nothing when a Klein-bottle
-    value does not lift to the centre.  For one relator delta2 is B_r, whose
-    columns span J_w, so the quotient is A / J_w.
+    ``class`` holds the coordinates of S, read from delta2's Smith form, or
+    nothing when a Klein-bottle value does not lift to the centre.  For one
+    relator delta2 is B_r, whose columns span J_w, so the quotient is A / J_w.
     """
     lifted, svecs, joined = spec.relator_values()
-    quotient = spec.complex.h2
-    coords = () if joined is None else (quotient.project(joined),)
+    cx = spec.complex
+    coords = () if joined is None else (cx.smith.project(joined),)
     verdict = (VERDICT_ACTION_DOES_NOT_LIFT if not lifted
                else spec.nonzero_verdict if any(coords[0])
                else spec.zero_verdict if spec.base.relators else VERDICT_SPLITS)
-    return ObstructionReport(lifted, svecs, quotient, coords, verdict)
+    return ObstructionReport(lifted, svecs, cx.h2, coords, verdict)
 
 
 def _action_block(m: int, mats: Sequence[IntMatrix]) -> IntMatrix:
@@ -418,9 +423,7 @@ def lemma2_check(base: Presentation, action: LinearRep,
     pivot 1 is killed by its own column and drops out, so M has the cokernel
     of a small matrix: the base rows, then the fibre rows with d_i != 1, one
     column d_i e_i for each d_i >= 2, and the relator columns on those rows.
-    The split twin is the same small matrix with zero offsets.  Either group
-    projects vectors of the lattice of M: the base part unchanged, the fibre
-    part through the kept rows of U.
+    The split twin is the same small matrix with zero offsets.
     """
     m = action.dim
     n = len(base.generators)
@@ -437,21 +440,11 @@ def lemma2_check(base: Presentation, action: LinearRep,
     pad = _zero(len(torsion))
     base_rows = tuple(pad + row for row in sums.data)
     pivot_rows = [tuple(diag[i] if i == j else 0 for j in torsion) for i in kept]
-
-    def lift() -> IntMatrix:
-        # Z^(n + m) -> Z^(n + kept): the identity on the base, U's kept rows on the fibre
-        eye = IntMatrix.identity(n).data
-        return IntMatrix(n + len(kept), n + m,
-                         tuple(row + _zero(m) for row in eye)
-                         + tuple(_zero(n) + dec.U.data[i] for i in kept))
-
-    def pi_ab(fibre_rows: Sequence[Vector]) -> AbelianGroup:
-        rows = base_rows + tuple(p + f for p, f in zip(pivot_rows, fibre_rows))
-        group = cokernel(IntMatrix(n + len(kept), len(torsion) + len(offsets), rows))
-        return AbelianGroup(group.invariant_factors, lambda: group.projection @ lift())
-
-    group_ab = pi_ab([tuple(shifted[i]) for i in kept])
-    expected = pi_ab([_zero(len(offsets))] * len(kept))
+    # pi^ab, then its split twin
+    group_ab, expected = (
+        cokernel(IntMatrix(n + len(kept), len(torsion) + len(offsets),
+                           base_rows + tuple(p + f for p, f in zip(pivot_rows, fibre_rows))))
+        for fibre_rows in ([tuple(shifted[i]) for i in kept], [_zero(len(offsets))] * len(kept)))
     return Lemma2Report(group_ab.invariant_factors == expected.invariant_factors,
                         group_ab, expected)
 
@@ -467,8 +460,8 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
     read from two diagonals: ker delta2 is a saturated sublattice of
     C^1 = A^X, so C^1 / im delta1 is H^1 + C^1 / ker delta2 with the second
     summand free.  H^1 therefore has the torsion of coker delta1 (the pivots
-    >= 2 of delta1) and rank m|X| - rank delta1 - rank delta2, where
-    rank delta2 is m|R| less the rank of H^2.  delta1 and its transpose,
+    >= 2 of delta1) and rank m|X| - rank delta1 - rank delta2, both ranks
+    read from the Smith forms' diagonals.  delta1 and its transpose,
     m x m|X|, have the same pivots, and the wide transpose is the cheaper to
     reduce.  A relator that the module does not kill is named, clipped to
     QUOTE_CHARS characters.
@@ -488,9 +481,8 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
         raise InvariantError("delta2 . delta1 != 0")
 
     dec1 = smith_normal_form(d1t)
-    h2 = cx.h2
     torsion = tuple(d for d in dec1.diagonal() if d >= 2)
-    return AbelianGroup(torsion + (0,) * (d2.cols - dec1.rank - d2.rows + h2.rank)), h2
+    return AbelianGroup(torsion + (0,) * (d2.cols - dec1.rank - cx.smith.rank)), cx.h2
 
 
 def semidirect_presentation(

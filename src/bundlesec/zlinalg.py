@@ -8,15 +8,16 @@ tie-break fixes the operation log, and with it the canonical coordinates of
 every cokernel, so it is part of the contract.  The reduction updates only
 the matrix and logs its operations; a column operation touches only the rows
 that are nonzero (live) in the pivot column, since it leaves the others
-unchanged.  The transforms U and V are replayed from the logs when first
-read, and a cokernel reads U only the first time something projects into it.
+unchanged.  Coordinates in a cokernel come from the row log, applied to the
+vector alone.  Only ``solve`` reads the transform U, and only it and
+``kernel_basis`` read V; each is replayed from its log when first read.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from operator import mul
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 
@@ -194,8 +195,8 @@ class SmithDecomposition:
 
     The elimination reduces M alone and logs its row and column operations.
     U and V are replayed from the logs on an identity the first time each is
-    read: a projection into the cokernel reads U, the kernel and solutions of
-    M read U and V, and the diagonal reads neither.
+    read: ``solve`` reads both and ``kernel_basis`` V; the diagonal, the
+    cokernel and coordinates in it read neither.
     """
 
     def __init__(self, D: IntMatrix, row_ops: Tuple[Op, ...], col_ops: Tuple[Op, ...]):
@@ -229,16 +230,29 @@ class SmithDecomposition:
         """A lattice basis of { v : M @ v == 0 }: the columns of V where D e_j == 0."""
         return tuple(self.V.column(j) for j in range(self.rank, self.D.cols))
 
-    def cokernel(self) -> "AbelianGroup":
-        """The quotient Z^rows / im(M); its canonical projection, the rows of U
-        at the pivots >= 2 and then at the free rows, is built when first read."""
+    def _kept_rows(self) -> Tuple[List[int], List[int]]:
+        """The rows of D that the cokernel keeps: those with a pivot >= 2, then
+        the free rows, whose pivot is 0 or absent."""
         diag = self.diagonal()
-        torsion_rows = [i for i, d in enumerate(diag) if d >= 2]
-        free_rows = [i for i, d in enumerate(diag) if d == 0] + list(range(len(diag), self.D.rows))
-        factors = tuple(diag[i] for i in torsion_rows) + tuple(0 for _ in free_rows)
-        kept = torsion_rows + free_rows
-        return AbelianGroup(factors, lambda: IntMatrix(
-            len(kept), self.D.rows, tuple(self.U.data[i] for i in kept)))
+        return ([i for i, d in enumerate(diag) if d >= 2],
+                [i for i, d in enumerate(diag) if d == 0] + list(range(len(diag), self.D.rows)))
+
+    def cokernel(self) -> "AbelianGroup":
+        """The quotient Z^rows / im(M): a Z/d for each pivot d >= 2, then a Z
+        for each free row."""
+        torsion, free = self._kept_rows()
+        diag = self.diagonal()
+        return AbelianGroup(tuple(diag[i] for i in torsion) + (0,) * len(free))
+
+    def project(self, v: Sequence[int]) -> Vector:
+        """The coordinates of v in the cokernel: U @ v at the kept rows, each
+        torsion one mod its pivot, from the row log: U is not built."""
+        if len(v) != self.D.rows:
+            raise ValueError("vector length does not match row count")
+        torsion, free = self._kept_rows()
+        diag = self.diagonal()
+        w = [row[0] for row in self.left_apply([[x] for x in v])]
+        return tuple(w[i] % diag[i] for i in torsion) + tuple(w[i] for i in free)
 
     def solve(self, v: Sequence[int]) -> Optional[Vector]:
         """One integer solution x of M @ x == v, or None if there is none."""
@@ -344,18 +358,12 @@ class AbelianGroup:
     """Finitely generated abelian group in invariant-factor form.
 
     ``invariant_factors`` lists torsion factors (each >= 2, divisibility chain)
-    followed by zeros, one per infinite cyclic factor.  ``projection`` maps an
-    ambient vector to canonical coordinates; coordinate i is taken mod the
-    i-th factor when that factor is nonzero.  It is built by
-    ``make_projection`` the first time it is read, so a group that nothing
-    projects into costs no transform.  Without ``make_projection`` the ambient
-    lattice is Z^(factor count), and the projection is the identity.
+    followed by zeros, one per infinite cyclic factor.  Coordinates in a
+    cokernel are read from its Smith form, ``SmithDecomposition.project``.
     """
 
-    def __init__(self, invariant_factors: Tuple[int, ...],
-                 make_projection: Optional[Callable[[], IntMatrix]] = None):
+    def __init__(self, invariant_factors: Tuple[int, ...]):
         self.invariant_factors = invariant_factors
-        self.make_projection = make_projection
         fs = self.invariant_factors
         for f in fs:
             if f < 0 or f == 1:
@@ -366,15 +374,6 @@ class AbelianGroup:
             if x != 0 and y != 0 and y % x != 0:
                 raise ValueError("divisibility chain violated")
 
-    @cached_property
-    def projection(self) -> IntMatrix:
-        if self.make_projection is None:
-            return IntMatrix.identity(len(self.invariant_factors))
-        projection = self.make_projection()
-        if projection.rows != len(self.invariant_factors):
-            raise ValueError("projection row count must equal factor count")
-        return projection
-
     @property
     def rank(self) -> int:
         return sum(1 for f in self.invariant_factors if f == 0)
@@ -382,10 +381,6 @@ class AbelianGroup:
     @property
     def torsion(self) -> Tuple[int, ...]:
         return tuple(f for f in self.invariant_factors if f != 0)
-
-    def project(self, v: Sequence[int]) -> Vector:
-        raw = self.projection.apply(v)
-        return tuple(x % f if f else x for x, f in zip(raw, self.invariant_factors))
 
     def __str__(self) -> str:
         parts = []
@@ -398,7 +393,7 @@ class AbelianGroup:
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:
-    """The quotient Z^rows / im(m), with its canonical projection."""
+    """The quotient Z^rows / im(m)."""
     return smith_normal_form(m).cokernel()
 
 

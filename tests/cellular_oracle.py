@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from bundlesec.zlinalg import AbelianGroup, IntMatrix, cokernel
+from bundlesec.zlinalg import IntMatrix, SmithDecomposition, smith_normal_form
 from smith_reference import from_columns
 
 COLS, ROWS = 11, 5
@@ -139,7 +139,7 @@ class HomologyModel:
     complex: DoubleComplex
     nontree: List[int]              # edge ids of non-tree edges, in order
     nontree_pos: Dict[int, int]
-    group: AbelianGroup             # cokernel of face boundaries, must be Z^6
+    smith: SmithDecomposition       # of the face boundaries, whose cokernel must be Z^6
     cocycles: List[Tuple[int, ...]]  # dual basis, as values on non-tree edges
     pairing: IntMatrix
 
@@ -150,7 +150,7 @@ class HomologyModel:
             idx, sign = self.complex.edge(u, v)
             if idx in self.nontree_pos:
                 lam[self.nontree_pos[idx]] += sign
-        return self.group.project(tuple(lam))
+        return self.smith.project(tuple(lam))
 
 
 def _spanning_tree(complex_: DoubleComplex) -> set:
@@ -206,12 +206,14 @@ def build_model() -> HomologyModel:
             if idx in nontree_pos:
                 col[nontree_pos[idx]] += s
         cols.append(tuple(col))
-    group = cokernel(from_columns(cols, rows=len(nontree)))
+    smith = smith_normal_form(from_columns(cols, rows=len(nontree)))
 
-    # rows of the cokernel projection vanish on boundaries, so, read as
-    # coefficient vectors on non-tree edges (zero on tree edges), they are
-    # cocycles forming the dual basis of the H_1 coordinates
-    cocycles = [group.projection.data[i] for i in range(len(group.invariant_factors))]
+    # every factor is 0, so the coordinates are linear: the projections of the
+    # unit vectors are the columns of a map that vanishes on boundaries, and its
+    # rows, read as coefficient vectors on non-tree edges (zero on tree edges),
+    # are cocycles forming the dual basis of the H_1 coordinates
+    units = [tuple(int(i == j) for i in range(len(nontree))) for j in range(len(nontree))]
+    cocycles = list(zip(*map(smith.project, units)))
 
     # cup-product pairing against the fundamental cycle:
     # <alpha, beta> = sum over triangles eps * alpha(front edge) * beta(back edge)
@@ -231,7 +233,7 @@ def build_model() -> HomologyModel:
             row.append(acc)
         pairing_rows.append(tuple(row))
     pairing = IntMatrix.from_rows(pairing_rows)
-    return HomologyModel(complex_, nontree, nontree_pos, group, cocycles, pairing)
+    return HomologyModel(complex_, nontree, nontree_pos, smith, cocycles, pairing)
 
 
 # --- named curves as edge paths ----------------------------------------------

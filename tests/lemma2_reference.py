@@ -5,7 +5,8 @@ read through one Smith form of the action block: it takes the cokernel of the
 whole (n + m) x (m|X| + R) matrix, once with the offsets and once without.
 ``cyclic_sum`` builds the expected group of the word-level reference as the
 sum of the fibre coinvariants and the base abelianization, and
-``coinvariants`` the first summand.
+``coinvariants`` the first summand; ``coinvariants_smith`` is the Smith form
+whose cokernel it is, which gives the coordinates of a fibre vector there.
 """
 
 from __future__ import annotations
@@ -15,18 +16,25 @@ from typing import Sequence
 from bundlesec.extensions import Lemma2Report, _zero
 from bundlesec.groupring import LinearRep
 from bundlesec.words import Presentation
-from bundlesec.zlinalg import AbelianGroup, IntMatrix, Vector, cokernel
+from bundlesec.zlinalg import (AbelianGroup, IntMatrix, SmithDecomposition, Vector, cokernel,
+                               smith_normal_form)
 from smith_reference import from_columns, minus_identity
 
 
 def coinvariants(rank: int, mats: Sequence[IntMatrix]) -> AbelianGroup:
     """Largest quotient of Z^rank on which all the matrices act trivially:
     Z^rank modulo the columns of every theta(x) - I, in the given order."""
+    return coinvariants_smith(rank, mats).cokernel()
+
+
+def coinvariants_smith(rank: int, mats: Sequence[IntMatrix]) -> SmithDecomposition:
+    """The Smith form of [theta(x) - I]_x, in the given order: its cokernel
+    is ``coinvariants(rank, mats)``, and ``project`` gives coordinates there."""
     for m in mats:
         if m.rows != rank or m.cols != rank:
             raise ValueError("matrix size does not match the fibre rank")
-    return cokernel(from_columns([col for m in mats for col in minus_identity(m).columns()],
-                                 rows=rank))
+    return smith_normal_form(from_columns(
+        [col for m in mats for col in minus_identity(m).columns()], rows=rank))
 
 
 def lemma2_check(base: Presentation, action: LinearRep,

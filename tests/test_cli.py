@@ -582,9 +582,13 @@ def _wide_spec(genus, rank):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("command", ["split-check", "cohomology"])
-def test_split_check_and_cohomology_never_build_the_column_transform(
-        tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize("command",
+                         ["abelianize", "split-check", "cohomology", "transgress", "endo"])
+def test_no_command_builds_u_or_v(monkeypatch, capsys, command):
+    # cokernels, their coordinates and ranks are read from the diagonal and
+    # the row log; only solve and kernel_basis, which no command calls, read
+    # the transforms
+    import golden_cases
     from bundlesec import cli
     from bundlesec.zlinalg import SmithDecomposition
 
@@ -596,19 +600,13 @@ def test_split_check_and_cohomology_never_build_the_column_transform(
         made.append(self)
 
     monkeypatch.setattr(SmithDecomposition, "__init__", recording)
-    path = tmp_path / "wide.bundle"
-    path.write_text(_wide_spec(5, 8))
-    assert cli.main(["--json", command, str(path)]) == 0
+    monkeypatch.chdir(golden_cases.ROOT)
+    argv = next(argv for _, argv in golden_cases.CASES if argv[:2] == ["--json", command])
+    assert cli.main(argv) == 0
     capsys.readouterr()
-    assert len(made) >= 2
-    assert all("V" not in vars(dec) for dec in made)
-    if command == "split-check":
-        # the obstruction class projects into the cokernel of delta2, so U is
-        # replayed there; nothing reads V
-        assert any("U" in vars(dec) for dec in made)
-    else:
-        # H^1 and H^2 are read from diagonals: nothing projects
-        assert all("U" not in vars(dec) for dec in made)
+    # transgress takes no Smith form
+    assert bool(made) == (command != "transgress")
+    assert all("U" not in vars(dec) and "V" not in vars(dec) for dec in made)
 
 
 def _perturbed_fox_rows(monkeypatch):

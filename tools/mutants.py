@@ -74,6 +74,15 @@ MUTANTS = (
            "table[g, -1] = kb_inverse(inv.apply(k)), inv",
            "table[g, -1] = kb_inverse(k), inv",
            ("tests/test_extensions.py",)),
+    Mutant("cokernel coordinates with the free rows first", "src/bundlesec/zlinalg.py",
+           "return tuple(w[i] % diag[i] for i in torsion) + tuple(w[i] for i in free)",
+           "return tuple(w[i] for i in free) + tuple(w[i] % diag[i] for i in torsion)",
+           ("tests/test_zlinalg.py", "tests/test_mcg.py", "tests/test_modn_differential.py")),
+    Mutant("cokernel coordinate left unreduced", "src/bundlesec/zlinalg.py",
+           "return tuple(w[i] % diag[i] for i in torsion) + tuple(w[i] for i in free)",
+           "return tuple(w[i] for i in torsion) + tuple(w[i] for i in free)",
+           ("tests/test_zlinalg.py", "tests/test_mcg.py",
+            "tests/test_surface_coinvariants_differential.py")),
 )
 
 
