@@ -15,7 +15,9 @@ section would force, so only a nonzero class is a verdict on the bundle.
 Each base relator r is walked once per spec, by the Fox pass of the base's
 cochain complex over the coefficient module A, ``BaseComplex``: it gives
 theta(r) and the block row B_r = [theta(d r / d x)]_x, an m x m|X| matrix.
-A letter costs one m x m product, which also caps its entries.
+A letter costs one m x m product, which also caps its entries, and one
+append of the prefix to its generator's terms; each block is one flat total
+of those terms, summed in C, and capped after summing.
 The B_r stacked are delta2 : A^X -> A^R.  For a torus fibre s(r) is theta(r)
 times the offset plus B_r t, where t is the lifts' translations in generator
 order (the crossed-homomorphism form of Fox calculus), so changing the
@@ -93,10 +95,6 @@ def _flat_add(a: Vector, b: Vector) -> Vector:
     return tuple(map(add, a, b))
 
 
-def _flat_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(map(sub, a, b))
-
-
 class _OverCap(Exception):
     """Raised by a product of the Fox pass when an entry of its output has
     more than MAX_ENTRY_BITS bits; ``BaseComplex`` names the relator."""
@@ -159,12 +157,16 @@ class BaseComplex:
 
     The pass runs on flat row-major tuples of m^2 ints.  Each letter's image
     is made flat once per complex, in a table that the pass reads in C, so a
-    letter costs one product of the flat prefix by that image and one flat
-    sum, and builds no IntMatrix; only theta(r) and B_r become IntMatrix.
+    letter costs one product of the flat prefix by that image and one
+    append, and builds no IntMatrix.  Each block is one flat total of its
+    "+" and "-" terms, a C-level map(sum, zip(...)) per sign that has more
+    than one term, formed after the walk and at each of its folds; only
+    theta(r) and B_r become IntMatrix.
     The product is the generated ``_product_kernel(m)`` when
     m <= KERNEL_MAX_RANK, else ``_generic_product``.  Every entry is capped
     at MAX_ENTRY_BITS: by the product on the running prefix at each letter,
-    so that large entries stop the pass early, and here on the blocks.
+    so that large entries stop the pass early, and here on the blocks,
+    after summing.
     """
 
     def __init__(self, base: Presentation, module: LinearRep):
@@ -175,13 +177,22 @@ class BaseComplex:
                   for s in (1, -1)}
         eye = tuple(int(i == j) for i in range(m) for j in range(m))
         zero = (0,) * (m * m)
+
+        def total(plus: List[Vector], minus: List[Vector]) -> Vector:
+            # a sign's terms summed entrywise in C; zip and sum cost about
+            # 0.1 us an entry, more than a short relator's few terms, so one
+            # term is its own sum and none sum to zero
+            pos = map(sum, zip(*plus)) if len(plus) > 1 else plus[0] if plus else zero
+            neg = map(sum, zip(*minus)) if len(minus) > 1 else minus[0] if minus else zero
+            return tuple(map(sub, pos, neg))
+
         self.fox_rows: List[Tuple[IntMatrix, IntMatrix]] = []
         self._width = m * len(base.generators)  # of delta2
         for i, r in enumerate(base.relators, 1):
             try:
                 # theta(r) is the eye or the last product, which capped it
                 value, jac = fox_jacobian(r, base.generators, images.__getitem__, product,
-                                          eye, zero, _flat_add, _flat_sub)
+                                          eye, total)
                 blocks = [jac[x] for x in base.generators]
                 if any(map(_over_cap, blocks)):
                     raise _OverCap

@@ -4,12 +4,16 @@ and Fox calculus.
 A word is evaluated in a group by one fold, ``evaluate_word``.  Its Fox
 derivatives are evaluated in a ring by one prefix pass, ``fox_jacobian``,
 which also returns the value of the word.  The ring is given by the pass's
-arguments: image, mul, add, sub, one and zero.  The matrix ring of
-``extensions`` (on flat integer tuples), the lifts of a torus bundle (its
-action theta and one translation per generator) and the Laurent ring of
-``transgression`` all read the one pass.  The program never forms Fox
-derivatives as formal group-ring elements, so no word problem in the target
-group ever arises.
+arguments: image, mul, one and total.  A letter costs the pass one product
+and one append of the prefix to its generator's "+" or "-" terms; each
+derivative is total(plus, minus), formed once, and every FOLD_LETTERS
+letters the terms are folded into one, so a long word holds few terms at
+once.  ``ring_total(zero)`` is the total of a ring with + and -.  The matrix
+ring of ``extensions`` (on flat integer tuples, summed in C), the lifts of a
+torus bundle (its action theta and one translation per generator) and the
+Laurent ring of ``transgression`` all read the one pass.  The program never
+forms Fox derivatives as formal group-ring elements, so no word problem in
+the target group ever arises.
 
 No command calls ``LinearRep.evaluate_word``, ``evaluate_affine``,
 ``fox_derivative`` (over the formal ring ``FreeRingElement``) or
@@ -24,8 +28,7 @@ compose, invert and take powers in closed form.
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple, TypeVar
 
 from .words import Letter, Word
 from .zlinalg import IntMatrix, Vector
@@ -77,36 +80,56 @@ class LinearRep:
                              IntMatrix.identity(self.dim))
 
 
+# letters the Fox pass walks between folds of its term lists: each
+# generator then holds at most FOLD_LETTERS + 1 terms, however long the word
+FOLD_LETTERS = 256
+
+
 def fox_jacobian(w: Word, gens: Sequence[str], image: Callable[[Letter], U],
-                 mul: Callable[[T, U], T], one: T, zero: T,
-                 add: Callable[[T, T], T] = operator.add,
-                 sub: Callable[[T, T], T] = operator.sub) -> Tuple[T, Dict[str, T]]:
+                 mul: Callable[[T, U], T], one: T,
+                 total: Callable[[List[T], List[T]], T]) -> Tuple[T, Dict[str, T]]:
     """The value of w in a ring together with its Fox derivatives
     d w / d gen for every gen in gens, from one left-to-right pass.
 
-    The ring is given by image, mul, add, sub, one and zero.  A letter
-    (gen, sign) maps to a unit by image(letter), which mul(P, image(letter))
-    multiplies on the right of a ring element P; the image may be any form of
-    the unit that mul reads.  A table's ``__getitem__`` is the usual image:
-    it is called in C and costs the pass no Python frame per letter.
-    Derivatives are summed with add and sub, by default the ring's own + and
-    -.  With P the running prefix value, a letter gen^+1 adds P to the entry
-    of gen and then moves P to P image(gen); a letter gen^-1 first moves P to
-    P image(gen)^-1 and then subtracts it.  The final P is the value of w.
-    Generators absent from w get zero.  An exception that mul raises ends
-    the pass.
+    The ring is given by image, mul, one and total.  A letter (gen, sign)
+    maps to a unit by image(letter), which mul(P, image(letter)) multiplies
+    on the right of a ring element P; the image may be any form of the unit
+    that mul reads.  A table's ``__getitem__`` is the usual image: it is
+    called in C and costs the pass no Python frame per letter.  With P the
+    running prefix value, a letter gen^+1 appends P to the "+" terms of gen
+    and then moves P to P image(gen); a letter gen^-1 first moves P to
+    P image(gen)^-1 and then appends it to the "-" terms of gen.  The final
+    P is the value of w, and d w / d gen is total(plus, minus), the sum of
+    the "+" terms less the sum of the "-" terms, formed once per generator;
+    a generator absent from w gets total([], []).  Every FOLD_LETTERS
+    letters each generator's lists are folded into the one term
+    [total(plus, minus)], so the pass holds a bounded number of terms.  An
+    exception that mul or total raises ends the pass.
     """
-    jac = {g: zero for g in gens}
+    plus: Dict[str, List[T]] = {g: [] for g in gens}
+    minus: Dict[str, List[T]] = {g: [] for g in gens}
     prefix = one
-    for letter in w.letters:
-        g, s = letter
-        if s == 1:
-            jac[g] = add(jac[g], prefix)
-            prefix = mul(prefix, image(letter))
-        else:
-            prefix = mul(prefix, image(letter))
-            jac[g] = sub(jac[g], prefix)
-    return prefix, jac
+    letters = w.letters
+    for start in range(0, len(letters), FOLD_LETTERS):
+        if start:
+            for g, terms in plus.items():
+                plus[g] = [total(terms, minus[g])]
+                minus[g] = []
+        for letter in letters[start:start + FOLD_LETTERS]:
+            g, s = letter
+            if s == 1:
+                plus[g].append(prefix)
+                prefix = mul(prefix, image(letter))
+            else:
+                prefix = mul(prefix, image(letter))
+                minus[g].append(prefix)
+    return prefix, {g: total(terms, minus[g]) for g, terms in plus.items()}
+
+
+def ring_total(zero: T) -> Callable[[List[T], List[T]], T]:
+    """The total of ``fox_jacobian`` for a ring whose elements add and
+    subtract with + and -: sum(plus) - sum(minus), each sum from zero."""
+    return lambda plus, minus: sum(plus, zero) - sum(minus, zero)
 
 
 def evaluate_affine(w: Word, rep: LinearRep, translations: Mapping[str, Vector]
@@ -118,7 +141,8 @@ def evaluate_affine(w: Word, rep: LinearRep, translations: Mapping[str, Vector]
     """
     images = {letter: rep.matrix(*letter) for letter in w.letters}
     value, jac = fox_jacobian(w, translations, images.__getitem__, IntMatrix.__matmul__,
-                              IntMatrix.identity(rep.dim), IntMatrix.zeros(rep.dim, rep.dim))
+                              IntMatrix.identity(rep.dim),
+                              ring_total(IntMatrix.zeros(rep.dim, rep.dim)))
     parts = [(0,) * rep.dim] + [jac[g].apply(t) for g, t in translations.items()]
     return value, tuple(map(sum, zip(*parts)))
 
@@ -149,7 +173,7 @@ def fox_derivative(w: Word, gen: str) -> FreeRingElement:
     gens = {g for g, _ in w.letters} | {gen}
     images = {letter: FreeRingElement({Word.gen(*letter): 1}) for letter in w.letters}
     _, jac = fox_jacobian(w, gens, images.__getitem__, FreeRingElement.__mul__,
-                          FreeRingElement({Word.identity(): 1}), FreeRingElement())
+                          FreeRingElement({Word.identity(): 1}), ring_total(FreeRingElement()))
     return jac[gen]
 
 

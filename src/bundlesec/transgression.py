@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
-from .groupring import fox_jacobian
+from .groupring import fox_jacobian, ring_total
 from .words import Word, commutator
 from .zlinalg import InvariantError
 
@@ -134,7 +134,7 @@ def _fox_row(w: Word, gens: Sequence[str]) -> Tuple[LaurentElement, ...]:
     """The images of d w / d gen in the Laurent ring (x -> x, y -> y, u -> 1),
     one entry per generator, from one Fox pass."""
     _, jac = fox_jacobian(w, gens, _LETTER_IMAGES.__getitem__, LaurentElement.__mul__,
-                          LaurentElement.one(), LaurentElement.zero())
+                          LaurentElement.one(), ring_total(LaurentElement.zero()))
     return tuple(jac[g] for g in gens)
 
 

@@ -29,6 +29,10 @@ def _quote(text: str, show: Callable[[str], str] = repr) -> str:
     return f"{show(text[:QUOTE_CHARS])}... ({len(text)} characters)"
 
 
+# the top of reduce_letters' empty stack: its generator equals no name
+_NO_LETTER = (object(), 0)
+
+
 class ParseError(ValueError):
     """Raised on malformed DSL input, with 1-based line/column of the offender."""
 
@@ -39,15 +43,23 @@ class ParseError(ValueError):
 
 
 def reduce_letters(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
-    """Freely reduce a letter sequence with a single stack pass."""
+    """Freely reduce a letter sequence with a single stack pass.  The top
+    letter is kept in locals; a letter that cancels it has the sign of an
+    earlier letter, so only a pushed letter needs the check of its sign."""
     stack: List[Letter] = []
+    push = stack.append
+    pop = stack.pop
+    top_g, top_s = _NO_LETTER
     for g, s in letters:
-        if s not in (1, -1):
-            raise ValueError(f"letter sign must be +-1, got {s}")
-        if stack and stack[-1][0] == g and stack[-1][1] == -s:
-            stack.pop()
+        if g == top_g and s == -top_s:
+            pop()
+            top_g, top_s = stack[-1] if stack else _NO_LETTER
+        elif s == 1 or s == -1:
+            push((g, s))
+            top_g = g
+            top_s = s
         else:
-            stack.append((g, s))
+            raise ValueError(f"letter sign must be +-1, got {s}")
     return tuple(stack)
 
 
@@ -167,6 +179,12 @@ def _tokenize(text: str) -> List[Token]:
     end = n
     while i < n:
         ch = text[i]
+        # the classes below are disjoint, so their order changes no token;
+        # punctuation, the commonest token, is tested first
+        if ch in _PUNCT:
+            append(("PUNCT", ch, i))
+            i += 1
+            continue
         if ch.isspace():
             i += 1
             continue
@@ -178,7 +196,7 @@ def _tokenize(text: str) -> List[Token]:
             i = newline
             continue
         if ch.isalpha() or ch == "_":
-            j = i
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
@@ -192,10 +210,6 @@ def _tokenize(text: str) -> List[Token]:
                 j += 1
             append(("INT", text[i:j], i))
             i = j
-            continue
-        if ch in _PUNCT:
-            append(("PUNCT", ch, i))
-            i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", *position(text, i))
     append(("EOF", "", end))

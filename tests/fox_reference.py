@@ -6,7 +6,9 @@ code shared with that pass: it forms d w / d x as a formal element of the
 integral group ring of the free group, then maps it to a ring term by term,
 evaluating each word letter by letter.  It also holds the letter-by-letter
 affine fold, whose translation part the pass computes as
-sum_x theta(d w / d x) t_x.
+sum_x theta(d w / d x) t_x, and the same fold with matrix translations,
+which gives all the blocks theta(d w / d x) of a long word in time linear in
+its length.
 """
 
 from __future__ import annotations
@@ -110,6 +112,28 @@ def linear_value(w: Word, rep: LinearRep) -> IntMatrix:
         m = rep.assignment[g]
         out = out @ (m if s == 1 else m.inverse_unimodular())
     return out
+
+
+def fox_block_row(w: Word, rep: LinearRep, gens: Sequence[str]) -> Tuple[IntMatrix, IntMatrix]:
+    """theta(w) and the m x m|gens| block row [theta(d w / d x)]_x, by the
+    affine fold with matrix translations: the lift of x carries the matrix
+    E_x with I in block x and zeros elsewhere, and (A, T)(B, S) =
+    (AB, T + A S), so the translation part of the value of w is
+    sum_x theta(d w / d x) E_x.  The lift of x^-1 is (A^-1, -A^-1 E_x)."""
+    m = rep.dim
+    width = m * len(gens)
+    units = {g: IntMatrix(m, width, tuple(tuple(int(c == k * m + i) for c in range(width))
+                                          for i in range(m)))
+             for k, g in enumerate(gens)}
+    inverses = {g: rep.assignment[g].inverse_unimodular() for g in gens}
+    value, row = IntMatrix.identity(m), IntMatrix.zeros(m, width)
+    for g, s in w.letters:
+        if s == 1:
+            value, row = value @ rep.assignment[g], row + value @ units[g]
+        else:
+            value = value @ inverses[g]
+            row = row - value @ units[g]
+    return value, row
 
 
 def evaluate_linear(e: FreeRingElement, rep: LinearRep) -> IntMatrix:

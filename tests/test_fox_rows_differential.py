@@ -8,7 +8,13 @@ signs; the modules are GL(m, Z) actions of rank 1 to 10, on both sides of
 KERNEL_MAX_RANK, and the 1 x 1 centre modules of Klein-bottle fibres.  The
 generated product of each rank up to KERNEL_MAX_RANK is also checked alone
 against the generic product, on seeded entries of up to 1,024 bits: the two
-agree on every product under the entry cap, and both raise above it."""
+agree on every product under the entry cap, and both raise above it.
+
+Long relators, on both sides of each fold of the pass's term lists, are
+checked against the reference's linear-time fold with matrix translations,
+``fox_block_row``: their actions are signed diagonals times unitriangular
+matrices, which generate a group of polynomial growth, so the entries of a
+10,000-letter relator stay far under the cap."""
 
 import random
 
@@ -33,10 +39,11 @@ from fox_reference import (
     affine_multiply,
     evaluate_affine,
     evaluate_linear,
+    fox_block_row,
     fox_derivative,
     linear_value,
 )
-from test_groupring import unimodular
+from test_groupring import reduced_word, unimodular
 
 GENS = ("x", "y", "z")
 
@@ -140,3 +147,27 @@ def test_the_generated_product_equals_the_generic_product(m):
 def test_no_product_is_generated_outside_ranks_1_to_the_bound(m):
     with pytest.raises(ValueError, match=f"rank {m}"):
         _product_kernel(m)
+
+
+def _triangular_action(rng, m):
+    """A signed diagonal times an upper unitriangular matrix, entries in -2..2,
+    for each generator."""
+    action = {}
+    for g in GENS:
+        signs = [rng.choice((1, -1)) for _ in range(m)]
+        action[g] = IntMatrix.from_rows(
+            [[signs[i] * (1 if i == j else rng.randint(-2, 2) if j > i else 0)
+              for j in range(m)] for i in range(m)])
+    return LinearRep(action, m)
+
+
+@pytest.mark.parametrize("letters, m", [(n, m) for m in (2, 3)
+                                        for n in (255, 256, 257, 1000, 10_000)] + [(1000, 9)])
+def test_fox_rows_of_long_relators_match_the_matrix_translation_fold(letters, m):
+    rng = random.Random(f"{letters}:{m}")
+    module = _triangular_action(rng, m)
+    relators = (reduced_word(rng, GENS, letters), reduced_word(rng, GENS[:2], letters))
+    rows = BaseComplex(Presentation(GENS, relators), module).fox_rows
+    for r, (value, block_row) in zip(relators, rows):
+        assert len(r.letters) == letters
+        assert (value, block_row) == fox_block_row(r, module, GENS)

@@ -4,12 +4,15 @@ The formal Fox calculus and the letter-by-letter affine fold are the
 reference routes in ``fox_reference``; the program's own Fox pass, and the
 conveniences read from it, are checked against them."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundlesec import groupring
 from bundlesec.extensions import TorusBundleSpec, s_of_r
 from bundlesec.groupring import (
+    FOLD_LETTERS,
     KB_ALPHA,
     KB_CONJ_X,
     KB_CONJ_Y,
@@ -20,6 +23,7 @@ from bundlesec.groupring import (
     fox_jacobian,
     kb_inverse,
     kb_multiply,
+    ring_total,
 )
 from bundlesec.words import Presentation, Word, commutator
 from bundlesec.zlinalg import IntMatrix
@@ -29,6 +33,7 @@ from fox_reference import (
     affine_pair,
     evaluate_affine,
     evaluate_linear,
+    fox_block_row,
     fox_derivative,
     fox_identity_residual,
     linear_value,
@@ -176,7 +181,8 @@ xy_words = st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from((1, -1))),
 @given(xy_words, linear_reps())
 def test_fox_jacobian_matches_the_reference_derivatives(w, rep):
     value, jac = fox_jacobian(w, "xyz", lambda letter: rep.matrix(*letter), IntMatrix.__matmul__,
-                              IntMatrix.identity(rep.dim), IntMatrix.zeros(rep.dim, rep.dim))
+                              IntMatrix.identity(rep.dim),
+                              ring_total(IntMatrix.zeros(rep.dim, rep.dim)))
     assert value == linear_value(w, rep)
     assert set(jac) == {"x", "y", "z"}
     for g in "xyz":
@@ -220,8 +226,90 @@ def test_affine_value_from_the_fox_pass_matches_a_letter_by_letter_product(r1, r
 def test_fox_jacobian_in_the_integers():
     # x, y -> -1: d(x^3 y^-1)/dx = 1 + x + x^2 -> 1, d/dy = -x^3 y^-1 -> -1
     value, jac = fox_jacobian(Word.gen("x", 3) * Word.gen("y", -1), "xyz",
-                              lambda letter: -1, int.__mul__, 1, 0)
+                              lambda letter: -1, int.__mul__, 1, ring_total(0))
     assert (value, jac) == (1, {"x": 1, "y": -1, "z": 0})
+
+
+def test_each_derivative_is_one_total_of_its_plus_and_minus_terms():
+    # x -> 3, y -> 5 in the integers (the pass only multiplies): x^2 y^-1
+    # gives d/dx the "+" terms 1, 3 and d/dy the "-" term 3 * 3 * 5
+    calls = []
+
+    def total(plus, minus):
+        calls.append((list(plus), list(minus)))
+        return sum(plus) - sum(minus)
+
+    images = {("x", 1): 3, ("y", -1): 5}
+    value, jac = fox_jacobian(Word.gen("x", 2) * Word.gen("y", -1), "xyz", images.__getitem__,
+                              int.__mul__, 1, total)
+    assert (value, jac) == (45, {"x": 4, "y": -45, "z": 0})
+    # one total per generator; the absent generator z gets total([], [])
+    assert calls == [([1, 3], []), ([], [45]), ([], [])]
+
+
+@pytest.mark.parametrize("w", [Word.gen("y"), Word.gen("y", -1),
+                               Word.gen("x", 300) * Word.gen("y")])
+def test_a_letter_outside_gens_raises_key_error(w):
+    with pytest.raises(KeyError):
+        fox_jacobian(w, "xz", lambda letter: 1, int.__mul__, 1, ring_total(0))
+
+
+def reduced_word(rng, gens, length):
+    """A freely reduced word of exactly length letters."""
+    letters = []
+    while len(letters) < length:
+        letter = (rng.choice(gens), rng.choice((1, -1)))
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return Word(letters)
+
+
+@pytest.mark.parametrize("length", [1, 255, 256, 257, 1000, 10_000])
+def test_the_pass_holds_at_most_257_terms_per_generator(length):
+    # the ring Z/p, x -> 3 and y -> 5: every FOLD_LETTERS letters each
+    # generator's terms are folded into one, so no total sees more than
+    # FOLD_LETTERS + 1 of them, and the derivatives are those of the
+    # unfolded sum
+    p = 1_000_003
+    images = {("x", 1): 3, ("x", -1): pow(3, -1, p), ("y", 1): 5, ("y", -1): pow(5, -1, p)}
+    sizes = []
+
+    def total(plus, minus):
+        sizes.append(len(plus) + len(minus))
+        return (sum(plus) - sum(minus)) % p
+
+    def mul(a, b):
+        return a * b % p
+
+    w = reduced_word(random.Random(length), "xy", length)
+    value, jac = fox_jacobian(w, "xy", images.__getitem__, mul, 1, total)
+    prefix, expected = 1, {"x": 0, "y": 0}
+    for g, s in w.letters:
+        if s == -1:
+            prefix = prefix * images[g, s] % p
+        expected[g] = (expected[g] + s * prefix) % p
+        if s == 1:
+            prefix = prefix * images[g, s] % p
+    assert (value, jac) == (prefix, expected)
+    assert max(sizes) <= FOLD_LETTERS + 1
+    # a fold per generator every FOLD_LETTERS letters, then the final total
+    assert len(sizes) == 2 * -(-length // FOLD_LETTERS)
+    # one generator alone fills its lists with the letters of a chunk, and
+    # after the first fold with one term more
+    sizes.clear()
+    fox_jacobian(Word.gen("x", length), "x", images.__getitem__, mul, 1, total)
+    full = FOLD_LETTERS + 1 if length >= 2 * FOLD_LETTERS else min(length, FOLD_LETTERS)
+    assert max(sizes) == full
+
+
+@settings(max_examples=100, derandomize=True)
+@given(xy_words, linear_reps())
+def test_the_fold_with_matrix_translations_gives_the_formal_blocks(w, rep):
+    # the linear-time reference route for long words agrees with the formal one
+    value, row = fox_block_row(w, rep, "xyz")
+    assert value == linear_value(w, rep)
+    blocks = [evaluate_linear(fox_derivative(w, g), rep) for g in "xyz"]
+    assert row.data == tuple(sum((b.data[i] for b in blocks), ()) for i in range(rep.dim))
 
 
 # --- Klein-bottle model ----------------------------------------------------------

@@ -1,5 +1,8 @@
 """tools/relator_axis.py runs on this checkout and prints one table row per
-grid point, each with a count or a time for every column."""
+grid point, each with a count, a time or a peak for every column.  The Fox
+pass folds its term lists every FOLD_LETTERS letters, so its peak stays
+under 256 KiB at every grid point (about 21 KiB at 7,000 letters); a pass
+holding one term per letter peaks at 650-930 KiB there."""
 
 import pathlib
 import subprocess
@@ -23,3 +26,4 @@ def test_relator_axis_prints_one_row_per_grid_point():
         target = int(row[0].split(",")[0])
         # the relator is about as long as asked, and under the parser's cap
         assert target <= int(row[1]) < min(target + 16, 10_000)
+        assert float(row[header.index(" Fox peak KiB ")]) < 256

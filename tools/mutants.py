@@ -83,6 +83,14 @@ MUTANTS = (
            "return tuple(w[i] for i in torsion) + tuple(w[i] for i in free)",
            ("tests/test_zlinalg.py", "tests/test_mcg.py",
             "tests/test_surface_coinvariants_differential.py")),
+    Mutant("Fox terms swapped", "src/bundlesec/groupring.py",
+           "return prefix, {g: total(terms, minus[g]) for g, terms in plus.items()}",
+           "return prefix, {g: total(minus[g], terms) for g, terms in plus.items()}",
+           ("tests/test_groupring.py",)),
+    Mutant("fold drops its chunk", "src/bundlesec/groupring.py",
+           "plus[g] = [total(terms, minus[g])]",
+           "plus[g] = terms[:1]",
+           ("tests/test_fox_rows_differential.py",)),
 )
 
 

@@ -15,6 +15,9 @@ best of N in-process calls, in ms:
 * ``parse_presentation``: the tokens read into a presentation;
 * the Fox pass: building ``extensions.BaseComplex``, the base's cochain
   complex, whose constructor makes theta(r) and the block row B_r;
+* the Fox pass's peak, in KiB: the most memory that tracemalloc sees
+  allocated at once while one ``BaseComplex`` is built (one call, traced,
+  so it does not slow the timed calls);
 * ``lemma2_check`` with the file's offset;
 * a whole ``--json split-check`` of the file through ``cli.main``, its
   report discarded.
@@ -33,6 +36,7 @@ import random
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 from typing import Callable, Sequence
@@ -40,8 +44,8 @@ from typing import Callable, Sequence
 ROOT = Path(__file__).resolve().parent.parent
 GRID = tuple((letters, m) for letters in (240, 1000, 7000) for m in (2, 3))
 GENS = ("u", "v", "w")
-COLUMNS = ("letters", "tokens", "_tokenize", "parse_presentation", "Fox pass", "lemma 2",
-           "split-check")
+COLUMNS = ("letters", "tokens", "_tokenize", "parse_presentation", "Fox pass",
+           "Fox peak KiB", "lemma 2", "split-check")
 
 
 def _best_ms(call: Callable[[], object], repeat: int) -> float:
@@ -51,6 +55,17 @@ def _best_ms(call: Callable[[], object], repeat: int) -> float:
         call()
         best = min(best, time.perf_counter() - start)
     return best * 1e3
+
+
+def _peak_kib(call: Callable[[], object]) -> float:
+    """The peak of tracemalloc's traced memory during one call, in KiB."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 1024
 
 
 def _bundle_text(letters: int, m: int) -> str:
@@ -81,15 +96,18 @@ def _row(letters: int, m: int, repeat: int, scratch: Path) -> list:
             if cli.main(["--json", "split-check", str(path)]) != 0:
                 raise RuntimeError(f"split-check of {path.name} failed")
 
-    calls = (
+    def fox_pass():
+        extensions.BaseComplex(spec.base, spec.coefficients)
+
+    tokenize, parse, fox, lemma2, split = (f"{_best_ms(call, repeat):.3f}" for call in (
         lambda: words._tokenize(pres),
         lambda: words.parse_presentation(pres),
-        lambda: extensions.BaseComplex(spec.base, spec.coefficients),
+        fox_pass,
         lambda: extensions.lemma2_check(spec.base, spec.coefficients, spec.relator_offsets),
         split_check,
-    )
-    return [len(relator.letters), len(words._tokenize(pres)) - 1] + [
-        f"{_best_ms(call, repeat):.3f}" for call in calls]
+    ))
+    return [len(relator.letters), len(words._tokenize(pres)) - 1, tokenize, parse, fox,
+            f"{_peak_kib(fox_pass):.1f}", lemma2, split]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
