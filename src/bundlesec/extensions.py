@@ -75,10 +75,6 @@ class MalformedSpec(ValueError):
     """Raised when bundle data is structurally invalid."""
 
 
-def _zero(n: int) -> Vector:
-    return tuple(0 for _ in range(n))
-
-
 # bit length allowed in theta(r), its blocks and the running prefix of the
 # pass; a hyperbolic action raised to a long power passes it long before a
 # Smith form of the blocks would end
@@ -255,7 +251,7 @@ class TorusBundleSpec(_BundleDatum):
         self.translations = translations
         self.relator_offsets = relator_offsets
         m = self.fibre_rank
-        self._check((self.coefficients.assignment, self.translations), _zero(m))
+        self._check((self.coefficients.assignment, self.translations), (0,) * m)
         for v in (*(self.translations[g] for g in self.base.generators), *self.relator_offsets):
             if len(v) != m:
                 raise MalformedSpec("translation or offset has wrong fibre dimension")
@@ -429,12 +425,13 @@ def lemma2_check(base: Presentation, action: LinearRep,
     B^ab + (fibre coinvariants).
 
     Both are read from one Smith form U A V = D of the action block
-    A = [theta(x) - I]_x, padded to m pivots d_i.  diag(I, U) M diag(V, I)
-    has the columns d_i e_i and (exponent sums, -U offset_r).  A row with
-    pivot 1 is killed by its own column and drops out, so M has the cokernel
-    of a small matrix: the base rows, then the fibre rows with d_i != 1, one
-    column d_i e_i for each d_i >= 2, and the relator columns on those rows.
-    The split twin is the same small matrix with zero offsets.
+    A = [theta(x) - I]_x.  diag(I, U) M diag(V, I) has the columns d_i e_i
+    and (exponent sums, -U offset_r).  A row with pivot 1 is killed by its
+    own column and drops out, so M has the cokernel of a small matrix: the
+    base rows, then the fibre rows the cokernel of A keeps (its torsion rows,
+    then its free rows, those with pivot 0 or none), one column d_i e_i for
+    each torsion row, and the relator columns on the kept rows.  The split
+    twin is the same small matrix with zero offsets.
     """
     m = action.dim
     n = len(base.generators)
@@ -442,20 +439,18 @@ def lemma2_check(base: Presentation, action: LinearRep,
     if len(offsets) != len(base.relators):
         raise ValueError("need one offset per relator")
     dec = smith_normal_form(_action_block(m, [action.matrix(x) for x in base.generators]))
-    diag = dec.diagonal()
-    diag += (0,) * (m - len(diag))
-    kept = [i for i, d in enumerate(diag) if d != 1]
-    torsion = [i for i in kept if diag[i]]
+    torsion = dec.torsion_rows
+    kept = torsion + dec.free_rows
     # -U offset_r, as m rows of one entry per relator, from the row log
     shifted = dec.left_apply([[-off[i] for off in offsets] for i in range(m)])
-    pad = _zero(len(torsion))
+    pad = (0,) * len(torsion)
     base_rows = tuple(pad + row for row in sums.data)
-    pivot_rows = [tuple(diag[i] if i == j else 0 for j in torsion) for i in kept]
+    pivot_rows = [tuple(dec.diagonal[i] if i == j else 0 for j in torsion) for i in kept]
     # pi^ab, then its split twin
     group_ab, expected = (
         cokernel(IntMatrix(n + len(kept), len(torsion) + len(offsets),
                            base_rows + tuple(p + f for p, f in zip(pivot_rows, fibre_rows))))
-        for fibre_rows in ([tuple(shifted[i]) for i in kept], [_zero(len(offsets))] * len(kept)))
+        for fibre_rows in ([tuple(shifted[i]) for i in kept], [(0,) * len(offsets)] * len(kept)))
     return Lemma2Report(group_ab.invariant_factors == expected.invariant_factors,
                         group_ab, expected)
 
@@ -468,14 +463,14 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
     delta2 : A^X -> A^R, (a_x) |-> (sum_x theta(d r / d x) a_x)_r
 
     H^2 is the h2 of one ``BaseComplex``, the cokernel of its delta2.  H^1 is
-    read from two diagonals: ker delta2 is a saturated sublattice of
+    read from two Smith forms: ker delta2 is a saturated sublattice of
     C^1 = A^X, so C^1 / im delta1 is H^1 + C^1 / ker delta2 with the second
-    summand free.  H^1 therefore has the torsion of coker delta1 (the pivots
-    >= 2 of delta1) and rank m|X| - rank delta1 - rank delta2, both ranks
-    read from the Smith forms' diagonals.  delta1 and its transpose,
-    m x m|X|, have the same pivots, and the wide transpose is the cheaper to
-    reduce.  A relator that the module does not kill is named, clipped to
-    QUOTE_CHARS characters.
+    summand free.  H^1 therefore has the torsion of coker delta1 and rank
+    m|X| - rank delta1 - rank delta2.  delta1 and its transpose, m x m|X|,
+    have the same pivots, so the torsion is that of the cokernel of delta1^T,
+    the wide matrix, which is the cheaper to reduce; both ranks are the
+    Smith forms' ``rank``.  A relator that the module does not kill is
+    named, clipped to QUOTE_CHARS characters.
     """
     m = module.dim
     cx = BaseComplex(base, module)
@@ -492,7 +487,7 @@ def h1_h2_base(base: Presentation, module: LinearRep) -> Tuple[AbelianGroup, Abe
         raise InvariantError("delta2 . delta1 != 0")
 
     dec1 = smith_normal_form(d1t)
-    torsion = tuple(d for d in dec1.diagonal() if d >= 2)
+    torsion = dec1.cokernel().torsion
     return AbelianGroup(torsion + (0,) * (d2.cols - dec1.rank - cx.smith.rank)), cx.h2
 
 
@@ -517,7 +512,7 @@ def semidirect_presentation(
     if len(fibre_names) != m:
         raise ValueError("need one fibre name per fibre rank")
     if offsets is None:
-        offsets = [_zero(m) for _ in base.relators]
+        offsets = [(0,) * m for _ in base.relators]
 
     def fibre_word(vec: Sequence[int]) -> Word:
         out = Word.identity()

@@ -10,7 +10,9 @@ extensions pi_k = < u, x, y | u^-k [x,y], [u,x], [u,y] > of Z^2 by Z:
   ``groupring.fox_jacobian``: the row of [x,y] over (x, y) and the rows of
   u^-k [x,y], [u,x], [u,y] over (u, x, y).  Each row is checked against
   d1 = q(g) - 1 by ``check_composition``.  The three rows that do not depend
-  on k are walked and checked once, on import; a call walks u^-k [x,y];
+  on k are walked and checked once, on import, as is the (1,0) component of
+  the canonical element's boundary, which reads only the base row; a call
+  walks u^-k [x,y];
 * ``xi_star`` evaluates the base relator word through the section lifts in
   the group itself (via the nilpotent normal form u^m x^a y^b), with a loop
   of its own so that the two routes share no code.
@@ -155,6 +157,11 @@ def check_composition(row: Sequence[LaurentElement],
 # extension's
 _BASE_ROW = check_composition(_fox_row(_BASE_RELATOR, _XY), _XY)
 _COMMUTING_ROWS = tuple(check_composition(_fox_row(w, _UXY), _UXY) for w in (_UX, _UY))
+# the (1,0) component of the canonical element's total boundary, which does
+# not depend on k, vanishes: d'(c2) (x) 1 and, with the sign (-1)^1,
+# -c1^x (x) d''(p1^y) and c1^y (x) d''(p1^x)
+if not ((_BASE_ROW[0] + _D1["y"]).is_zero() and (_BASE_ROW[1] - _D1["x"]).is_zero()):
+    raise InvariantError("the canonical element is not a cycle modulo filtration")
 
 
 class CentralExtensionSpec(NamedTuple):
@@ -170,19 +177,14 @@ def transgress(spec: CentralExtensionSpec) -> int:
     """Transgression of the fundamental class, as an integer in the fibre.
 
     z = c2 (x) 1 - c1^x (x) p1^y + c1^y (x) p1^x, with c the base resolution
-    and p the extension's.  The (1,0) component of its total boundary must
-    vanish.  The (0,1) component is reduced modulo the boundary of p2^r to a
-    multiple of p1^u, then augmented; the boundaries of p2^s, p2^t only
-    shift the coefficient by the augmentation ideal, so the integer is well
-    defined.  Only the row of r = u^-k [x,y] depends on k, so it is the one
-    relator walked here.
+    and p the extension's.  The (1,0) component of its total boundary
+    vanishes, as checked once on import.  The (0,1) component is reduced
+    modulo the boundary of p2^r to a multiple of p1^u, then augmented; the
+    boundaries of p2^s, p2^t only shift the coefficient by the augmentation
+    ideal, so the integer is well defined.  Only the row of r = u^-k [x,y]
+    depends on k, so it is the one relator walked here.
     """
-    c_x, c_y = _BASE_ROW
     r_u, r_x, r_y = check_composition(_fox_row(spec.relators()[0], _UXY), _UXY)
-    # (1,0): d'(c2) (x) 1 and, with the sign (-1)^1, -c1^x (x) d''(p1^y)
-    # and c1^y (x) d''(p1^x)
-    if not ((c_x + _D1["y"]).is_zero() and (c_y - _D1["x"]).is_zero()):
-        raise InvariantError("the canonical element is not a cycle modulo filtration")
     # (0,1): d'(c1^y) (x) p1^x - d'(c1^x) (x) p1^y, with no p1^u term
     v_x, v_y = _D1["y"], -_D1["x"]
     lam = laurent_divide(v_x, r_x)

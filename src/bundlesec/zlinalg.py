@@ -8,9 +8,12 @@ tie-break fixes the operation log, and with it the canonical coordinates of
 every cokernel, so it is part of the contract.  The reduction updates only
 the matrix and logs its operations; a column operation touches only the rows
 that are nonzero (live) in the pivot column, since it leaves the others
-unchanged.  Coordinates in a cokernel come from the row log, applied to the
-vector alone.  Only ``solve`` reads the transform U, and only it and
-``kernel_basis`` read V; each is replayed from its log when first read.
+unchanged.  A decomposition reads its pivots from D once: the diagonal, the
+rank, and the rows a cokernel keeps, the torsion rows (pivot >= 2) and then
+the free rows; cokernels, coordinates, solutions and kernels read them, and
+so do lemma 2 and H^1.  Coordinates in a cokernel come from the row log,
+applied to the vector alone.  Only ``solve`` reads the transform U, and only
+it and ``kernel_basis`` read V; each is replayed from its log when first read.
 """
 
 from __future__ import annotations
@@ -193,16 +196,27 @@ def _replay(n: int, ops: Sequence[Op]) -> IntMatrix:
 class SmithDecomposition:
     """U @ M @ V == D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    The elimination reduces M alone and logs its row and column operations.
-    U and V are replayed from the logs on an identity the first time each is
-    read: ``solve`` reads both and ``kernel_basis`` V; the diagonal, the
-    cokernel and coordinates in it read neither.
+    The pivots are read from D once, into ``diagonal``, ``rank`` (the
+    nonzero pivots), ``torsion_rows`` (the rows with a pivot >= 2) and
+    ``free_rows`` (the rows with pivot 0, then the rows past the diagonal).
+    A cokernel keeps the torsion rows, then the free rows: ``cokernel``,
+    ``project``, ``solve``, lemma 2 and H^1 read them; ``kernel_basis`` the
+    rank.  The elimination reduces M alone and logs its row and column
+    operations.  U and V are replayed from the logs on an identity the first
+    time each is read: ``solve`` reads both and ``kernel_basis`` V; the
+    pivots, the cokernel and coordinates in it read neither.
     """
 
     def __init__(self, D: IntMatrix, row_ops: Tuple[Op, ...], col_ops: Tuple[Op, ...]):
         self.D = D
         self.row_ops = row_ops
         self.col_ops = col_ops
+        n = min(D.rows, D.cols)
+        self.diagonal: Vector = tuple(D.data[i][i] for i in range(n))
+        self.rank = sum(1 for d in self.diagonal if d != 0)
+        self.torsion_rows = tuple(i for i, d in enumerate(self.diagonal) if d >= 2)
+        self.free_rows = (tuple(i for i, d in enumerate(self.diagonal) if d == 0)
+                          + tuple(range(n, D.rows)))
 
     @cached_property
     def U(self) -> IntMatrix:
@@ -213,14 +227,6 @@ class SmithDecomposition:
         # a column operation on V is the same row operation on V^T
         return _replay(self.D.cols, self.col_ops).transpose()
 
-    def diagonal(self) -> Tuple[int, ...]:
-        n = min(self.D.rows, self.D.cols)
-        return tuple(self.D.data[i][i] for i in range(n))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
-
     def left_apply(self, rows: Sequence[Sequence[int]]) -> List[List[int]]:
         """The rows of U @ X, for X given by its rows, from the row log: U is
         not built."""
@@ -230,46 +236,37 @@ class SmithDecomposition:
         """A lattice basis of { v : M @ v == 0 }: the columns of V where D e_j == 0."""
         return tuple(self.V.column(j) for j in range(self.rank, self.D.cols))
 
-    def _kept_rows(self) -> Tuple[List[int], List[int]]:
-        """The rows of D that the cokernel keeps: those with a pivot >= 2, then
-        the free rows, whose pivot is 0 or absent."""
-        diag = self.diagonal()
-        return ([i for i, d in enumerate(diag) if d >= 2],
-                [i for i, d in enumerate(diag) if d == 0] + list(range(len(diag), self.D.rows)))
-
     def cokernel(self) -> "AbelianGroup":
-        """The quotient Z^rows / im(M): a Z/d for each pivot d >= 2, then a Z
-        for each free row."""
-        torsion, free = self._kept_rows()
-        diag = self.diagonal()
-        return AbelianGroup(tuple(diag[i] for i in torsion) + (0,) * len(free))
+        """The quotient Z^rows / im(M): a Z/d for each torsion row's pivot d,
+        then a Z for each free row."""
+        diag = self.diagonal
+        return AbelianGroup(tuple(diag[i] for i in self.torsion_rows)
+                            + (0,) * len(self.free_rows))
 
     def project(self, v: Sequence[int]) -> Vector:
-        """The coordinates of v in the cokernel: U @ v at the kept rows, each
-        torsion one mod its pivot, from the row log: U is not built."""
+        """The coordinates of v in the cokernel: U @ v at the torsion rows, each
+        mod its pivot, then at the free rows, from the row log: U is not built."""
         if len(v) != self.D.rows:
             raise ValueError("vector length does not match row count")
-        torsion, free = self._kept_rows()
-        diag = self.diagonal()
         w = [row[0] for row in self.left_apply([[x] for x in v])]
-        return tuple(w[i] % diag[i] for i in torsion) + tuple(w[i] for i in free)
+        diag = self.diagonal
+        torsion = tuple(w[i] % diag[i] for i in self.torsion_rows)
+        return torsion + tuple(w[i] for i in self.free_rows)
 
     def solve(self, v: Sequence[int]) -> Optional[Vector]:
-        """One integer solution x of M @ x == v, or None if there is none."""
+        """One integer solution x of M @ x == v, or None if there is none:
+        U @ v must vanish at the free rows, and each pivot must divide it at
+        its row."""
         if len(v) != self.D.rows:
             raise ValueError("dimension mismatch")
         w = self.U.apply(v)
-        diag = self.diagonal()
+        if any(w[i] for i in self.free_rows):
+            return None
         y = [0] * self.D.cols
-        for i, wi in enumerate(w):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if wi != 0:
-                    return None
-            else:
-                if wi % d != 0:
-                    return None
-                y[i] = wi // d
+        for i in range(self.rank):
+            y[i], rest = divmod(w[i], self.diagonal[i])
+            if rest:
+                return None
         return self.V.apply(y)
 
 

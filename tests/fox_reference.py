@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Mapping, Sequence, Tuple
 
 from bundlesec.groupring import LinearRep
-from bundlesec.transgression import LaurentElement
 from bundlesec.words import Word
 from bundlesec.zlinalg import IntMatrix, Vector
 
@@ -142,17 +141,6 @@ def evaluate_linear(e: FreeRingElement, rep: LinearRep) -> IntMatrix:
     for w, c in e.terms.items():
         m = linear_value(w, rep)
         out = out + IntMatrix(m.rows, m.cols, tuple(tuple(c * x for x in row) for row in m.data))
-    return out
-
-
-def laurent_of_ring_element(e: FreeRingElement, images: Mapping[str, Tuple[int, int]]
-                            ) -> LaurentElement:
-    """Push a group-ring element to the Laurent ring via exponent images."""
-    out = LaurentElement.zero()
-    for w, c in e.terms.items():
-        a = sum(s * images[g][0] for g, s in w.letters)
-        b = sum(s * images[g][1] for g, s in w.letters)
-        out = out + LaurentElement.monomial(a, b, c)
     return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from bundlesec.extensions import Lemma2Report, _zero
+from bundlesec.extensions import Lemma2Report
 from bundlesec.groupring import LinearRep
 from bundlesec.words import Presentation
 from bundlesec.zlinalg import (AbelianGroup, IntMatrix, SmithDecomposition, Vector, cokernel,
@@ -55,7 +55,7 @@ def lemma2_check(base: Presentation, action: LinearRep,
     """
     m = action.dim
     n = len(base.generators)
-    pad = _zero(n)
+    pad = (0,) * n
     action_cols = [pad + col for x in base.generators
                    for col in minus_identity(action.matrix(x)).columns()]
     sums = base.exponent_matrix().columns()
@@ -65,7 +65,7 @@ def lemma2_check(base: Presentation, action: LinearRep,
         return cokernel(from_columns(action_cols + offset_cols, rows=n + m))
 
     group_ab = pi_ab(offsets)
-    expected = pi_ab([_zero(m)] * len(sums))
+    expected = pi_ab([(0,) * m] * len(sums))
     return Lemma2Report(group_ab.invariant_factors == expected.invariant_factors,
                         group_ab, expected)
 

@@ -172,7 +172,7 @@ def test_criterion_7_property_suites():
         dec = smith_normal_form(m)
         assert dec.U @ m @ dec.V == dec.D
         assert is_unimodular(dec.U) and is_unimodular(dec.V)
-        diag = [d for d in dec.diagonal() if d != 0]
+        diag = [d for d in dec.diagonal if d != 0]
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
 
     # (c) the obstruction class is independent of the chosen lifts

@@ -111,7 +111,7 @@ def test_lemma2_matches_the_one_matrix_reference_at_pivots_1_2_and_0():
     for u, v in ((eye, eye), (minus, eye), (minus, minus), (shear, eye), (shear, minus)):
         action = LinearRep({"u": u, "v": v}, 2)
         pivots.update(extensions.smith_normal_form(
-            extensions._action_block(2, [u, v])).diagonal())
+            extensions._action_block(2, [u, v])).diagonal)
         for offset in ((0, 0), (1, 0), (0, 1), (2, -3), (4, 6)):
             _assert_matches_one_matrix_reference(base, action, [offset])
     assert pivots == {0, 1, 2}

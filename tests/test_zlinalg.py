@@ -1,7 +1,7 @@
 """Exact integer linear algebra: Smith form, cokernels, membership."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bundlesec.zlinalg import (
     AbelianGroup,
@@ -28,13 +28,13 @@ def matrices(draw, max_dim=4):
 def test_smith_worked_example():
     m = IntMatrix.from_rows([[2, 4], [-2, 6]])
     dec = smith_normal_form(m)
-    assert dec.diagonal() == (2, 10)
+    assert dec.diagonal == (2, 10)
     assert dec.U @ m @ dec.V == dec.D
 
 
 def test_smith_zero_and_identity():
-    assert smith_normal_form(IntMatrix.zeros(3, 2)).diagonal() == (0, 0)
-    assert smith_normal_form(IntMatrix.identity(3)).diagonal() == (1, 1, 1)
+    assert smith_normal_form(IntMatrix.zeros(3, 2)).diagonal == (0, 0)
+    assert smith_normal_form(IntMatrix.identity(3)).diagonal == (1, 1, 1)
 
 
 @settings(max_examples=200, derandomize=True)
@@ -44,7 +44,7 @@ def test_smith_decomposition_invariants(m):
     assert dec.U @ m @ dec.V == dec.D
     assert is_unimodular(dec.U)
     assert is_unimodular(dec.V)
-    diag = dec.diagonal()
+    diag = dec.diagonal
     for i in range(dec.D.rows):
         for j in range(dec.D.cols):
             if i != j:
@@ -58,11 +58,40 @@ def test_smith_decomposition_invariants(m):
 
 
 @settings(max_examples=200, derandomize=True)
+@given(matrices(), st.sampled_from(["entries", "zero", "identity"]))
+@example(IntMatrix(0, 3, ()), "entries")
+@example(IntMatrix(3, 0, ((),) * 3), "entries")
+def test_pivot_attributes_match_the_diagonal_of_d(m, kind):
+    # tall and wide shapes, each with random entries, zero, or the identity
+    # padded with zero rows or columns
+    if kind != "entries":
+        m = IntMatrix(m.rows, m.cols, tuple(
+            tuple(int(kind == "identity" and i == j) for j in range(m.cols))
+            for i in range(m.rows)))
+    dec = smith_normal_form(m)
+    # each row's pivot read from D alone, None past the diagonal
+    pivots = [dec.D.data[i][i] if i < dec.D.cols else None for i in range(dec.D.rows)]
+    assert dec.diagonal == tuple(p for p in pivots if p is not None)
+    assert dec.rank == sum(1 for p in pivots if p)
+    torsion, free = list(dec.torsion_rows), list(dec.free_rows)
+    assert torsion == sorted(torsion) and free == sorted(free)
+    assert not set(torsion) & set(free)
+    assert sorted(torsion + free) == [i for i, p in enumerate(pivots) if p != 1]
+    assert torsion == [i for i, p in enumerate(pivots) if p is not None and p >= 2]
+    assert free == [i for i, p in enumerate(pivots) if not p]
+    if kind == "zero":
+        assert (dec.rank, torsion, free) == (0, [], list(range(m.rows)))
+    elif kind == "identity":
+        n = min(m.rows, m.cols)
+        assert (dec.rank, torsion, free) == (n, [], list(range(n, m.rows)))
+
+
+@settings(max_examples=200, derandomize=True)
 @given(matrices(max_dim=3))
 def test_smith_matches_minor_gcds(m):
     dec = smith_normal_form(m)
     expected = invariant_factors_by_minors(m)
-    got = tuple(d for d in dec.diagonal() if d != 0)
+    got = tuple(d for d in dec.diagonal if d != 0)
     assert got == expected
 
 
@@ -138,7 +167,7 @@ def test_project_is_u_at_the_kept_rows_mod_the_factors(m, raw):
     coords = dec.project(v)
     # the reference replays U: its rows at the pivots >= 2, then at the pivots
     # 0 and the rows with no pivot, each mod its factor
-    diag = dec.diagonal() + (0,) * (m.rows - len(dec.diagonal()))
+    diag = dec.diagonal + (0,) * (m.rows - len(dec.diagonal))
     kept = [i for i, d in enumerate(diag) if d >= 2] + [i for i, d in enumerate(diag) if d == 0]
     factors = dec.cokernel().invariant_factors
     assert factors == tuple(diag[i] for i in kept)
