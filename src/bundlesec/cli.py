@@ -22,7 +22,8 @@ byte), 4 malformed bundle data (including data over a cap:
 relator letters, bits of a bundle file's integers, Fox-row entry bits,
 checked on the running prefix of each relator's Fox pass), 5 usage error
 (transgress takes one of --k and --range), 6 failed internal check (a bug, in
-one stderr line, such as a transgression that disagrees with xi*).
+one stderr line, such as a transgression that disagrees with xi*, or a zero
+class whose pi^ab lemma 2 finds not isomorphic to the split twin's).
 """
 
 from __future__ import annotations
@@ -132,6 +133,11 @@ def _split_check_text(label: str, text: str, inputs: Dict) -> Output:
         # compare pi^ab against (fibre coinvariants) + (base abelianization);
         # with s(r) as the offsets, the lifts' translations are folded in
         check = lemma2_check(spec.base, spec.coefficients, obstruction.s_of_r)
+        # a zero class gives corrections that kill every relator, so pi is
+        # the split twin and has its abelianization: a contradiction is a bug
+        if not any(obstruction.class_coordinates[0]) and not check.is_isomorphic:
+            raise InvariantError(f"{label}: the class is zero, but lemma 2 finds "
+                                 f"pi^ab = {check.group_ab}, not {check.expected}")
         lemma2 = {
             "applies": True,
             "group_ab": str(check.group_ab),

@@ -55,6 +55,17 @@ CASES = (
     (4, ["split-check", "{tmp}/surface_off_the_form.bundle"], "surface_off_the_form.bundle",
      b"[base]\n< u, v | [u,v] >\n[fibre]\nsurface 2\n[action]\n"
      b"u = 1 0 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1\nv = 1 1 0 0 ; 0 1 0 0 ; 0 0 1 0 ; 0 0 0 1\n"),
+    # cohomology takes torus-module coefficients only
+    (4, ["cohomology", "{tmp}/kb_cohomology.bundle"], "kb_cohomology.bundle",
+     b"[base]\n< u, v | [u,v] >\n[fibre]\nkb\n[action]\nu = id\nv = id\n"),
+    # a section header given twice, an empty [fibre], and an [action] key that
+    # names no base generator
+    (4, ["split-check", "{tmp}/repeated_section.bundle"], "repeated_section.bundle",
+     b"[base]\n< u, v | [u,v] >\n[fibre]\ntorus 1\n[base]\n< w | >\n"),
+    (4, ["split-check", "{tmp}/empty_fibre.bundle"], "empty_fibre.bundle",
+     b"[base]\n< u, v | [u,v] >\n[fibre]\n[action]\nu = 1\nv = 1\n"),
+    (4, ["cohomology", "{tmp}/action_unknown_key.bundle"], "action_unknown_key.bundle",
+     b"[base]\n< u, v | [u,v] >\n[fibre]\ntorus 1\n[action]\nu = 1\nv = 1\nw = 1\n"),
     # a valid file first (written below): an error in a later file prints no report at all
     (2, ["split-check", "{tmp}/offset_generator.bundle", "{tmp}/missing.bundle"], None, None),
     (4, ["split-check", "{tmp}/offset_generator.bundle", "{tmp}/no_relator.pres"], None, None),

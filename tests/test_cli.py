@@ -668,6 +668,28 @@ def test_failed_internal_check_exits_6_in_one_line(tmp_path, monkeypatch, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, code", [
+    ("product_torus.bundle", 6),  # SPLITS: a zero class
+    ("heisenberg_torus.bundle", 0),  # NO_SECTION: a nonzero class
+])
+def test_a_zero_class_that_lemma2_contradicts_exits_6(monkeypatch, capsys, name, code):
+    # a zero class makes pi the split twin, so lemma 2 must find it isomorphic
+    from bundlesec import cli
+
+    lemma2_check = cli.lemma2_check
+    monkeypatch.setattr(cli, "lemma2_check",
+                        lambda *args: lemma2_check(*args)._replace(is_isomorphic=False))
+    assert cli.main(["split-check", str(SPECS / name)]) == code
+    out, err = capsys.readouterr()
+    if code == 6:
+        assert out == ""
+        assert err.startswith("error: internal check failed: ")
+        assert err.count("\n") == 1
+    else:
+        assert "NOT isomorphic" in out
+        assert err == ""
+
+
 def test_usage_error_exits_5():
     out = run_cli("transgress", "--k", "abc")
     assert out.returncode == 5

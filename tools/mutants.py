@@ -97,6 +97,10 @@ MUTANTS = (
            "plus[g] = [total(terms, minus[g])]",
            "plus[g] = terms[:1]",
            ("tests/test_fox_rows_differential.py",)),
+    Mutant("lemma-2 contradiction unchecked", "src/bundlesec/cli.py",
+           "if not any(obstruction.class_coordinates[0]) and not check.is_isomorphic:",
+           "if False:",
+           ("tests/test_cli.py",)),
 )
 
 

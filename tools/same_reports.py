@@ -16,10 +16,9 @@ changed error message shows as one listed difference.
 Each checkout runs in its own interpreter, started with ``-B`` so that no
 bytecode cache is written into it.
 
-Each count is printed twice: raw, and after normalising the differences that
-the schema-2 reports announce (``ANNOUNCED``) on both sides.  Exits 0 when
-every report is identical after normalising, 1 otherwise, listing the first
-differences that remain.
+Reports are compared exactly as printed; the tool knows nothing of their
+format.  Exits 0 when every report is identical, 1 otherwise, listing the
+first differences.
 """
 
 from __future__ import annotations
@@ -27,26 +26,15 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import re
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import Sequence, Tuple
+from typing import Sequence
 
 SEEDS = (1, 2, 3)
 SHOWN_DIFFERENCES = 10
-
-#: The report changes of schema 2, set aside by the normalised comparison:
-#: the JSON keys at these paths are dropped from every report, and the
-#: commands named are compared by exit code and verdict only.
-ANNOUNCED = {
-    "dropped_keys": (("schema_version",), ("result", "obstruction", "jw")),
-    "verdict_only": ("endo",),
-}
-# a text report's verdict is its first verdict word
-_VERDICT = re.compile(r"\b(SPLITS|JACOBIAN_SPLITS|NO_SECTION|NO_SPLITTING|ACTION_DOES_NOT_LIFT)\b")
 
 
 def _run_worker(checkout: Path, workdir: Path, argvs: Sequence[Sequence[str]]) -> list:
@@ -76,50 +64,13 @@ def _worker(src: str) -> None:
     json.dump(results, sys.stdout)
 
 
-def _normalised(argv: Sequence[str], result: list) -> list:
-    """result with the ANNOUNCED differences taken out."""
-    code, out, err = result
-    command = next((a for a in argv if not a.startswith("--")), "")
-    if command in ANNOUNCED["verdict_only"]:
-        if "--json" in argv:
-            verdicts = [report.get("verdict") for report in _json_reports(out)]
-        else:
-            verdicts = _VERDICT.findall(out)[:1]
-        return [code, verdicts]
-    if "--json" not in argv or code != 0:
-        return result
-    reports = _json_reports(out)
-    for report in reports:
-        for *path, key in ANNOUNCED["dropped_keys"]:
-            node = report
-            for step in path:
-                node = node.get(step) if isinstance(node, dict) else None
-            if isinstance(node, dict):
-                node.pop(key, None)
-    return [code, reports, err]
-
-
-def _json_reports(out: str) -> list:
-    """The JSON reports printed one after another."""
-    decoder, space = json.JSONDecoder(), json.decoder.WHITESPACE
-    reports, at = [], space.match(out, 0).end()
-    while at < len(out):
-        report, at = decoder.raw_decode(out, at)
-        reports.append(report)
-        at = space.match(out, at).end()
-    return reports
-
-
-def _differences(parent: Path, change: Path, workdir: Path, argvs: list,
-                 where: str) -> Tuple[int, list]:
-    """(raw count of results that differ, and (where, command, parent's result,
-    change's result) for each argv whose results differ after normalising)."""
+def _differences(parent: Path, change: Path, workdir: Path, argvs: list, where: str) -> list:
+    """(where, command, parent's result, change's result) for each argv whose
+    results differ."""
     before = _run_worker(parent, workdir, argvs)
     after = _run_worker(change, workdir, argvs)
-    pairs = list(zip(argvs, before, after, strict=True))
-    raw = sum(x != y for _, x, y in pairs)
-    return raw, [(where, " ".join(a), x, y) for a, x, y in pairs
-                 if _normalised(a, x) != _normalised(a, y)]
+    return [(where, " ".join(a), x, y)
+            for a, x, y in zip(argvs, before, after, strict=True) if x != y]
 
 
 def _golden_argvs() -> list:
@@ -143,16 +94,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     import workloads
 
     differences: list = []
-    # [reports, identical raw, identical normalised] per kind of report
-    counts = {kind: [0, 0, 0] for kind in ("workload", "golden", "error")}
+    # [reports, identical] per kind of report
+    counts = {kind: [0, 0] for kind in ("workload", "golden", "error")}
 
     def compare(kind: str, workdir: Path, argvs: list, where: str) -> str:
-        raw, found = _differences(parent, change, workdir, argvs, where)
+        found = _differences(parent, change, workdir, argvs, where)
         differences.extend(found)
-        n = len(argvs)
-        for i, same in enumerate((n, n - raw, n - len(found))):
-            counts[kind][i] += same
-        return f"{n - raw}/{n} raw, {n - len(found)}/{n} normalised"
+        n, same = len(argvs), len(argvs) - len(found)
+        counts[kind][0] += n
+        counts[kind][1] += same
+        return f"{same}/{n}"
 
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -167,8 +118,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="same-reports-") as tmp:
         error = compare("error", Path(tmp), error_cases.write_inputs(Path(tmp)), "error")
     print(f"error inputs: {error} error reports identical")
-    summary = "; ".join(f"{kind} reports {raw}/{n} raw, {same}/{n} normalised"
-                        for kind, (n, raw, same) in counts.items())
+    summary = "; ".join(f"{kind} reports {same}/{n}" for kind, (n, same) in counts.items())
     print(f"all: {summary} identical (exit code, stdout and stderr; workload and golden "
           "reports each with --json and as text)")
     for where, command, x, y in differences[:SHOWN_DIFFERENCES]:
